@@ -1,5 +1,12 @@
 """Non-stationary geometry-based stochastic channel model for IRS-assisted MIMO."""
 
+import os as _os
+
+# Ensembles run one worker process per core, so BLAS gets one thread per
+# process unless the user chose otherwise.  Must run before numpy is imported.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .assembly import EndToEndChannel, apply_steering, cascade, phase_model_for
 from .clusters import (
     ClusterPair,

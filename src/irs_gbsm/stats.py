@@ -21,13 +21,21 @@ reflection-phase factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so one
 ensemble serves any phase resolution.  Every correlation is normalized by
 sqrt(R0(anchor1) * R0(anchor2)), making the zero-lag value exactly 1.
 
-Trials are reduced in fixed blocks of 256 so that results are bit-identical
-whatever the worker-pool size.
+Per trial, the full-IRS CCF and equal-time tensors are sums over rays of
+outer products across element pairs; ``_correlations`` contracts them with
+BLAS (GEMM), O(N E^2 T) work for N rays, E elements and T lags, and the run
+holds 8 complex E x E x T accumulators (4 without the analytical tensors).
+``acf_full_irs`` refuses, before any trial, a surface whose tensors would not
+fit in physical RAM.
+
+Trials are reduced in fixed blocks of 256, summed in block order, so that
+results are bit-identical whatever the worker-pool size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -73,24 +81,36 @@ def _times(t: float, lags: np.ndarray) -> np.ndarray:
     return t + lags
 
 
+def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CCF and equal-time tensors of stacked phasors x[n, r, t].
+
+    ccf[r, s, t] = sum_n x[n, r, 0] conj(x[n, s, t]) and
+    gram[r, s, t] = sum_n x[n, r, t] conj(x[n, s, t]), both (E, E, T).  Both
+    contract over n with BLAS: one GEMM for ccf and a batched GEMM over t for
+    gram, which is Hermitian in (r, s).
+    """
+    n, e, t = x.shape
+    # contiguous operands: numpy hands matmul to BLAS only for C- or F-ordered matrices
+    x0 = np.ascontiguousarray(x[:, :, 0])
+    ccf = (x0.T @ np.conj(x).reshape(n, e * t)).reshape(e, e, t)
+    xt = np.ascontiguousarray(x.transpose(2, 1, 0))     # (T, E, n)
+    gram = np.matmul(xt, np.conj(xt).transpose(0, 2, 1)).transpose(1, 2, 0)
+    return ccf, gram
+
+
 def _sub_arrays(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None):
     """Per-realization transfer values plus analytical CCF / zero-lag tensors.
 
     Returns (h, ana, gram): h is (E, T); ana[r1, r2, dt] the analytical
     cross-correlation anchored at t; gram[r1, r2, s] the equal-time tensor
-    used for normalization.
+    used for normalization.  The LoS phasor enters the contraction as one
+    extra ray weighted sqrt(K/(K+1)), the NLoS rays are weighted sqrt(1/(K+1)).
     """
     bundle = ray_field(real, _times(t, lags), f, tx_el, rx_el, sweep)
-    w_l = real.k_factor / (real.k_factor + 1.0)
-    w_n = 1.0 / (real.k_factor + 1.0)
-    h = bundle.transfer()
-    gc = np.conj(bundle.g)
-    uc = np.conj(bundle.u)
-    ana = (w_l * bundle.u[:, 0][:, None, None] * uc[None, :, :]
-           + w_n * np.einsum("nr,nst->rst", bundle.g[:, :, 0], gc))
-    gram = (w_l * bundle.u[:, None, :] * uc[None, :, :]
-            + w_n * np.einsum("nrt,nst->rst", bundle.g, gc))
-    return h, ana, gram
+    k = real.k_factor
+    x = np.concatenate([np.sqrt(k / (k + 1.0)) * bundle.u[None],
+                        np.sqrt(1.0 / (k + 1.0)) * bundle.g])
+    return (bundle.transfer(), *_correlations(x))
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +151,8 @@ def _trial_cascade(cfg: ScenarioConfig, seed: int, k: int, params: dict) -> dict
         h_bi = ray_field(bi, times, f, q, 1, sweep="rx").transfer()
         h_iu = ray_field(iu, times, f, 1, p, sweep="tx").transfer()
     if params.get("tensors", True):
-        out.update({
-            "sim_ccf_bi": h_bi[:, 0][:, None, None] * np.conj(h_bi)[None, :, :],
-            "sim_gram_bi": h_bi[:, None, :] * np.conj(h_bi)[None, :, :],
-            "sim_ccf_iu": h_iu[:, 0][:, None, None] * np.conj(h_iu)[None, :, :],
-            "sim_gram_iu": h_iu[:, None, :] * np.conj(h_iu)[None, :, :],
-        })
+        out["sim_ccf_bi"], out["sim_gram_bi"] = _correlations(h_bi[None])
+        out["sim_ccf_iu"], out["sim_gram_iu"] = _correlations(h_iu[None])
     for label, theta in params["theta"].items():
         h_part = np.sum(h_bi * h_iu * np.exp(-1j * theta), axis=0)  # (T,)
         out[f"trial_prod_{label}"] = h_part[0] * np.conj(h_part)
@@ -263,23 +279,30 @@ _TRIAL_FNS = {
 # ---------------------------------------------------------------------------
 # ensemble runner: fixed 256-trial blocks, deterministic reduction order
 
+def _reduce(parts, join) -> dict:
+    """Sum dicts of arrays in the given order; ``trial_`` keys are joined instead.
+
+    Sums are added in place into an owned copy of each key's first value, so
+    no caller's array is written and no new array is allocated per part.
+    """
+    acc: dict = {}
+    rows: dict = {}
+    for part in parts:
+        for key, value in part.items():
+            if key.startswith("trial_"):
+                rows.setdefault(key, []).append(value)
+            elif key in acc:
+                acc[key] += value
+            else:
+                acc[key] = np.array(value, copy=True)
+    acc.update((key, join(values)) for key, values in rows.items())
+    return acc
+
+
 def _block_sums(cfg: ScenarioConfig, stat: str, params: dict, seed: int,
                 lo: int, hi: int) -> dict:
     fn = _TRIAL_FNS[stat]
-    acc: dict = {}
-    for k in range(lo, hi):
-        out = fn(cfg, seed, k, params)
-        for key, value in out.items():
-            if key.startswith("trial_"):
-                acc.setdefault(key, []).append(value)
-            elif key in acc:
-                acc[key] = acc[key] + value
-            else:
-                acc[key] = value.astype(value.dtype, copy=True)
-    for key in list(acc):
-        if key.startswith("trial_"):
-            acc[key] = np.stack(acc[key])
-    return acc
+    return _reduce((fn(cfg, seed, k, params) for k in range(lo, hi)), np.stack)
 
 
 def _block_worker(payload: dict) -> dict:
@@ -288,37 +311,29 @@ def _block_worker(payload: dict) -> dict:
                        payload["lo"], payload["hi"])
 
 
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+
+
 def run_ensemble(cfg: ScenarioConfig, stat: str, params: dict,
                  trials: int | None = None, seed: int | None = None,
                  threads: int = 1) -> tuple[dict, int]:
     """Accumulate per-trial outputs over the run; returns (reduced, trials).
 
     Keys starting with ``trial_`` stack one row per trial; all other keys sum.
-    Results are independent of ``threads``.
+    Block partials are folded in block order as they arrive, so results are
+    independent of ``threads``.
     """
     trials = cfg.trials if trials is None else trials
     seed = cfg.seed if seed is None else seed
-    blocks = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    blocks = _blocks(trials)
     if threads <= 1 or len(blocks) == 1:
-        partials = [_block_sums(cfg, stat, params, seed, lo, hi) for lo, hi in blocks]
-    else:
-        payloads = [{"config": serialize_config(cfg), "stat": stat, "params": params,
-                     "seed": seed, "lo": lo, "hi": hi} for lo, hi in blocks]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_block_worker, payloads))
-    reduced: dict = {}
-    for part in partials:
-        for key, value in part.items():
-            if key.startswith("trial_"):
-                reduced.setdefault(key, []).append(value)
-            elif key in reduced:
-                reduced[key] = reduced[key] + value
-            else:
-                reduced[key] = value
-    for key in list(reduced):
-        if key.startswith("trial_"):
-            reduced[key] = np.concatenate(reduced[key])
-    return reduced, trials
+        parts = (_block_sums(cfg, stat, params, seed, lo, hi) for lo, hi in blocks)
+        return _reduce(parts, np.concatenate), trials
+    payloads = [{"config": serialize_config(cfg), "stat": stat, "params": params,
+                 "seed": seed, "lo": lo, "hi": hi} for lo, hi in blocks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return _reduce(pool.map(_block_worker, payloads), np.concatenate), trials
 
 
 def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -413,6 +428,30 @@ def _combine_full(ccf_bi, gram_bi, ccf_iu, gram_iu, theta) -> np.ndarray:
     return _normalize(r_vals, a0)
 
 
+def _physical_ram_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_tensor_footprint(n_elements: int, n_lags: int, analytical: bool,
+                            trials: int, threads: int) -> None:
+    """Raise MemoryError, before any trial runs, when the tensors cannot fit.
+
+    Each process holding tensors keeps the accumulators plus one trial's (or
+    one block's) output: 2 x (8 or 4) complex E x E x T tensors.  A pooled
+    run has one such process per busy worker plus the parent.
+    """
+    per_process = 2 * (8 if analytical else 4) * n_elements**2 * n_lags * 16
+    blocks = len(_blocks(trials))
+    processes = 1 if threads <= 1 or blocks == 1 else 1 + min(threads, blocks)
+    need, ram = per_process * processes, _physical_ram_bytes()
+    if need > ram:
+        raise MemoryError(
+            f"full-IRS ACF tensors need about {need / 2**30:.1f} GiB "
+            f"(E={n_elements} elements, T={n_lags} lags, {processes} process(es)), "
+            f"more than the {ram / 2**30:.1f} GiB of physical RAM; use fewer IRS "
+            f"elements, fewer lags, analytical=False, or cascade_trial_products")
+
+
 def acf_full_irs(cfg: ScenarioConfig, t: float,
                  lags: np.ndarray | None = None, f: float | None = None,
                  q: int = 1, p: int = 1,
@@ -427,8 +466,10 @@ def acf_full_irs(cfg: ScenarioConfig, t: float,
     scenario setting) is then combined with its own phase factors.  Returns
     {variant_label: {"sim": curve, "analytical": curve}} plus, when
     ``keep_trials`` is set, per-trial direct products for bootstrap use.
-    ``analytical=False`` skips the per-ray analytical tensors (they dominate
-    the cost for large surfaces).
+    ``analytical=False`` skips the per-ray analytical tensors: their GEMMs,
+    O(N E^2 T) per trial for N rays, are most of a large surface's cost and
+    they double the accumulators.  Raises MemoryError before any trial when
+    the predicted tensors exceed physical RAM.
     """
     lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
     f = cfg.eval_offset_hz if f is None else f
@@ -438,6 +479,9 @@ def acf_full_irs(cfg: ScenarioConfig, t: float,
         bits = cfg.irs.phase_bits if variant == "config" else variant
         label = "continuous" if bits is None else f"{bits}bit"
         thetas[label] = phase_model_for(cfg, bits=bits).applied_profile(times)
+    trials = cfg.trials if trials is None else trials
+    _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
+                            trials, threads)
     params = {"t": t, "lags": lags, "f": f, "q": q, "p": p, "theta": thetas,
               "analytical": analytical}
     acc, n = run_ensemble(cfg, "cascade", params, trials, seed, threads)

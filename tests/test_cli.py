@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irs_gbsm
+from irs_gbsm import stats
 from irs_gbsm.cli import main
 from irs_gbsm.config import parse_config
 from irs_gbsm.geometry import element_offsets
@@ -136,6 +141,16 @@ class TestDeterminism:
                      str(tmp_path / "t2"), "--threads", "2"]) == 0
         assert manifest(tmp_path / "t1")["outputs"] == manifest(tmp_path / "t2")["outputs"]
 
+    def test_pool_path_thread_count_invariance(self, tmp_path):
+        # 300 trials are two 256-trial blocks, so --threads 2 starts the worker pool
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(dict(SMALL, trials=300)))
+        assert len(stats._blocks(300)) == 2
+        for threads in ("1", "2"):
+            assert main(["acf", "--config", str(path), "--out",
+                         str(tmp_path / f"t{threads}"), "--threads", threads]) == 0
+        assert manifest(tmp_path / "t1")["outputs"] == manifest(tmp_path / "t2")["outputs"]
+
     def test_seed_override_changes_results(self, config_path, tmp_path):
         assert run("acf", config_path, tmp_path / "s1") == 0
         assert run("acf", config_path, tmp_path / "s2", "--seed", "123") == 0
@@ -176,6 +191,39 @@ class TestErrors:
         blocker.write_text("a file, not a directory")
         assert run("acf", config_path, blocker) == 3
 
+    def test_surface_too_large_for_memory(self, config_path, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+        assert run("acf", config_path, tmp_path / "big") == 3
+        err = capsys.readouterr().err
+        for remedy in ("fewer IRS elements", "fewer lags", "analytical=False",
+                       "cascade_trial_products"):
+            assert remedy in err
+
     def test_log_env_smoke(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("IRS_GBSM_LOG", "DEBUG")
         assert run("link-budget", config_path, tmp_path / "log") == 0
+
+
+class TestBlasThreadPolicy:
+    """Importing the package pins BLAS to one thread per process by default."""
+
+    @staticmethod
+    def blas_env_after_import(**env):
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(irs_gbsm.__file__).resolve().parents[1])
+        clean["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import os, irs_gbsm; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "os.environ['MKL_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+                              capture_output=True, text=True, timeout=60, check=True)
+        return done.stdout.split()
+
+    def test_default_is_one_thread(self):
+        assert self.blas_env_after_import() == ["1", "1"]
+
+    def test_user_setting_wins(self):
+        assert self.blas_env_after_import(OPENBLAS_NUM_THREADS="3",
+                                          MKL_NUM_THREADS="2") == ["3", "2"]

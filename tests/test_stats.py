@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from irs_gbsm.assembly import phase_model_for
 from irs_gbsm.clusters import generate_cluster_pairs, realize_subchannel
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_path_lengths
+from irs_gbsm.smallscale import ray_field, ray_path_lengths
 from irs_gbsm import stats
 from tests.conftest import make_config
 
@@ -106,6 +108,80 @@ class TestAcfFullIrs:
         r = np.abs(prod.mean(0)) / np.sqrt(power.mean(0)[0] * power.mean(0))
         assert r[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(r <= 1 + 1e-9)
+
+    def test_footprint_prediction(self, monkeypatch):
+        # 2 x 8 tensors of E^2 T complex per process: 5.25 GiB at E=1024, T=21
+        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 8 * 2**30)
+        stats._check_tensor_footprint(1024, 21, True, trials=256, threads=2)
+        with pytest.raises(MemoryError, match="cascade_trial_products"):
+            stats._check_tensor_footprint(1024, 21, True, trials=512, threads=2)
+        # without analytical tensors: 3 processes x 2.625 GiB still fit
+        stats._check_tensor_footprint(1024, 21, False, trials=512, threads=2)
+
+    def test_too_large_surface_fails_before_any_trial(self, monkeypatch):
+        cfg = make_config(irs={"m_x": 2, "m_y": 2})
+        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the ensemble must not start")
+
+        monkeypatch.setattr(stats, "run_ensemble", no_trials)
+        with pytest.raises(MemoryError, match="fewer IRS elements"):
+            stats.acf_full_irs(cfg, 0.0, trials=10)
+
+
+def _reference_sub_arrays(real, t, lags, sweep):
+    """Outer-product einsum form of the analytical tensors (the oracle)."""
+    bundle = ray_field(real, t + lags, 0.0, 1, 1, sweep)
+    w_l = real.k_factor / (real.k_factor + 1.0)
+    w_n = 1.0 / (real.k_factor + 1.0)
+    gc = np.conj(bundle.g)
+    uc = np.conj(bundle.u)
+    ana = (w_l * bundle.u[:, 0][:, None, None] * uc[None, :, :]
+           + w_n * np.einsum("nr,nst->rst", bundle.g[:, :, 0], gc))
+    gram = (w_l * bundle.u[:, None, :] * uc[None, :, :]
+            + w_n * np.einsum("nrt,nst->rst", bundle.g, gc))
+    return bundle.transfer(), ana, gram
+
+
+class TestCorrelationTensors:
+    def _realization(self, side):
+        cfg = make_config(irs={"m_x": side, "m_y": side}, rician_k_db=5.0,
+                          acf={"num_lags": 11})
+        return cfg, realize_subchannel(cfg, "BI", rng_stream(cfg.seed, "trial", 3, "BI"))
+
+    @pytest.mark.parametrize("case", ["ordinary", "zero_rays", "single_element"])
+    def test_sub_arrays_match_einsum_oracle(self, case):
+        cfg, real = self._realization(1 if case == "single_element" else 3)
+        if case == "zero_rays":
+            real = dataclasses.replace(real, clusters=())
+        assert (real.num_rays == 0) == (case == "zero_rays")
+        lags = cfg.lag_grid()
+        h, ana, gram = stats._sub_arrays(real, 0.0, lags, 0.0, 1, 1, sweep="rx")
+        h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, "rx")
+        assert ana.shape == gram.shape == (h.shape[0], h.shape[0], lags.size)
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_allclose(ana, ana_ref, rtol=1e-12)
+        np.testing.assert_allclose(gram, gram_ref, rtol=1e-12)
+        np.testing.assert_allclose(gram, np.conj(gram.transpose(1, 0, 2)), rtol=1e-12)
+
+    def test_sim_tensors_are_outer_products(self):
+        cfg, real = self._realization(3)
+        h = ray_field(real, cfg.lag_grid(), 0.0, 1, 1, "rx").transfer()
+        ccf, gram = stats._correlations(h[None])
+        np.testing.assert_allclose(ccf, h[:, 0][:, None, None] * np.conj(h)[None],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(gram, h[:, None, :] * np.conj(h)[None], rtol=1e-12)
+
+
+class TestReduce:
+    def test_sums_in_order_without_writing_inputs(self):
+        parts = [{"s": np.array([1.0, 2.0]), "trial_x": np.array([[1.0]])},
+                 {"s": np.array([3.0, 4.0]), "trial_x": np.array([[2.0]])}]
+        out = stats._reduce(parts, np.concatenate)
+        assert out["s"].tolist() == [4.0, 6.0]
+        assert out["trial_x"].tolist() == [[1.0], [2.0]]
+        assert parts[0]["s"].tolist() == [1.0, 2.0]
 
 
 class TestCcfSpatial:
