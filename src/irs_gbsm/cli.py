@@ -12,9 +12,11 @@ to a logging level name for diagnostics.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,9 +31,18 @@ from .irs import cascaded_path_loss, optimal_phase, quantize_phase, received_pow
 from .largescale import db_to_linear, path_loss_bu_db
 from .output import curve_rows, stat_filename, write_csv, write_manifest
 from .rng import rng_stream
-from .smallscale import cir_rows
+from .smallscale import CIR_HEADER, cir_columns, cir_row_count
 
 log = logging.getLogger("irs_gbsm")
+
+_CURVE_HEADER = ["real", "imag", "magnitude", "kind", "trials"]
+# upper bound on one CIR CSV line: four floats of at most 24 characters
+# (repr), five integers of at most 10, eight commas and the newline
+_CIR_ROW_BYTES = 4 * 24 + 5 * 10 + 8 + 1
+
+
+def _curve_columns(curves):
+    return list(zip(*curve_rows(curves)))
 
 
 def _run_acf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
@@ -42,8 +53,8 @@ def _run_acf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
             curves = stats.acf_single_irs_element(cfg, t, threads=threads)
             path = outdir / stat_filename("acf", t, cfg.fc_ghz)
             outputs.append(write_csv(
-                path, ["dt_s", "real", "imag", "magnitude", "kind", "trials"],
-                curve_rows([curves["sim"], curves["analytical"]])))
+                path, ["dt_s", *_CURVE_HEADER],
+                _curve_columns([curves["sim"], curves["analytical"]])))
             continue
         variants = ("config",) if cfg.irs.phase_bits is None else (None, "config")
         results = stats.acf_full_irs(cfg, t, bits_variants=variants, threads=threads)
@@ -52,25 +63,26 @@ def _run_acf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
             stat = f"acf_{label}" if multi else "acf"
             path = outdir / stat_filename(stat, t, cfg.fc_ghz)
             outputs.append(write_csv(
-                path, ["dt_s", "real", "imag", "magnitude", "kind", "trials"],
-                curve_rows([pair["sim"], pair["analytical"]])))
+                path, ["dt_s", *_CURVE_HEADER],
+                _curve_columns([pair["sim"], pair["analytical"]])))
     return outputs
 
 
 def _run_ccf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     curves = stats.ccf_spatial(cfg, threads=threads)
     path = outdir / stat_filename("ccf", cfg.ccf["t_s"], cfg.fc_ghz)
-    return [write_csv(path,
-                      ["separation_m", "real", "imag", "magnitude", "kind", "trials"],
-                      curve_rows([curves["sim"], curves["analytical"]]))]
+    return [write_csv(path, ["separation_m", *_CURVE_HEADER],
+                      _curve_columns([curves["sim"], curves["analytical"]]))]
 
 
 def _run_doppler(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     times, spread = stats.doppler_spread_series(cfg, threads=threads)
     path = outdir / stat_filename("doppler", times[0], cfg.fc_ghz)
-    rows = [(float(t), float(b), 0.0, float(b), "sim", cfg.trials)
-            for t, b in zip(times, spread)]
-    return [write_csv(path, ["t_s", "real", "imag", "magnitude", "kind", "trials"], rows)]
+    spread = np.asarray(spread, dtype=float)
+    n = spread.size
+    return [write_csv(path, ["t_s", *_CURVE_HEADER],
+                      [np.asarray(times, dtype=float), spread, np.zeros(n), spread,
+                       ["sim"] * n, np.full(n, cfg.trials)])]
 
 
 def _run_ds_cdf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
@@ -79,11 +91,12 @@ def _run_ds_cdf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     t = cfg.ds_cdf["t_s"]
     for scale, values in samples.items():
         xs, levels = stats.empirical_cdf(values)
-        rows = [(float(x), float(c), 0.0, float(c), "sim", len(xs))
-                for x, c in zip(xs, levels)]
+        xs, levels = np.asarray(xs, dtype=float), np.asarray(levels, dtype=float)
+        n = xs.size
         path = outdir / stat_filename(f"ds_cdf_sigma{scale:g}", t, cfg.fc_ghz)
         outputs.append(write_csv(
-            path, ["ds_s", "real", "imag", "magnitude", "kind", "trials"], rows))
+            path, ["ds_s", *_CURVE_HEADER],
+            [xs, levels, np.zeros(n), levels, ["sim"] * n, np.full(n, n)]))
     return outputs
 
 
@@ -92,7 +105,7 @@ def _run_cluster_evolve(cfg: ScenarioConfig, outdir: Path, threads: int) -> list
     tensor = evolve_visibility(cfg.irs.layout(), cfg.clusters,
                                rng_stream(cfg.seed, "evolve", 0))
     path = outdir / "cluster_visibility.csv"
-    out = write_csv(path, ["x", "y", "cluster_id", "visible"], tensor.rows())
+    out = write_csv(path, ["x", "y", "cluster_id", "visible"], tensor.columns())
     log.info("mean visible clusters per element: %.3f", tensor.mean_visible())
     return [out]
 
@@ -123,7 +136,18 @@ def _run_link_budget(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Pa
         ("direct_path_gain", db_to_linear(pl_bu_db)),
     ]
     path = outdir / "link_budget.csv"
-    return [write_csv(path, ["quantity", "value"], rows)]
+    return [write_csv(path, ["quantity", "value"], list(zip(*rows)))]
+
+
+def _check_disk(outdir: Path, rows: int) -> None:
+    """Stop before writing when the CIR rows may not fit on the output disk."""
+    need = rows * _CIR_ROW_BYTES
+    free = shutil.disk_usage(outdir).free
+    if need > free:
+        raise OSError(errno.ENOSPC,
+                      f"simulate would write {rows} CIR rows, up to {need} bytes, "
+                      f"but {outdir} has {free} bytes free; use a smaller IRS "
+                      f"or fewer times")
 
 
 def _run_simulate(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
@@ -132,16 +156,10 @@ def _run_simulate(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]
     outputs = []
     reals = {kind: realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", 0, kind))
              for kind in ("BI", "IU", "BU")}
+    _check_disk(outdir, sum(cir_row_count(r, times.size) for r in reals.values()))
     for kind, real in reals.items():
-        rows = []
-        for t in times:
-            for tx in range(1, real.tx_layout.num_elements + 1):
-                for rx in range(1, real.rx_layout.num_elements + 1):
-                    rows.extend(cir_rows(real, float(t), tx, rx))
         path = outdir / f"cir_{kind.lower()}.csv"
-        outputs.append(write_csv(
-            path, ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
-                   "phase_rad", "is_los"], rows))
+        outputs.append(write_csv(path, CIR_HEADER, cir_columns(real, times)))
 
     model = phase_model_for(cfg)
     ls = None
@@ -154,11 +172,11 @@ def _run_simulate(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]
         matrix_rows.extend(channel.rows())
     outputs.append(write_csv(
         outdir / "channel_matrix.csv",
-        ["t", "f", "q", "p", "re", "im", "phase_resolution"], matrix_rows))
+        ["t", "f", "q", "p", "re", "im", "phase_resolution"], list(zip(*matrix_rows))))
     outputs.append(write_csv(
         outdir / "phase_plan.csv",
         ["r", "x", "y", "phase_rad", "quantized_phase_rad"],
-        model.plan(float(times[0])).rows()))
+        list(zip(*model.plan(float(times[0])).rows()))))
     return outputs
 
 

@@ -171,11 +171,14 @@ class VisibilityTensor:
     def mean_visible(self) -> float:
         return float(self.matrix.sum(axis=1).mean())
 
-    def rows(self):
-        """CSV rows (x, y, cluster_id, visible) for the visible entries."""
-        xs, ys, cs = np.nonzero(self.grid)
-        for x, y, c in zip(xs, ys, cs):
-            yield (int(x) + 1, int(y) + 1, int(c), 1)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """CSV columns (x, y, cluster_id, visible) of the visible entries.
+
+        Equal to ``np.nonzero(grid)`` (1-based x, y), from one flat scan,
+        which is several times faster than the 3-D scan.
+        """
+        xs, ys, cs = np.unravel_index(np.flatnonzero(self.grid), self.grid.shape)
+        return xs + 1, ys + 1, cs, np.ones(cs.size, dtype=bool)
 
 
 def _survival_probability(params: ClusterParams, spacing: float, elevation: float) -> float:
@@ -212,29 +215,26 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
         survive = prev & (rng.random(prev.size) < p_x)
         n_new = int(rng.poisson(mean_n * (1.0 - p_x)))
         row_states.append(np.concatenate([survive, np.ones(n_new, dtype=bool)]))
-    n_after_x = row_states[-1].size
-    state = np.zeros((m_x, n_after_x), dtype=bool)
+    state = np.zeros((m_x, row_states[-1].size), dtype=bool)
     for x, row in enumerate(row_states):
         state[x, : row.size] = row
 
-    # Y pass: all rows advance in lockstep, births are appended per row.
-    slices = [state.copy()]
+    # Y pass: all rows advance in lockstep, births are appended per row.  Each
+    # slice keeps its own width; the grid is padded once, at its final size.
+    slices = [state]
     for _ in range(1, m_y):
         state = state & (rng.random(state.shape) < p_y)
         births = rng.poisson(mean_n * (1.0 - p_y), size=m_x)
         total_new = int(births.sum())
         if total_new:
             fresh = np.zeros((m_x, total_new), dtype=bool)
-            offset = 0
-            for x, b in enumerate(births):
-                fresh[x, offset: offset + b] = True
-                offset += int(b)
+            fresh[np.repeat(np.arange(m_x), births), np.arange(total_new)] = True
             state = np.concatenate([state, fresh], axis=1)
-            slices = [np.concatenate(
-                [s, np.zeros((m_x, total_new), dtype=bool)], axis=1) for s in slices]
-        slices.append(state.copy())
+        slices.append(state)
 
-    grid = np.stack(slices, axis=1)  # (m_x, m_y, n_total)
+    grid = np.zeros((m_x, m_y, state.shape[1]), dtype=bool)
+    for y, s in enumerate(slices):
+        grid[:, y, : s.shape[1]] = s
     grid.flags.writeable = False
     return VisibilityTensor(grid=grid, birth_rate=params.birth_rate,
                             death_rate=params.death_rate,
@@ -294,8 +294,7 @@ class ClusterRealization:
             return {"d0_tx": empty3, "d0_rx": empty3, "v_rel_tx": empty3,
                     "v_rel_rx": empty3, "tau_v": np.zeros(0),
                     "cluster_ids": np.zeros(0, dtype=int),
-                    "ray_ids": np.zeros(0, dtype=int),
-                    "ref_powers": np.zeros(0)}
+                    "ray_ids": np.zeros(0, dtype=int)}
         counts = np.array([c.num_rays for c in self.clusters])
         d0_tx = np.concatenate([c.scatter_a for c in self.clusters]) - self.tx_ref
         d0_rx = np.concatenate([c.scatter_z for c in self.clusters]) - self.rx_ref
@@ -306,10 +305,9 @@ class ClusterRealization:
         tau_v = np.repeat([c.virtual_delay for c in self.clusters], counts)
         cluster_ids = np.repeat([c.id for c in self.clusters], counts)
         ray_ids = np.concatenate([np.arange(c.num_rays) for c in self.clusters])
-        ref_powers = np.concatenate([c.ray_powers for c in self.clusters])
         return {"d0_tx": d0_tx, "d0_rx": d0_rx, "v_rel_tx": v_rel_tx,
                 "v_rel_rx": v_rel_rx, "tau_v": tau_v, "cluster_ids": cluster_ids,
-                "ray_ids": ray_ids, "ref_powers": ref_powers}
+                "ray_ids": ray_ids}
 
     @property
     def num_rays(self) -> int:

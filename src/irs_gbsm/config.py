@@ -446,7 +446,3 @@ def serialize_config(cfg: ScenarioConfig) -> dict[str, Any]:
     out = asdict(cfg)
     out["clusters"]["sigma_xyz_m"] = list(out["clusters"]["sigma_xyz_m"])
     return out
-
-
-def config_json(cfg: ScenarioConfig) -> str:
-    return json.dumps(serialize_config(cfg), indent=2, sort_keys=True)

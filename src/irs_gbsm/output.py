@@ -1,8 +1,11 @@
 """Deterministic CSV/manifest writing shared by the CLI subcommands.
 
-Floats are formatted with ``repr`` (shortest round-trip), so equal inputs
-produce byte-identical files; every run writes a manifest with the full
-config echo and the SHA-256 of each output.
+CSVs are written from columns.  Each column is formatted once by its dtype,
+and every value comes out exactly as :func:`fmt` would format it: floats
+with ``repr`` (shortest round-trip), integers with ``str``, booleans as
+``0``/``1`` and anything else with ``str``.  Equal inputs therefore produce
+byte-identical files.  Every run writes a manifest with the full config echo
+and the SHA-256 of each output.
 """
 
 from __future__ import annotations
@@ -24,12 +27,36 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
+# rows formatted per write, so the temporary strings stay a few MB
+_ROW_BLOCK = 65536
+
+
+def _format(column) -> list[str]:
+    """One column's values as strings, each equal to ``fmt`` of the value."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return list(map(str, column.astype(np.int8).tolist()))
+        if kind in "iu":
+            return list(map(str, column.tolist()))
+        if kind == "f":
+            return list(map(repr, column.tolist()))
+    return [fmt(v) for v in column]
+
+
+def write_csv(path: Path, header: list[str], columns) -> Path:
+    """Write equal-length 1-D ``columns`` (arrays or sequences) under ``header``."""
     path = Path(path)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns differ in length")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, _ROW_BLOCK):
+            cells = [_format(c[lo: lo + _ROW_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 

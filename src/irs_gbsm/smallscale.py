@@ -362,9 +362,105 @@ def pair_field(real: ClusterRealization, times, f: float = 0.0,
     return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
 
 
-def cir_rows(real: ClusterRealization, t: float, tx_element: int, rx_element: int):
-    """CSV rows (t, tx, rx, cluster, ray, delay_s, amplitude, phase_rad, is_los)."""
-    cir = subchannel_cir(real, t, tx_element, rx_element)
-    for tap in cir.weighted_taps():
-        yield (t, tx_element, rx_element, tap.cluster_id, tap.ray_id,
-               tap.delay, tap.amplitude, tap.phase, int(tap.is_los))
+CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
+              "phase_rad", "is_los"]
+
+
+def cir_row_count(real: ClusterRealization, n_times: int) -> int:
+    """Rows :func:`cir_columns` returns for ``n_times`` instants.
+
+    One LoS row plus one row per visible ray for every (time, tx, rx).
+    """
+    matrix = real.visibility.matrix
+    rays_per_cluster = np.bincount(real.rays["cluster_ids"], minlength=matrix.shape[1])
+    taps = matrix.shape[0] + int(matrix.sum(axis=0) @ rays_per_cluster)
+    other = real.rx_layout if real.evolved_side == "tx" else real.tx_layout
+    return n_times * other.num_elements * taps
+
+
+def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
+    """Weighted taps of every (time, tx, rx) as columns in :data:`CIR_HEADER` order.
+
+    Rows run in C order over (t, tx, rx, [LoS, visible rays...]) and hold
+    exactly the values of ``subchannel_cir(real, t, tx, rx).weighted_taps()``.
+    The path length is separable, d = |d_tx| + |d_rx|, so each side's norms
+    are computed per element and time, not per element pair, and on the
+    evolved side only for visible rays.  The evolved element axis runs in
+    blocks, so no n_rays x E x T temporary is formed; the columns are
+    allocated once, at :func:`cir_row_count` rows.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rays = real.rays
+    n_rays = real.num_rays
+    k = real.k_factor
+    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+    l_tx, l_rx = real.tx_offsets(), real.rx_offsets()
+    n_tx, n_rx = l_tx.shape[0], l_rx.shape[0]
+    matrix, ids = real.visibility.matrix, rays["cluster_ids"]
+    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays
+    cluster = np.concatenate([[-1], ids])
+    ray = np.concatenate([[-1], rays["ray_ids"]])
+    d0_los = real.rx_ref - real.tx_ref
+    v_los = real.v_rx - real.v_tx
+
+    evolved_tx = real.evolved_side == "tx"
+    other = n_rx if evolved_tx else n_tx
+    step = max(1, _BLOCK_FLOATS // ((1 + n_rays) * other))
+    # blocks of (tx, rx) ranges that are contiguous in C order
+    blocks = ([(lo, min(lo + step, n_tx), 0, n_rx) for lo in range(0, n_tx, step)]
+              if evolved_tx else
+              [(q, q + 1, lo, min(lo + step, n_rx))
+               for q in range(n_tx) for lo in range(0, n_rx, step)])
+
+    def side_norms(side, elements, r, t):
+        """|d0 - l - v t| of rays ``r`` seen from ``elements`` (broadcast)."""
+        offs = (l_tx if side == "tx" else l_rx)[elements]
+        diff = (rays[f"d0_{side}"][r] - offs) - rays[f"v_rel_{side}"][r] * t
+        return np.linalg.norm(diff, axis=-1)
+
+    all_rays = np.arange(n_rays)[None, :]
+    n_rows = cir_row_count(real, times.size)
+    out = tuple(np.empty(n_rows, dtype=dt) for dt in (float, int, int, int, int, float,
+                                                       float, float, bool))
+    pos = 0
+    for t in times:
+        # the fixed side's norms for every ray; the evolved side's only where visible
+        fixed = side_norms("rx" if evolved_tx else "tx", np.arange(other)[:, None],
+                           all_rays, t)
+        for tx0, tx1, rx0, rx1 in blocks:
+            shape = (tx1 - tx0, rx1 - rx0, 1 + n_rays)
+            mask = np.ones(shape, dtype=bool)
+            mask[:, :, 1:] = (matrix[tx0:tx1, None, ids] if evolved_tx
+                              else matrix[None, rx0:rx1, ids])
+            i_tx, i_rx, slot = np.nonzero(mask)
+            is_los = slot == 0
+            delay = np.empty(slot.size)
+            amplitude = np.empty(slot.size)
+            los = np.linalg.norm(
+                (d0_los - l_tx[tx0:tx1, None, :] + l_rx[None, rx0:rx1, :]) + v_los * t,
+                axis=-1)
+            delay[is_los] = (los / SPEED_OF_LIGHT).ravel()
+            amplitude[is_los] = w_los
+            i, j, r = i_tx[~is_los], i_rx[~is_los], slot[~is_los] - 1
+            if evolved_tx:
+                d = side_norms("tx", i + tx0, r, t) + fixed[j + rx0, r]
+            else:
+                d = fixed[i + tx0, r] + side_norms("rx", j + rx0, r, t)
+            tau = d / SPEED_OF_LIGHT + rays["tau_v"][r]
+            w = np.exp(-tau / real.gamma_ds)
+            # the normalizer sums the full ray axis, invisible rays as zeros, so
+            # its rounding equals the per-pair sum of nlos_cir
+            full = np.zeros(shape[:2] + (n_rays,))
+            full[i, j, r] = w
+            total = full.sum(axis=-1)[i, j]
+            powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+            delay[~is_los] = tau
+            amplitude[~is_los] = w_nlos * np.sqrt(powers)
+            end = pos + slot.size
+            for col, values in zip(out, (
+                    t, i_tx + (tx0 + 1), i_rx + (rx0 + 1), cluster[slot], ray[slot],
+                    delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI),
+                    is_los)):
+                col[pos:end] = values
+            pos = end
+    return out

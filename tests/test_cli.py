@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,15 @@ import numpy as np
 import pytest
 
 import irs_gbsm
-from irs_gbsm import stats
+from irs_gbsm import cli, stats
 from irs_gbsm.cli import main
+from irs_gbsm.clusters import realize_subchannel
 from irs_gbsm.config import parse_config
 from irs_gbsm.geometry import element_offsets
 from irs_gbsm.irs import cascaded_path_loss, optimal_phase, received_power
 from irs_gbsm.output import file_sha256
+from irs_gbsm.rng import rng_stream
+from irs_gbsm.smallscale import cir_columns, cir_row_count, subchannel_cir
 
 SMALL = {
     "seed": 77,
@@ -126,6 +130,84 @@ class TestSubcommands:
         plan_lines = (out / "phase_plan.csv").read_text().splitlines()
         assert plan_lines[0] == "r,x,y,phase_rad,quantized_phase_rad"
         assert len(plan_lines) == 1 + 4
+
+
+class TestExportColumns:
+    """The column-wise exports against the per-tap objects and pinned bytes."""
+
+    @staticmethod
+    def oracle_rows(real, times):
+        rows = []
+        for t in times:
+            for tx in range(1, real.tx_layout.num_elements + 1):
+                for rx in range(1, real.rx_layout.num_elements + 1):
+                    for tap in subchannel_cir(real, float(t), tx, rx).weighted_taps():
+                        rows.append(repr((
+                            float(t), tx, rx, int(tap.cluster_id), int(tap.ray_id),
+                            float(tap.delay), float(tap.amplitude), float(tap.phase),
+                            bool(tap.is_los))))
+        return rows
+
+    @pytest.mark.parametrize("over", [
+        {},
+        {"rician_k_db": None},
+        {"clusters": dict(SMALL["clusters"], birth_rate=0.01)},
+        {"irs": {"m_x": 3, "m_y": 2}, "bs": {"num_elements": 2},
+         "user": {"num_elements": 3}, "time": {"start_s": 0.0, "stop_s": 2.0, "num": 3},
+         "clusters": dict(SMALL["clusters"], birth_rate=40.0, rays_per_cluster=9)},
+    ], ids=["k5db", "k0", "no_clusters", "multi_element"])
+    def test_cir_columns_equal_weighted_taps(self, over):
+        cfg = parse_config(dict(SMALL, **over))
+        times = cfg.time_grid()
+        for kind in ("BI", "IU", "BU"):
+            real = realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", 0, kind))
+            if over.get("clusters", {}).get("birth_rate") == 0.01:
+                assert real.num_rays == 0
+            cols = cir_columns(real, times)
+            got = [repr(row) for row in zip(*(c.tolist() for c in cols))]
+            assert got == self.oracle_rows(real, times), kind
+            assert len(got) == cir_row_count(real, times.size)
+
+    # SHA-256 of the bytes the row-wise export wrote for SMALL
+    PINNED = {
+        "simulate": {
+            "channel_matrix.csv":
+                "e1c184f6825894e674dbee91b724453408ad3fb258f63f256e9ccba32928da52",
+            "cir_bi.csv": "a52beee6ae9c97efc6e2ddc233a1a3ff0e46fe3a79e877201eb4ad77e520bf94",
+            "cir_bu.csv": "f01ac555f998cc588b90526662d070069885b5217fae740b58f6d2dab7f65ff2",
+            "cir_iu.csv": "7d0702e8ee866a00bb0232b22126b80ead5a3ba21e99d67b2182d70a220e5619",
+            "phase_plan.csv":
+                "f3671441c251587a346be2ab4f0fba6bccdc734e4458d44c8053d864979777a8",
+        },
+        "cluster-evolve": {
+            "cluster_visibility.csv":
+                "90635cb5bfec3694afbcab864ad15df0b766ffe53171fd9f2f835f7a226ebad9",
+        },
+    }
+
+    @pytest.mark.parametrize("sub", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, sub, config_path, tmp_path):
+        assert run(sub, config_path, tmp_path / sub) == 0
+        assert manifest(tmp_path / sub)["outputs"] == self.PINNED[sub]
+
+    def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
+        cfg = parse_config(SMALL)
+        rows = sum(
+            cir_row_count(realize_subchannel(cfg, k, rng_stream(cfg.seed, "trial", 0, k)),
+                          cfg.time_grid().size) for k in ("BI", "IU", "BU"))
+        need = rows * cli._CIR_ROW_BYTES
+        usage = shutil.disk_usage(tmp_path)
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: usage._replace(free=need - 1))
+        out = tmp_path / "full"
+        assert run("simulate", config_path, out) == 3
+        err = capsys.readouterr().err
+        for fact in (f"{rows} CIR rows", f"up to {need} bytes", "smaller IRS",
+                     "fewer times"):
+            assert fact in err
+        assert list(out.iterdir()) == []  # nothing written
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=need))
+        assert run("simulate", config_path, out) == 0
 
 
 class TestDeterminism:

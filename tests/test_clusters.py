@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -150,10 +151,89 @@ class TestVisibilityEvolution:
 
     def test_rows_export_visible_only(self):
         tensor = evolve_visibility(IRS_LAYOUT, cluster_params(), rng_stream(16, "e"))
-        rows = list(tensor.rows())
-        assert len(rows) == int(tensor.grid.sum())
-        x, y, cid, vis = rows[0]
-        assert vis == 1 and 1 <= x <= 8 and 1 <= y <= 8 and cid >= 0
+        x, y, cid, vis = tensor.columns()
+        assert x.size == y.size == cid.size == vis.size == int(tensor.grid.sum())
+        assert vis.all() and 1 <= x.min() and x.max() <= 8 and 1 <= y.min()
+        assert y.max() <= 8 and cid.min() >= 0
+        assert tensor.grid[x - 1, y - 1, cid].all()
+        # C order of the grid: x, then y, then cluster
+        flat = np.ravel_multi_index((x - 1, y - 1, cid), tensor.grid.shape)
+        assert np.array_equal(flat, np.flatnonzero(tensor.grid))
+
+
+def reference_chain(layout, params, rng):
+    """The birth-death chain that re-padded every earlier y-slice (oracle)."""
+    mean_n = params.mean_count
+    if layout.kind == "IRS":
+        m_x, m_y = layout.counts
+        p_x = math.exp(-params.chain_rate * layout.spacings[0]
+                       * math.cos(layout.elevations[0]) / params.correlation_factor_m)
+        p_y = math.exp(-params.chain_rate * layout.spacings[1]
+                       * math.cos(layout.elevations[1]) / params.correlation_factor_m)
+    else:
+        m_x, m_y = layout.counts[0], 1
+        p_x = math.exp(-params.chain_rate * layout.spacings[0]
+                       * math.cos(layout.elevations[0]) / params.correlation_factor_m)
+        p_y = 1.0
+    n0 = int(rng.poisson(mean_n))
+    row_states = [np.ones(n0, dtype=bool)]
+    for _ in range(1, m_x):
+        prev = row_states[-1]
+        survive = prev & (rng.random(prev.size) < p_x)
+        n_new = int(rng.poisson(mean_n * (1.0 - p_x)))
+        row_states.append(np.concatenate([survive, np.ones(n_new, dtype=bool)]))
+    state = np.zeros((m_x, row_states[-1].size), dtype=bool)
+    for x, row in enumerate(row_states):
+        state[x, : row.size] = row
+    slices = [state.copy()]
+    for _ in range(1, m_y):
+        state = state & (rng.random(state.shape) < p_y)
+        births = rng.poisson(mean_n * (1.0 - p_y), size=m_x)
+        total_new = int(births.sum())
+        if total_new:
+            fresh = np.zeros((m_x, total_new), dtype=bool)
+            offset = 0
+            for x, b in enumerate(births):
+                fresh[x, offset: offset + b] = True
+                offset += int(b)
+            state = np.concatenate([state, fresh], axis=1)
+            slices = [np.concatenate(
+                [s, np.zeros((m_x, total_new), dtype=bool)], axis=1) for s in slices]
+        slices.append(state.copy())
+    return np.stack(slices, axis=1), n0
+
+
+def _first_seed_without_initial_clusters(mean):
+    return next(s for s in range(1000) if rng_stream(s, "n0").poisson(mean) == 0)
+
+
+class TestChainOracle:
+    @pytest.mark.parametrize("layout, over, seed", [
+        (TerminalLayout.linear("BS", 16, 2.5e-3, 0.0, 0.0), {}, 3),
+        (make_config(irs={"m_x": 1, "m_y": 1}).irs.layout(), {}, 4),
+        (make_config(irs={"m_x": 5, "m_y": 5}).irs.layout(), {}, 5),
+        (TerminalLayout.planar(16, 9, 2.585e-3, 2.585e-3, 0.0, np.pi / 3,
+                               np.pi / 2, np.pi / 6),
+         {"birth_rate": 80.0, "correlation_factor_m": 0.05}, 6),
+        (make_config(irs={"m_x": 5, "m_y": 5}).irs.layout(),
+         {"birth_rate": 2.0, "death_rate": 4.0, "correlation_factor_m": 0.01}, None),
+    ], ids=["linear16x1", "1x1", "5x5", "planar16x9", "n0_zero"])
+    def test_matches_repadding_chain(self, layout, over, seed):
+        params = cluster_params(**over)
+        n0_zero = seed is None
+        if n0_zero:
+            seed = _first_seed_without_initial_clusters(params.mean_count)
+        rng_new, rng_ref = rng_stream(seed, "n0"), rng_stream(seed, "n0")
+        tensor = evolve_visibility(layout, params, rng_new)
+        grid, n0 = reference_chain(layout, params, rng_ref)
+        assert tensor.grid.shape == grid.shape and tensor.grid.dtype == grid.dtype
+        assert np.array_equal(tensor.grid, grid)
+        assert tensor.initial_count == n0
+        assert rng_new.random() == rng_ref.random()
+        if n0_zero:
+            assert n0 == 0 and grid.shape[2] > 0  # every cluster is born later
+        if layout.counts == (16, 9):
+            assert grid.shape[2] > grid[:, 0, :].any(axis=0).sum()  # Y-pass births
 
 
 class TestMotion:
