@@ -7,10 +7,14 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+# defined before the submodules are imported: the run manifest records it
+__version__ = "0.1.0"
+
 from .assembly import EndToEndChannel, apply_steering, cascade, phase_model_for
 from .clusters import (
     ClusterPair,
     ClusterRealization,
+    ClusterSet,
     VisibilityTensor,
     advance_clusters,
     evolve_visibility,
@@ -63,7 +67,5 @@ from .stats import (
     local_doppler_spread,
     rms_delay_spread,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

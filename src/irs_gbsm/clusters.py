@@ -6,6 +6,11 @@ them is a virtual link with an exponentially distributed extra delay.
 Scatterers are placed i.i.d. Gaussian in a cluster-local frame and rotated
 into world coordinates.
 
+A realization's clusters form one :class:`ClusterSet`: arrays with a leading
+cluster axis (C, ...), scatterers (C, M_n, 3).  The per-ray arrays of
+``ClusterRealization.rays`` are reshapes and repeats of it, in (cluster, ray)
+order; iterating the set yields per-cluster :class:`ClusterPair` views.
+
 Space-domain non-stationarity: which clusters are visible to which array
 element follows a sequential birth-death chain along the array.  The
 per-step survival probability is p = exp(-rate * delta * cos(beta_E) / D_C)
@@ -36,7 +41,10 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class ClusterPair:
-    """One twin cluster: paired first/last-bounce scatterer sets."""
+    """One twin cluster: paired first/last-bounce scatterer sets.
+
+    A per-cluster view of a :class:`ClusterSet`, made when the set is iterated.
+    """
 
     id: int
     center_a: np.ndarray          # first-bounce center, GCS meters
@@ -56,6 +64,52 @@ class ClusterPair:
         return self.scatter_a.shape[0]
 
 
+@dataclass(frozen=True)
+class ClusterSet:
+    """Every twin cluster of a realization, stacked along a leading cluster axis.
+
+    Cluster c has id c.  ``len()`` counts the clusters and iteration yields one
+    :class:`ClusterPair` view per cluster.
+    """
+
+    center_a: np.ndarray          # (C, 3) first-bounce centers, GCS meters
+    center_z: np.ndarray          # (C, 3) last-bounce centers
+    angles_a: np.ndarray          # (C, 3) bearing, downtilt, slant, radians
+    angles_z: np.ndarray          # (C, 3)
+    sigma: tuple[float, float, float]
+    scatter_a: np.ndarray         # (C, M_n, 3) GCS positions
+    scatter_z: np.ndarray         # (C, M_n, 3)
+    virtual_delay: np.ndarray     # (C,) seconds, >= 0
+    vel_a: np.ndarray             # (C, 3) m/s, zero vertical component
+    vel_z: np.ndarray             # (C, 3)
+    ray_powers: np.ndarray        # (C, M_n) reference normalized powers at t=0
+
+    @classmethod
+    def empty(cls, rays_per_cluster: int, sigma) -> ClusterSet:
+        """A set with no clusters (every array has a zero-length cluster axis)."""
+        none3 = np.zeros((0, 3))
+        rays3 = np.zeros((0, rays_per_cluster, 3))
+        return cls(center_a=none3, center_z=none3, angles_a=none3, angles_z=none3,
+                   sigma=tuple(sigma), scatter_a=rays3, scatter_z=rays3,
+                   virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3,
+                   ray_powers=np.zeros((0, rays_per_cluster)))
+
+    def __len__(self) -> int:
+        return self.virtual_delay.size
+
+    def __iter__(self):
+        for cid in range(len(self)):
+            yield ClusterPair(
+                id=cid, center_a=self.center_a[cid], center_z=self.center_z[cid],
+                angles_a=RotationAngles(*self.angles_a[cid]),
+                angles_z=RotationAngles(*self.angles_z[cid]),
+                sigma=self.sigma, scatter_a=self.scatter_a[cid],
+                scatter_z=self.scatter_z[cid],
+                virtual_delay=float(self.virtual_delay[cid]),
+                vel_a=self.vel_a[cid], vel_z=self.vel_z[cid],
+                ray_powers=self.ray_powers[cid])
+
+
 def _unit_rows(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     ce = np.cos(elevation)
     return np.stack([ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation)], axis=-1)
@@ -67,7 +121,7 @@ def _planar_velocity(speed: float, azimuth: np.ndarray) -> np.ndarray:
 
 def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
                            rx_ref: np.ndarray, rng: np.random.Generator,
-                           count: int | None = None) -> list[ClusterPair]:
+                           count: int | None = None) -> ClusterSet:
     """Draw twin clusters around the two link-end references.
 
     Cluster centers use the configured priors (uniform azimuth, bounded
@@ -75,17 +129,18 @@ def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
     distances are derived from the scatterer positions, never sampled.
     ``ray_powers`` hold the exponential power-delay-profile weights of the
     reference element pair at t = 0, normalized over the whole realization.
+    Zero clusters draw nothing further and give an empty set.
     """
     sigma = np.asarray(params.sigma_xyz_m, dtype=float)
     if np.any(sigma < 0):
         raise ValueError(f"scatterer sigmas must be >= 0, got {tuple(sigma)}")
     if count is None:
         count = int(rng.poisson(params.mean_count))
+    m_n = params.rays_per_cluster
     if count == 0:
-        return []
+        return ClusterSet.empty(m_n, sigma)
     tx_ref = np.asarray(tx_ref, dtype=float)
     rx_ref = np.asarray(rx_ref, dtype=float)
-    m_n = params.rays_per_cluster
     el_max = math.radians(params.center_elevation_max_deg)
 
     centers, angles, scatter, vel = {}, {}, {}, {}
@@ -114,34 +169,22 @@ def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
              + np.linalg.norm(scatter["z"] - rx_ref, axis=2))
     tau_ref = d_ref / SPEED_OF_LIGHT + tau_v[:, None]
     weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
-    powers = weights / weights.sum()
-
-    return [
-        ClusterPair(
-            id=cid,
-            center_a=centers["a"][cid], center_z=centers["z"][cid],
-            angles_a=RotationAngles(*angles["a"][cid]),
-            angles_z=RotationAngles(*angles["z"][cid]),
-            sigma=tuple(sigma),
-            scatter_a=scatter["a"][cid], scatter_z=scatter["z"][cid],
-            virtual_delay=float(tau_v[cid]),
-            vel_a=vel["a"][cid], vel_z=vel["z"][cid],
-            ray_powers=powers[cid])
-        for cid in range(count)
-    ]
+    return ClusterSet(
+        center_a=centers["a"], center_z=centers["z"],
+        angles_a=angles["a"], angles_z=angles["z"], sigma=tuple(sigma),
+        scatter_a=scatter["a"], scatter_z=scatter["z"], virtual_delay=tau_v,
+        vel_a=vel["a"], vel_z=vel["z"], ray_powers=weights / weights.sum())
 
 
-def advance_clusters(clusters: list[ClusterPair], dt: float) -> list[ClusterPair]:
+def advance_clusters(clusters: ClusterSet, dt: float) -> ClusterSet:
     """Translate cluster centers and scatterers by their velocities over dt."""
-    out = []
-    for c in clusters:
-        shift_a = c.vel_a * dt
-        shift_z = c.vel_z * dt
-        out.append(replace(
-            c,
-            center_a=c.center_a + shift_a, center_z=c.center_z + shift_z,
-            scatter_a=c.scatter_a + shift_a, scatter_z=c.scatter_z + shift_z))
-    return out
+    shift_a = clusters.vel_a * dt
+    shift_z = clusters.vel_z * dt
+    return replace(
+        clusters,
+        center_a=clusters.center_a + shift_a, center_z=clusters.center_z + shift_z,
+        scatter_a=clusters.scatter_a + shift_a[:, None, :],
+        scatter_z=clusters.scatter_z + shift_z[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -261,9 +304,6 @@ def lag1_autocorrelation(tensor: VisibilityTensor) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-_SUBCHANNELS = ("BI", "IU", "BU")
-
-
 @dataclass(frozen=True)
 class ClusterRealization:
     """Cluster set, motion state, and visibility for one sub-channel."""
@@ -275,7 +315,7 @@ class ClusterRealization:
     rx_layout: TerminalLayout
     v_tx: np.ndarray
     v_rx: np.ndarray
-    clusters: tuple[ClusterPair, ...]
+    clusters: ClusterSet
     visibility: VisibilityTensor
     evolved_side: str            # "tx" | "rx": the array the chain ran over
     k_factor: float              # linear Rician factor
@@ -288,26 +328,16 @@ class ClusterRealization:
 
     @cached_property
     def rays(self) -> dict[str, np.ndarray]:
-        """Stacked per-ray arrays in (cluster, ray) order."""
-        if not self.clusters:
-            empty3 = np.zeros((0, 3))
-            return {"d0_tx": empty3, "d0_rx": empty3, "v_rel_tx": empty3,
-                    "v_rel_rx": empty3, "tau_v": np.zeros(0),
-                    "cluster_ids": np.zeros(0, dtype=int),
-                    "ray_ids": np.zeros(0, dtype=int)}
-        counts = np.array([c.num_rays for c in self.clusters])
-        d0_tx = np.concatenate([c.scatter_a for c in self.clusters]) - self.tx_ref
-        d0_rx = np.concatenate([c.scatter_z for c in self.clusters]) - self.rx_ref
-        v_rel_tx = np.repeat(self.v_tx - np.stack([c.vel_a for c in self.clusters]),
-                             counts, axis=0)
-        v_rel_rx = np.repeat(self.v_rx - np.stack([c.vel_z for c in self.clusters]),
-                             counts, axis=0)
-        tau_v = np.repeat([c.virtual_delay for c in self.clusters], counts)
-        cluster_ids = np.repeat([c.id for c in self.clusters], counts)
-        ray_ids = np.concatenate([np.arange(c.num_rays) for c in self.clusters])
-        return {"d0_tx": d0_tx, "d0_rx": d0_rx, "v_rel_tx": v_rel_tx,
-                "v_rel_rx": v_rel_rx, "tau_v": tau_v, "cluster_ids": cluster_ids,
-                "ray_ids": ray_ids}
+        """Per-ray arrays in (cluster, ray) order, reshaped from the cluster set."""
+        c = self.clusters
+        n_clusters, m_n = c.ray_powers.shape
+        return {"d0_tx": c.scatter_a.reshape(-1, 3) - self.tx_ref,
+                "d0_rx": c.scatter_z.reshape(-1, 3) - self.rx_ref,
+                "v_rel_tx": np.repeat(self.v_tx - c.vel_a, m_n, axis=0),
+                "v_rel_rx": np.repeat(self.v_rx - c.vel_z, m_n, axis=0),
+                "tau_v": np.repeat(c.virtual_delay, m_n),
+                "cluster_ids": np.repeat(np.arange(n_clusters), m_n),
+                "ray_ids": np.tile(np.arange(m_n), n_clusters)}
 
     @property
     def num_rays(self) -> int:
@@ -335,43 +365,19 @@ def realize_subchannel(cfg: ScenarioConfig, subchannel: str,
 
     The birth-death chain runs over the sub-channel's large-array side (the
     IRS for BI/IU, the BS for BU); the opposite side sees every cluster.
-    Each sub-channel owns an independent cluster set.
+    Each sub-channel owns an independent cluster set.  The link ends come
+    from ``cfg.links``, built once per config and shared by every realization.
     """
-    if subchannel not in _SUBCHANNELS:
+    if subchannel not in cfg.links:
         raise ValueError(f"unknown sub-channel {subchannel!r}")
-    scene = cfg.scene()
-    bs_layout = cfg.bs.layout("BS")
-    user_layout = cfg.user.layout("USER")
-    irs_layout = cfg.irs.layout()
-    origin = np.zeros(3)
-    v_bs = cfg.bs.velocity()
-    v_user = cfg.user.velocity()
-    v_irs = np.zeros(3)
-
-    if subchannel == "BI":
-        tx_ref, rx_ref = origin, scene.d_bi
-        tx_layout, rx_layout = bs_layout, irs_layout
-        v_tx, v_rx = v_bs, v_irs
-        evolved = "rx"
-    elif subchannel == "IU":
-        tx_ref, rx_ref = scene.d_bi, scene.d_bu
-        tx_layout, rx_layout = irs_layout, user_layout
-        v_tx, v_rx = v_irs, v_user
-        evolved = "tx"
-    else:
-        tx_ref, rx_ref = origin, scene.d_bu
-        tx_layout, rx_layout = bs_layout, user_layout
-        v_tx, v_rx = v_bs, v_user
-        evolved = "tx"
-
-    evolved_layout = tx_layout if evolved == "tx" else rx_layout
+    ends = cfg.links[subchannel]
+    evolved_layout = ends.tx_layout if ends.evolved_side == "tx" else ends.rx_layout
     vis = evolve_visibility(evolved_layout, cfg.clusters, rng)
-    clusters = generate_cluster_pairs(cfg.clusters, tx_ref, rx_ref, rng,
+    clusters = generate_cluster_pairs(cfg.clusters, ends.tx_ref, ends.rx_ref, rng,
                                       count=vis.n_clusters)
     return ClusterRealization(
-        subchannel=subchannel, tx_ref=np.asarray(tx_ref, dtype=float),
-        rx_ref=np.asarray(rx_ref, dtype=float),
-        tx_layout=tx_layout, rx_layout=rx_layout,
-        v_tx=v_tx, v_rx=v_rx, clusters=tuple(clusters), visibility=vis,
-        evolved_side=evolved, k_factor=cfg.k_linear,
+        subchannel=subchannel, tx_ref=ends.tx_ref, rx_ref=ends.rx_ref,
+        tx_layout=ends.tx_layout, rx_layout=ends.rx_layout,
+        v_tx=ends.v_tx, v_rx=ends.v_rx, clusters=clusters, visibility=vis,
+        evolved_side=ends.evolved_side, k_factor=cfg.k_linear,
         gamma_ds=cfg.clusters.power_decay_ns * 1e-9, fc_hz=cfg.fc_hz)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any
 
 import jsonschema
@@ -321,6 +322,23 @@ class LargeScaleConfig:
 
 
 @dataclass(frozen=True)
+class LinkEnds:
+    """The two ends of one sub-channel: references, layouts and velocities.
+
+    ``evolved_side`` ("tx" or "rx") names the array the birth-death chain
+    runs over.  The arrays are read-only, so realizations can share them.
+    """
+
+    tx_ref: np.ndarray
+    rx_ref: np.ndarray
+    tx_layout: TerminalLayout
+    rx_layout: TerminalLayout
+    v_tx: np.ndarray
+    v_rx: np.ndarray
+    evolved_side: str
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
     fc_ghz: float
@@ -356,6 +374,25 @@ class ScenarioConfig:
     def scene(self) -> SceneGeometry:
         g = self.geometry
         return SceneGeometry(d_bi=g.get("d_bi_m"), d_iu=g.get("d_iu_m"), d_bu=g.get("d_bu_m"))
+
+    @cached_property
+    def links(self) -> dict[str, LinkEnds]:
+        """Ends of the BI, IU and BU sub-channels, built once per config.
+
+        The chain runs over the large-array side: the IRS for BI and IU, the
+        BS for BU.
+        """
+        scene = self.scene()
+        bs, user, irs = self.bs.layout("BS"), self.user.layout("USER"), self.irs.layout()
+        origin, v_irs = np.zeros(3), np.zeros(3)
+        v_bs, v_user = self.bs.velocity(), self.user.velocity()
+        for v in (origin, v_irs, v_bs, v_user):
+            v.flags.writeable = False
+        return {
+            "BI": LinkEnds(origin, scene.d_bi, bs, irs, v_bs, v_irs, "rx"),
+            "IU": LinkEnds(scene.d_bi, scene.d_bu, irs, user, v_irs, v_user, "tx"),
+            "BU": LinkEnds(origin, scene.d_bu, bs, user, v_bs, v_user, "tx"),
+        }
 
     def time_grid(self) -> np.ndarray:
         t = self.time
@@ -430,10 +467,7 @@ def parse_config(data: dict[str, Any] | str) -> ScenarioConfig:
             doppler=merged["doppler"],
             ds_cdf=merged["ds_cdf"],
         )
-        cfg.scene()
-        cfg.bs.layout("BS")
-        cfg.user.layout("USER")
-        cfg.irs.layout()
+        cfg.links  # builds (and so validates) the scene and every layout
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -4,8 +4,8 @@ CSVs are written from columns.  Each column is formatted once by its dtype,
 and every value comes out exactly as :func:`fmt` would format it: floats
 with ``repr`` (shortest round-trip), integers with ``str``, booleans as
 ``0``/``1`` and anything else with ``str``.  Equal inputs therefore produce
-byte-identical files.  Every run writes a manifest with the full config echo
-and the SHA-256 of each output.
+byte-identical files.  Every run writes a manifest with the full config echo,
+the SHA-256 of each output and the package and numpy versions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from . import __version__
 
 
 def fmt(value) -> str:
@@ -96,6 +98,7 @@ def write_manifest(outdir: Path, subcommand: str, config_dict: dict,
         "config": config_dict,
         "outputs": {p.name: file_sha256(p) for p in outputs},
         "format_version": 1,
+        "versions": {"irs_gbsm": __version__, "numpy": np.__version__},
     }
     path = Path(outdir) / "run_manifest.json"
     with open(path, "w", newline="\n") as fh:

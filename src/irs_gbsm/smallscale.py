@@ -319,6 +319,17 @@ def transfer_values(real: ClusterRealization, times, f: float = 0.0,
     return h[0] if sweep is None else h
 
 
+def _pair_norms(d0: np.ndarray, v_rel: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|d0 - v_rel t| over (n_rays, n_times), one component at a time.
+
+    No (n_rays, n_times, 3) temporary is formed.  The squares are summed as
+    (x0^2 + x2^2) + x1^2, the order numpy's ``einsum("nti,nti->nt")`` uses,
+    so the norms equal that contraction's bit for bit.
+    """
+    x0, x1, x2 = (d0[:, i, None] - v_rel[:, i, None] * times for i in range(3))
+    return np.sqrt((x0 * x0 + x2 * x2) + x1 * x1)
+
+
 def pair_field(real: ClusterRealization, times, f: float = 0.0,
                tx_element: int = 1, rx_element: int = 1) -> dict:
     """Lean single-pair variant of :func:`ray_field` (no element axis).
@@ -346,12 +357,8 @@ def pair_field(real: ClusterRealization, times, f: float = 0.0,
                 "h": np.sqrt(w_l2) * u, "w_l2": w_l2, "w_n2": w_n2}
 
     visible = real.visible_rays(tx_element, rx_element)
-    diff_tx = (rays["d0_tx"] - l_tx)[:, None, :] - rays["v_rel_tx"][:, None, :] \
-        * times[None, :, None]
-    diff_rx = (rays["d0_rx"] - l_rx)[:, None, :] - rays["v_rel_rx"][:, None, :] \
-        * times[None, :, None]
-    d = (np.sqrt(np.einsum("nti,nti->nt", diff_tx, diff_tx))
-         + np.sqrt(np.einsum("nti,nti->nt", diff_rx, diff_rx)))
+    d = (_pair_norms(rays["d0_tx"] - l_tx, rays["v_rel_tx"], times)
+         + _pair_norms(rays["d0_rx"] - l_rx, rays["v_rel_rx"], times))
     tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None]
     w = np.exp(-tau / real.gamma_ds) * visible[:, None]
     total = w.sum(axis=0)

@@ -113,6 +113,20 @@ def _sub_arrays(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None):
     return (bundle.transfer(), *_correlations(x))
 
 
+def _pair_analytical(field: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form single-pair correlation and its zero-lag anchors.
+
+    From a :func:`pair_field` result over times t + dt:
+    w_l2 u(t) u*(t+dt) + w_n2 sum_rays g(t) g*(t+dt) and, at each dt,
+    w_l2 + w_n2 sum_rays P(t+dt), where w_l2 = K/(K+1) and w_n2 = 1/(K+1).
+    """
+    g, u = field["g"], field["u"]
+    vals = (field["w_l2"] * u[0] * np.conj(u)
+            + field["w_n2"] * (g[:, 0][:, None] * np.conj(g)).sum(axis=0))
+    anchors = field["w_l2"] + field["w_n2"] * field["powers"].sum(axis=0)
+    return vals, anchors
+
+
 # ---------------------------------------------------------------------------
 # per-trial kernels (module level so worker processes can run them)
 
@@ -124,13 +138,11 @@ def _trial_sub(cfg: ScenarioConfig, seed: int, k: int, params: dict) -> dict:
     for kind, tx_el, rx_el in params["kinds"]:
         real = realize_subchannel(cfg, kind, rng_stream(seed, "trial", k, kind))
         field = pair_field(real, times, f, tx_el, rx_el)
-        h, g, u = field["h"], field["g"], field["u"]
+        h = field["h"]
         key = kind.lower()
         out[f"{key}_prod"] = h[0] * np.conj(h)
         out[f"{key}_pow"] = np.abs(h) ** 2
-        out[f"{key}_ana"] = (field["w_l2"] * u[0] * np.conj(u)
-                             + field["w_n2"] * (g[:, 0][:, None] * np.conj(g)).sum(axis=0))
-        out[f"{key}_ana0"] = field["w_l2"] + field["w_n2"] * field["powers"].sum(axis=0)
+        out[f"{key}_ana"], out[f"{key}_ana0"] = _pair_analytical(field)
     return out
 
 
@@ -354,11 +366,8 @@ def acf_analytical_subchannel(real: ClusterRealization, t: float, lags,
           + 1/(K+1) sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t)-d(t+dt))).
     """
     lags = np.asarray(lags, dtype=float)
-    field = pair_field(real, _times(t, lags), f, tx_element, rx_element)
-    g, u = field["g"], field["u"]
-    vals = (field["w_l2"] * u[0] * np.conj(u)
-            + field["w_n2"] * (g[:, 0][:, None] * np.conj(g)).sum(axis=0))
-    anchors = field["w_l2"] + field["w_n2"] * field["powers"].sum(axis=0)
+    vals, anchors = _pair_analytical(
+        pair_field(real, _times(t, lags), f, tx_element, rx_element))
     return CorrelationCurve(t, f, (tx_element, rx_element), lags,
                             _normalize(vals, anchors), "analytical", None,
                             real.subchannel)

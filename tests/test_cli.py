@@ -168,8 +168,15 @@ class TestExportColumns:
             assert got == self.oracle_rows(real, times), kind
             assert len(got) == cir_row_count(real, times.size)
 
-    # SHA-256 of the bytes the row-wise export wrote for SMALL
+    # SHA-256 of the bytes earlier versions wrote for SMALL: the row-wise
+    # export (simulate, cluster-evolve) and the per-cluster realization (acf)
     PINNED = {
+        "acf": {
+            "acf_2bit_0s_62GHz.csv":
+                "12fefad245e5f2144a2556b62837ea8c0c84857c59a8cb720edcb39440e3983f",
+            "acf_continuous_0s_62GHz.csv":
+                "323fc6f3fea33fea0139a38bdc410b7d2cf25906644ec03db70998b72c5f07c6",
+        },
         "simulate": {
             "channel_matrix.csv":
                 "e1c184f6825894e674dbee91b724453408ad3fb258f63f256e9ccba32928da52",
@@ -189,6 +196,15 @@ class TestExportColumns:
     def test_output_bytes_are_pinned(self, sub, config_path, tmp_path):
         assert run(sub, config_path, tmp_path / sub) == 0
         assert manifest(tmp_path / sub)["outputs"] == self.PINNED[sub]
+
+    def test_single_element_acf_bytes_are_pinned(self, tmp_path):
+        # a 1x1 surface takes the single-pair path (pair_field), which SMALL's 2x2 does not
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(dict(SMALL, irs=dict(SMALL["irs"], m_x=1, m_y=1))))
+        assert run("acf", path, tmp_path / "acf") == 0
+        assert manifest(tmp_path / "acf")["outputs"] == {
+            "acf_0s_62GHz.csv":
+                "6c88b5231c3f4d1339a3fbadff4de7f70a4727987f1329aa0f9a57dfadecd945"}
 
     def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
         cfg = parse_config(SMALL)
@@ -244,6 +260,12 @@ class TestDeterminism:
         assert run("cluster-evolve", config_path, out) == 0
         for name, digest in manifest(out)["outputs"].items():
             assert file_sha256(out / name) == digest
+
+    def test_manifest_records_versions(self, config_path, tmp_path):
+        out = tmp_path / "versions"
+        assert run("link-budget", config_path, out) == 0
+        assert manifest(out)["versions"] == {"irs_gbsm": irs_gbsm.__version__,
+                                             "numpy": np.__version__}
 
     def test_manifest_config_is_parseable_echo(self, config_path, tmp_path):
         out = tmp_path / "echo"

@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from irs_gbsm.clusters import (
+    ClusterPair,
     advance_clusters,
     evolve_visibility,
     generate_cluster_pairs,
     lag1_autocorrelation,
     realize_subchannel,
 )
-from irs_gbsm.geometry import TerminalLayout, gcs_to_lcs
+from irs_gbsm.geometry import (
+    SPEED_OF_LIGHT,
+    RotationAngles,
+    TerminalLayout,
+    gcs_to_lcs,
+    rotation_matrices,
+)
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import los_distance, ray_path_lengths
 from tests.conftest import make_config
@@ -29,12 +36,11 @@ class TestGeneration:
     def test_zero_sigma_collapses_to_center(self):
         params = cluster_params(sigma_xyz_m=[0.0, 0.0, 0.0])
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(1, "g"), count=4)
-        for c in clusters:
-            assert np.allclose(c.scatter_a, c.center_a, atol=1e-12)
-            assert np.allclose(c.scatter_z, c.center_z, atol=1e-12)
-            d = (np.linalg.norm(c.scatter_a - TX, axis=1)
-                 + np.linalg.norm(c.scatter_z - RX, axis=1))
-            assert np.ptp(d) < 1e-9  # all rays share one delay
+        assert np.allclose(clusters.scatter_a, clusters.center_a[:, None, :], atol=1e-12)
+        assert np.allclose(clusters.scatter_z, clusters.center_z[:, None, :], atol=1e-12)
+        d = (np.linalg.norm(clusters.scatter_a - TX, axis=2)
+             + np.linalg.norm(clusters.scatter_z - RX, axis=2))
+        assert np.ptp(d, axis=1).max() < 1e-9  # all rays of a cluster share one delay
 
     def test_scatterer_covariance_matches_density(self):
         # moment check: rotate GCS offsets back into the cluster frame and
@@ -42,8 +48,9 @@ class TestGeneration:
         sigma = (2.0, 1.0, 0.5)
         params = cluster_params(sigma_xyz_m=list(sigma), rays_per_cluster=100)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(2, "g"), count=1000)
-        local = np.concatenate([
-            gcs_to_lcs(c.scatter_a - c.center_a, c.angles_a) for c in clusters])
+        offsets = clusters.scatter_a - clusters.center_a[:, None, :]
+        local = np.concatenate([gcs_to_lcs(o, RotationAngles(*a))
+                                for o, a in zip(offsets, clusters.angles_a)])
         cov = np.cov(local.T)
         assert np.allclose(np.diag(cov), np.square(sigma), rtol=0.02)
         off = cov - np.diag(np.diag(cov))
@@ -52,30 +59,27 @@ class TestGeneration:
     def test_virtual_delay_exponential_mean(self):
         params = cluster_params(virtual_delay_mean_ns=250.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(3, "g"), count=100_000)
-        mean = np.mean([c.virtual_delay for c in clusters])
-        assert mean == pytest.approx(250e-9, rel=0.02)
+        assert np.mean(clusters.virtual_delay) == pytest.approx(250e-9, rel=0.02)
 
     def test_ray_powers_normalized_and_nonnegative(self):
         params = cluster_params()
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(4, "g"), count=7)
-        total = sum(c.ray_powers.sum() for c in clusters)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert all((c.ray_powers >= 0).all() for c in clusters)
+        assert clusters.ray_powers.shape == (7, params.rays_per_cluster)
+        assert clusters.ray_powers.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (clusters.ray_powers >= 0).all()
 
     def test_velocities_are_planar(self):
         params = cluster_params(speed_a_mps=3.0, speed_z_mps=4.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(5, "g"), count=50)
-        for c in clusters:
-            assert c.vel_a[2] == 0.0 and c.vel_z[2] == 0.0
-            assert np.linalg.norm(c.vel_a) == pytest.approx(3.0, abs=1e-12)
-            assert np.linalg.norm(c.vel_z) == pytest.approx(4.0, abs=1e-12)
+        assert (clusters.vel_a[:, 2] == 0.0).all() and (clusters.vel_z[:, 2] == 0.0).all()
+        assert np.allclose(np.linalg.norm(clusters.vel_a, axis=1), 3.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(clusters.vel_z, axis=1), 4.0, rtol=0, atol=1e-12)
 
     def test_center_distance_floor(self):
         params = cluster_params(center_distance_min_m=5.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(6, "g"), count=300)
-        d_a = [np.linalg.norm(c.center_a - TX) for c in clusters]
-        d_z = [np.linalg.norm(c.center_z - RX) for c in clusters]
-        assert min(d_a) >= 5.0 and min(d_z) >= 5.0
+        assert np.linalg.norm(clusters.center_a - TX, axis=1).min() >= 5.0
+        assert np.linalg.norm(clusters.center_z - RX, axis=1).min() >= 5.0
 
     def test_negative_sigma_rejected(self):
         params = dataclasses.replace(cluster_params(), sigma_xyz_m=(-1.0, 1.0, 1.0))
@@ -236,6 +240,131 @@ class TestChainOracle:
             assert grid.shape[2] > grid[:, 0, :].any(axis=0).sum()  # Y-pass births
 
 
+def reference_cluster_pairs(params, tx_ref, rx_ref, rng, count):
+    """Per-cluster generator that built one ClusterPair per cluster (oracle)."""
+    sigma = np.asarray(params.sigma_xyz_m, dtype=float)
+    if count == 0:
+        return []
+    tx_ref = np.asarray(tx_ref, dtype=float)
+    rx_ref = np.asarray(rx_ref, dtype=float)
+    m_n = params.rays_per_cluster
+    el_max = math.radians(params.center_elevation_max_deg)
+    centers, angles, scatter, vel = {}, {}, {}, {}
+    for side, ref in (("a", tx_ref), ("z", rx_ref)):
+        az = rng.uniform(-np.pi, np.pi, count)
+        el = rng.uniform(-el_max, el_max, count)
+        dist = params.center_distance_min_m + rng.exponential(
+            params.center_distance_mean_m, count)
+        ce = np.cos(el)
+        unit = np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
+        centers[side] = ref + dist[:, None] * unit
+        angles[side] = rng.uniform(-np.pi, np.pi, (count, 3))
+    for side in ("a", "z"):
+        local = rng.standard_normal((count, m_n, 3)) * sigma
+        rot = rotation_matrices(*angles[side].T)
+        scatter[side] = np.einsum("nmi,nji->nmj", local, rot) + centers[side][:, None, :]
+    tau_v = rng.exponential(params.virtual_delay_mean_ns * 1e-9, count)
+    for side, speed, fixed in (
+        ("a", params.speed_a_mps, params.velocity_azimuth_a_deg),
+        ("z", params.speed_z_mps, params.velocity_azimuth_z_deg),
+    ):
+        alpha = (rng.uniform(-np.pi, np.pi, count) if fixed is None
+                 else np.full(count, math.radians(fixed)))
+        vel[side] = speed * np.stack([np.cos(alpha), np.sin(alpha), np.zeros_like(alpha)],
+                                     axis=-1)
+    d_ref = (np.linalg.norm(scatter["a"] - tx_ref, axis=2)
+             + np.linalg.norm(scatter["z"] - rx_ref, axis=2))
+    tau_ref = d_ref / SPEED_OF_LIGHT + tau_v[:, None]
+    weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
+    powers = weights / weights.sum()
+    return [
+        ClusterPair(
+            id=cid, center_a=centers["a"][cid], center_z=centers["z"][cid],
+            angles_a=RotationAngles(*angles["a"][cid]),
+            angles_z=RotationAngles(*angles["z"][cid]), sigma=tuple(sigma),
+            scatter_a=scatter["a"][cid], scatter_z=scatter["z"][cid],
+            virtual_delay=float(tau_v[cid]), vel_a=vel["a"][cid], vel_z=vel["z"][cid],
+            ray_powers=powers[cid])
+        for cid in range(count)
+    ]
+
+
+def reference_realization(cfg, subchannel, rng):
+    """Per-call scene and layouts, per-cluster objects restacked into rays (oracle).
+
+    Returns (clusters, rays, visibility grid).
+    """
+    scene = cfg.scene()
+    bs, irs = cfg.bs.layout("BS"), cfg.irs.layout()
+    origin, v_irs = np.zeros(3), np.zeros(3)
+    v_bs, v_user = cfg.bs.velocity(), cfg.user.velocity()
+    tx_ref, rx_ref, v_tx, v_rx, evolved_layout = {
+        "BI": (origin, scene.d_bi, v_bs, v_irs, irs),
+        "IU": (scene.d_bi, scene.d_bu, v_irs, v_user, irs),
+        "BU": (origin, scene.d_bu, v_bs, v_user, bs),
+    }[subchannel]
+    vis = evolve_visibility(evolved_layout, cfg.clusters, rng)
+    clusters = reference_cluster_pairs(cfg.clusters, tx_ref, rx_ref, rng, vis.n_clusters)
+    if not clusters:
+        empty3 = np.zeros((0, 3))
+        return clusters, {
+            "d0_tx": empty3, "d0_rx": empty3, "v_rel_tx": empty3, "v_rel_rx": empty3,
+            "tau_v": np.zeros(0), "cluster_ids": np.zeros(0, dtype=int),
+            "ray_ids": np.zeros(0, dtype=int)}, vis.grid
+    counts = np.array([c.num_rays for c in clusters])
+    rays = {
+        "d0_tx": np.concatenate([c.scatter_a for c in clusters]) - tx_ref,
+        "d0_rx": np.concatenate([c.scatter_z for c in clusters]) - rx_ref,
+        "v_rel_tx": np.repeat(v_tx - np.stack([c.vel_a for c in clusters]), counts, axis=0),
+        "v_rel_rx": np.repeat(v_rx - np.stack([c.vel_z for c in clusters]), counts, axis=0),
+        "tau_v": np.repeat([c.virtual_delay for c in clusters], counts),
+        "cluster_ids": np.repeat([c.id for c in clusters], counts),
+        "ray_ids": np.concatenate([np.arange(c.num_rays) for c in clusters]),
+    }
+    return clusters, rays, vis.grid
+
+
+def _first_seed_without_clusters(cfg, subchannel):
+    return next(s for s in range(1000)
+                if realize_subchannel(cfg, subchannel, rng_stream(s, "r")).num_rays == 0)
+
+
+class TestStackedRealizationOracle:
+    @pytest.mark.parametrize("kind", ["BI", "IU", "BU"])
+    @pytest.mark.parametrize("over, seed", [
+        ({"bs": {"num_elements": 6}, "user": {"num_elements": 3}}, 31),
+        ({"irs": {"m_x": 5, "m_y": 5}, "rician_k_db": 5.0}, 32),
+        ({"clusters": {"birth_rate": 2.0, "death_rate": 4.0}}, None),
+    ], ids=["linear", "irs5x5", "zero_clusters"])
+    def test_matches_per_cluster_restack(self, kind, over, seed):
+        cfg = make_config(**over)
+        zero = seed is None
+        if zero:
+            seed = _first_seed_without_clusters(cfg, kind)
+        rng_new, rng_ref = rng_stream(seed, "r"), rng_stream(seed, "r")
+        real = realize_subchannel(cfg, kind, rng_new)
+        ref_clusters, ref_rays, ref_grid = reference_realization(cfg, kind, rng_ref)
+        assert np.array_equal(real.visibility.grid, ref_grid)
+        assert real.rays.keys() == ref_rays.keys()
+        for key, want in ref_rays.items():
+            got = real.rays[key]
+            assert got.shape == want.shape and got.dtype == want.dtype, key
+            assert np.array_equal(got, want), key
+        assert rng_new.random() == rng_ref.random()
+        # the per-cluster views carry the fields the per-cluster objects had
+        views = list(real.clusters)
+        assert len(real.clusters) == len(views) == len(ref_clusters)
+        for view, want in zip(views, ref_clusters):
+            assert view.num_rays == want.num_rays
+            for field in dataclasses.fields(ClusterPair):
+                a, b = getattr(view, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b) and type(a) is type(b), field.name
+        if zero:
+            assert real.num_rays == 0 and not ref_clusters
+        else:
+            assert real.num_rays > 0
+
+
 class TestMotion:
     def realization(self, **over):
         cfg = make_config(**over)
@@ -245,26 +374,23 @@ class TestMotion:
         params = cluster_params(speed_a_mps=0.0, speed_z_mps=0.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(20, "g"), count=3)
         moved = advance_clusters(clusters, 2.0)
-        for before, after in zip(clusters, moved):
-            assert np.array_equal(before.scatter_a, after.scatter_a)
-            assert np.array_equal(before.center_z, after.center_z)
+        assert np.array_equal(clusters.scatter_a, moved.scatter_a)
+        assert np.array_equal(clusters.center_z, moved.center_z)
 
     def test_constant_velocity_translation(self):
         params = cluster_params(speed_a_mps=1.0, velocity_azimuth_a_deg=0.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(21, "g"), count=3)
         moved = advance_clusters(clusters, 2.0)
-        for before, after in zip(clusters, moved):
-            assert np.allclose(after.scatter_a - before.scatter_a, [2.0, 0.0, 0.0],
-                               atol=1e-12)
-            assert np.allclose(after.center_a - before.center_a, [2.0, 0.0, 0.0],
-                               atol=1e-12)
+        assert np.allclose(moved.scatter_a - clusters.scatter_a, [2.0, 0.0, 0.0],
+                           atol=1e-12)
+        assert np.allclose(moved.center_a - clusters.center_a, [2.0, 0.0, 0.0],
+                           atol=1e-12)
 
     def test_powers_preserved_under_motion(self):
         params = cluster_params(speed_a_mps=3.0, speed_z_mps=2.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(22, "g"), count=4)
         moved = advance_clusters(clusters, 5.0)
-        for before, after in zip(clusters, moved):
-            assert np.array_equal(before.ray_powers, after.ray_powers)
+        assert np.array_equal(clusters.ray_powers, moved.ray_powers)
 
     def test_velocity_form_matches_translated_positions(self):
         # path lengths from the velocity-integral expressions must equal a
@@ -274,7 +400,7 @@ class TestMotion:
         direct = ray_path_lengths(real, 1, 1, t)[:, 0]
         moved = dataclasses.replace(
             real,
-            clusters=tuple(advance_clusters(list(real.clusters), t)),
+            clusters=advance_clusters(real.clusters, t),
             tx_ref=real.tx_ref + real.v_tx * t,
             rx_ref=real.rx_ref + real.v_rx * t)
         recomputed = ray_path_lengths(moved, 1, 1, 0.0)[:, 0]

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from irs_gbsm.clusters import (
-    ClusterPair,
     ClusterRealization,
+    ClusterSet,
     VisibilityTensor,
     realize_subchannel,
 )
-from irs_gbsm.geometry import SPEED_OF_LIGHT, RotationAngles, TerminalLayout
+from irs_gbsm.geometry import SPEED_OF_LIGHT, TerminalLayout, element_offset
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import (
     RayTap,
@@ -37,13 +39,13 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
     scatter_a = np.atleast_2d(np.asarray(scatter_a, dtype=float))
     scatter_z = np.atleast_2d(np.asarray(scatter_z, dtype=float))
     m_n = scatter_a.shape[0]
-    cluster = ClusterPair(
-        id=0, center_a=scatter_a.mean(axis=0), center_z=scatter_z.mean(axis=0),
-        angles_a=RotationAngles(0, 0, 0), angles_z=RotationAngles(0, 0, 0),
-        sigma=(0.0, 0.0, 0.0), scatter_a=scatter_a, scatter_z=scatter_z,
-        virtual_delay=tau_v, vel_a=np.asarray(vel_a, dtype=float),
-        vel_z=np.asarray(vel_z, dtype=float),
-        ray_powers=np.full(m_n, 1.0 / m_n))
+    clusters = ClusterSet(
+        center_a=scatter_a.mean(axis=0)[None], center_z=scatter_z.mean(axis=0)[None],
+        angles_a=np.zeros((1, 3)), angles_z=np.zeros((1, 3)), sigma=(0.0, 0.0, 0.0),
+        scatter_a=scatter_a[None], scatter_z=scatter_z[None],
+        virtual_delay=np.array([tau_v], dtype=float),
+        vel_a=np.asarray(vel_a, dtype=float)[None], vel_z=np.asarray(vel_z, dtype=float)[None],
+        ray_powers=np.full((1, m_n), 1.0 / m_n))
     grid = np.ones((1, 1, 1), dtype=bool) if visible is None else visible
     return ClusterRealization(
         subchannel="BI",
@@ -51,7 +53,7 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
         tx_layout=TerminalLayout.linear("BS", 1, 0.0024, 0.0, 0.0),
         rx_layout=TerminalLayout.linear("USER", 1, 0.0024, 0.0, 0.0),
         v_tx=np.asarray(v_tx, dtype=float), v_rx=np.asarray(v_rx, dtype=float),
-        clusters=(cluster,),
+        clusters=clusters,
         visibility=VisibilityTensor(grid=grid, birth_rate=1, death_rate=1,
                                     correlation_factor=1, initial_count=grid.shape[2]),
         evolved_side="rx", k_factor=k_factor, gamma_ds=gamma_ds, fc_hz=FC)
@@ -251,6 +253,70 @@ class TestNonStationarityHooks:
         # midpoint Doppler cancels the first-order truncation of the increment
         nu = -ray_path_rates(real, 1, 1, t + dt / 2) / real.wavelength
         assert np.allclose(dphi, -2 * np.pi * nu * dt, rtol=1e-6)
+
+
+def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
+    """pair_field with the norms taken by einsum over (n, T, 3) differences (oracle)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rays = real.rays
+    kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
+    l_tx = element_offset(real.tx_layout, tx_element)
+    l_rx = element_offset(real.rx_layout, rx_element)
+    k = real.k_factor
+    w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
+    diff_los = ((real.rx_ref - real.tx_ref - l_tx + l_rx)
+                + (real.v_rx - real.v_tx) * times[:, None])
+    d_los = np.sqrt(np.einsum("ij,ij->i", diff_los, diff_los))
+    u = np.exp(1j * kappa * d_los)
+    if real.num_rays == 0:
+        empty = np.zeros((0, times.size))
+        return {"g": empty.astype(complex), "u": u, "powers": empty,
+                "h": np.sqrt(w_l2) * u, "w_l2": w_l2, "w_n2": w_n2}
+    visible = real.visible_rays(tx_element, rx_element)
+    diff_tx = (rays["d0_tx"] - l_tx)[:, None, :] - rays["v_rel_tx"][:, None, :] \
+        * times[None, :, None]
+    diff_rx = (rays["d0_rx"] - l_rx)[:, None, :] - rays["v_rel_rx"][:, None, :] \
+        * times[None, :, None]
+    d = (np.sqrt(np.einsum("nti,nti->nt", diff_tx, diff_tx))
+         + np.sqrt(np.einsum("nti,nti->nt", diff_rx, diff_rx)))
+    tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None]
+    w = np.exp(-tau / real.gamma_ds) * visible[:, None]
+    total = w.sum(axis=0)
+    powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+    g = np.sqrt(powers) * np.exp(1j * kappa * d)
+    vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
+    h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
+    return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
+
+
+class TestPairFieldOracle:
+    @pytest.mark.parametrize("kind, over, f, elements, empty", [
+        ("IU", {}, 0.0, (1, 1), False),
+        ("BI", {"rician_k_db": 5.0}, 0.0, (1, 1), False),
+        ("IU", {"rician_k_db": 5.0}, 2.5e5, (1, 1), False),
+        ("BI", {"bs": {"num_elements": 4}, "irs": {"m_x": 3, "m_y": 3},
+                "rician_k_db": 5.0}, -1e5, (3, 7), False),
+        ("IU", {"irs": {"m_x": 2, "m_y": 3}, "user": {"num_elements": 3}}, 0.0, (5, 2),
+         False),
+        ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), True),
+    ], ids=["k0", "k5db", "f_offset", "elements_bi", "elements_iu", "zero_rays"])
+    def test_equals_einsum_form(self, kind, over, f, elements, empty):
+        cfg = make_config(**over)
+        times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
+        tx, rx = elements
+        for k in range(12):
+            real = realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", k, kind))
+            if empty:
+                real = dataclasses.replace(real, clusters=ClusterSet.empty(
+                    cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
+                assert real.num_rays == 0
+            got = pair_field(real, times, f, tx, rx)
+            want = reference_pair_field(real, times, f, tx, rx)
+            assert got.keys() == want.keys()
+            for key in ("g", "u", "powers", "h"):
+                assert got[key].shape == want[key].shape, key
+                assert np.array_equal(got[key], want[key]), key
+            assert (got["w_l2"], got["w_n2"]) == (want["w_l2"], want["w_n2"])
 
 
 class TestFieldKernels:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irs_gbsm.assembly import phase_model_for
-from irs_gbsm.clusters import generate_cluster_pairs, realize_subchannel
+from irs_gbsm.clusters import ClusterSet, generate_cluster_pairs, realize_subchannel
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import ray_field, ray_path_lengths
 from irs_gbsm import stats
@@ -154,7 +154,8 @@ class TestCorrelationTensors:
     def test_sub_arrays_match_einsum_oracle(self, case):
         cfg, real = self._realization(1 if case == "single_element" else 3)
         if case == "zero_rays":
-            real = dataclasses.replace(real, clusters=())
+            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+                cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
         h, ana, gram = stats._sub_arrays(real, 0.0, lags, 0.0, 1, 1, sweep="rx")
@@ -245,10 +246,9 @@ class TestDsCdf:
         clusters = generate_cluster_pairs(cfg.clusters, np.zeros(3),
                                           np.array([100.0, 0, 0]),
                                           rng_stream(1, "g"), count=1)
-        c = clusters[0]
-        d = (np.linalg.norm(c.scatter_a - np.zeros(3), axis=1)
-             + np.linalg.norm(c.scatter_z - np.array([100.0, 0, 0]), axis=1))
-        tau = d / 299792458.0 + c.virtual_delay
+        d = (np.linalg.norm(clusters.scatter_a[0] - np.zeros(3), axis=1)
+             + np.linalg.norm(clusters.scatter_z[0] - np.array([100.0, 0, 0]), axis=1))
+        tau = d / 299792458.0 + clusters.virtual_delay[0]
         p = np.full(tau.size, 1.0 / tau.size)
         assert stats.rms_delay_spread(tau, p) < 1e-12
 
