@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,42 +126,47 @@ class TerminalLayout:
 
     @property
     def num_elements(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_vector(self, axis: int = 0) -> np.ndarray:
         """Spacing-scaled direction vector of one array axis."""
         return self.spacings[axis] * _unit_from_angles(self.azimuths[axis], self.elevations[axis])
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Offsets of every element, (num_elements, 3), flat-index order; read-only.
+
+        For BS/USER, l_q = (q - 1) * delta * [cos(bE)cos(bA), cos(bE)sin(bA),
+        sin(bE)], referenced to the first element.  For the IRS they are
+        referenced to the panel center with the row/column weights
+        ((M_x + 1)/2 - x) and (y - (M_y + 1)/2) on the two axis vectors.
+        Computed once per layout.
+        """
+        if self.kind == "IRS":
+            m_x, m_y = self.counts
+            xs, ys = np.meshgrid(np.arange(1, m_x + 1), np.arange(1, m_y + 1), indexing="ij")
+            wx = ((m_x + 1) / 2.0 - xs).reshape(-1)
+            wy = (ys - (m_y + 1) / 2.0).reshape(-1)
+            out = np.outer(wx, self.axis_vector(0)) + np.outer(wy, self.axis_vector(1))
+        else:
+            out = np.outer(np.arange(self.counts[0]), self.axis_vector(0))
+        out.flags.writeable = False
+        return out
+
 
 def element_offset(layout: TerminalLayout, index: int) -> np.ndarray:
-    """Offset vector of one element, meters in the GCS orientation.
+    """Offset vector of one 1-based element, meters in the GCS orientation.
 
-    For BS/USER this is l_q = (q - 1) * delta * [cos(bE)cos(bA),
-    cos(bE)sin(bA), sin(bE)], referenced to the first element.  For the IRS
-    it is referenced to the panel center with the row/column weights
-    ((M_x + 1)/2 - x) and (y - (M_y + 1)/2) on the two axis vectors.
+    A read-only row of :attr:`TerminalLayout.offsets`.
     """
     if not 1 <= index <= layout.num_elements:
         raise ValueError(f"element index {index} outside [1, {layout.num_elements}]")
-    if layout.kind == "IRS":
-        m_x, m_y = layout.counts
-        x, y = unflatten_index(index, m_y, m_x)
-        wx = (m_x + 1) / 2.0 - x
-        wy = y - (m_y + 1) / 2.0
-        return wx * layout.axis_vector(0) + wy * layout.axis_vector(1)
-    return (index - 1) * layout.axis_vector(0)
+    return layout.offsets[index - 1]
 
 
 def element_offsets(layout: TerminalLayout) -> np.ndarray:
     """Offsets of every element, shape (num_elements, 3), flat-index order."""
-    if layout.kind == "IRS":
-        m_x, m_y = layout.counts
-        xs, ys = np.meshgrid(np.arange(1, m_x + 1), np.arange(1, m_y + 1), indexing="ij")
-        wx = ((m_x + 1) / 2.0 - xs).reshape(-1)
-        wy = (ys - (m_y + 1) / 2.0).reshape(-1)
-        return np.outer(wx, layout.axis_vector(0)) + np.outer(wy, layout.axis_vector(1))
-    q = np.arange(layout.counts[0])
-    return np.outer(q, layout.axis_vector(0))
+    return layout.offsets
 
 
 @dataclass(frozen=True)

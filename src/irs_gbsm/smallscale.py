@@ -18,6 +18,18 @@ The LoS component has unit power and delay |D(t)|/c with
 D(t) = D0 - l_q + l_r + (v_rx - v_tx) * t.
 
 Rician mixing: h = sqrt(K/(K+1)) h_LoS + sqrt(1/(K+1)) h_NLoS.
+
+Every ray path length, and the LoS distance of the field and CIR kernels,
+goes through one kernel, :func:`_side_norms`.  It takes |d0 - l - v t| one
+component at a time over (rays, elements, times) and adds the squares as
+(x0^2 + x1^2) + x2^2, the order of ``np.linalg.norm(..., axis=-1)``, which
+:func:`los_distance` calls directly.  The LoS vector and per-(element, ray)
+differences enter the kernel as d0 with the origin as offset.  The
+summation order is part of the output: a last-ulp change in d becomes about
+1e-11 rad once multiplied by kappa (about 1300 rad/m at 62 GHz), so the
+written CSV bytes move with it.  One order for every caller also makes the
+g, u and powers of :func:`pair_field` equal those of :func:`ray_field` on
+the same element pair bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +43,11 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
-# cap on the float64 count of the largest per-side geometry temp
+# cap on the float64 count of the largest temp of a cir_columns block
 _BLOCK_FLOATS = 12_000_000
+# the element offset of a difference already formed per row (a LoS vector or a
+# gathered (element, ray) pair); subtracting it is exact
+_ORIGIN = np.zeros((1, 3))
 
 
 @dataclass(frozen=True)
@@ -80,10 +95,27 @@ class SubchannelCIR:
         return out
 
 
-def _side_lengths(d0, v_rel, offset, times):
-    """Norms of d0 - offset - v_rel * t; shapes (n_rays, n_times)."""
-    diff = (d0 - offset)[:, None, :] - v_rel[:, None, :] * times[None, :, None]
-    return np.linalg.norm(diff, axis=-1)
+def _side_norms(d0, v_rel, offsets, times):
+    """|d0 - l - v_rel t| over (rays, elements, times), one component at a time.
+
+    ``d0`` and ``v_rel`` are (n, 3) per ray (``v_rel`` may be one (1, 3) row),
+    ``offsets`` (E, 3) per element, ``times`` (T,).  Component c is
+    (d0_c - l_c) - v_c t and the squares add as (x0^2 + x1^2) + x2^2, so the
+    (n, E, T) result equals ``np.linalg.norm`` of the broadcast (n, E, T, 3)
+    difference bit for bit, without forming it.
+    """
+    acc = None
+    for c in range(3):
+        x = (d0[:, c, None] - offsets[:, c])[:, :, None] - v_rel[:, c, None, None] * times
+        x *= x
+        acc = x if acc is None else np.add(acc, x, out=acc)
+    return np.sqrt(acc, out=acc)
+
+
+def _los_norms(real: ClusterRealization, d0_los: np.ndarray, times) -> np.ndarray:
+    """|D0 + (v_rx - v_tx) t| of LoS vectors ``d0_los`` (m, 3); shape (m, T)."""
+    # d - (v_tx - v_rx) t equals d + (v_rx - v_tx) t exactly
+    return _side_norms(d0_los, (real.v_tx - real.v_rx)[None], _ORIGIN, times)[:, 0, :]
 
 
 def ray_path_lengths(real: ClusterRealization, tx_element: int, rx_element: int,
@@ -91,10 +123,10 @@ def ray_path_lengths(real: ClusterRealization, tx_element: int, rx_element: int,
     """Geometric path length |d_tx| + |d_rx| per ray; shape (n_rays, n_times)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
-    l_tx = element_offset(real.tx_layout, tx_element)
-    l_rx = element_offset(real.rx_layout, rx_element)
-    return (_side_lengths(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
-            + _side_lengths(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))
+    l_tx = element_offset(real.tx_layout, tx_element)[None]
+    l_rx = element_offset(real.rx_layout, rx_element)[None]
+    return (_side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
+            + _side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))[:, 0, :]
 
 
 def ray_delays(real: ClusterRealization, tx_element: int, rx_element: int,
@@ -116,8 +148,9 @@ def ray_path_rates(real: ClusterRealization, tx_element: int, rx_element: int,
         (rays["d0_tx"], rays["v_rel_tx"], real.tx_layout, tx_element),
         (rays["d0_rx"], rays["v_rel_rx"], real.rx_layout, rx_element),
     ):
-        diff = d0 - element_offset(layout, elem) - v_rel * t
-        norm = np.linalg.norm(diff, axis=-1)
+        offset = element_offset(layout, elem)
+        diff = d0 - offset - v_rel * t
+        norm = _side_norms(d0, v_rel, offset[None], np.array([t]))[:, 0, 0]
         out += -np.einsum("ij,ij->i", v_rel, diff) / norm
     return out
 
@@ -214,13 +247,12 @@ class FieldBundle:
     g[n, e, t] = sqrt(P) * exp(j kappa d) with kappa = 2 pi (f_c - f)/c and d
     the geometric path length (invisible rays zeroed); u[e, t] the LoS phasor
     exp(j kappa D).  ``vlink`` carries the per-ray virtual-delay phasor so
-    that transfer values are g * vlink summed over rays.
+    that transfer values are g * vlink summed over rays.  ``visible`` is the
+    (n_rays, E) ray visibility mask.
     """
 
     g: np.ndarray
     u: np.ndarray
-    tau: np.ndarray
-    los_tau: np.ndarray
     powers: np.ndarray
     visible: np.ndarray
     vlink: np.ndarray
@@ -234,6 +266,32 @@ class FieldBundle:
         return w_los * self.u + w_nlos * h_nlos
 
 
+def _fields(real: ClusterRealization, times: np.ndarray, f: float, l_tx: np.ndarray,
+            l_rx: np.ndarray, visible: np.ndarray):
+    """(g, powers, u, vlink) of the element offsets ``l_tx`` and ``l_rx``.
+
+    One of the offsets is a single (1, 3) row, the other (E, 3); ``visible``
+    is the boolean (n_rays, E) mask.  g and powers are (n_rays, E, T), u is
+    (E, T).  Powers are renormalized over the visible rays of each (element,
+    time).
+    """
+    rays = real.rays
+    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
+    d = (_side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
+         + _side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))
+    tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None]
+    w = np.exp(-tau / real.gamma_ds) * visible[:, :, None]
+    total = w.sum(axis=0)
+    powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+    g = np.exp(1j * kappa * d)
+    g *= np.sqrt(powers)
+    g *= visible[:, :, None]
+    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
+    u = np.exp(1j * kappa * _los_norms(real, (real.rx_ref - real.tx_ref) - l_tx + l_rx,
+                                       times))
+    return g, powers, u, vlink
+
+
 def ray_field(real: ClusterRealization, times, f: float = 0.0,
               tx_element: int = 1, rx_element: int = 1,
               sweep: str | None = None) -> FieldBundle:
@@ -243,11 +301,8 @@ def ray_field(real: ClusterRealization, times, f: float = 0.0,
     side stays fixed); None keeps both fixed with a singleton element axis.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-
-    l_tx = element_offset(real.tx_layout, tx_element)[None, :]
-    l_rx = element_offset(real.rx_layout, rx_element)[None, :]
+    l_tx = element_offset(real.tx_layout, tx_element)[None]
+    l_rx = element_offset(real.rx_layout, rx_element)[None]
     if sweep == "tx":
         l_tx = real.tx_offsets()
     elif sweep == "rx":
@@ -255,58 +310,15 @@ def ray_field(real: ClusterRealization, times, f: float = 0.0,
     elif sweep is not None:
         raise ValueError(f"sweep must be None, 'tx' or 'rx', got {sweep!r}")
     n_elem = max(l_tx.shape[0], l_rx.shape[0])
-    n_rays, n_t = real.num_rays, times.size
 
     # visibility mask over (rays, swept elements)
-    if n_rays == 0:
-        visible = np.zeros((0, n_elem), dtype=bool)
-    elif sweep == real.evolved_side:
-        visible = real.visibility.matrix[:, rays["cluster_ids"]].T  # (n_rays, E)
+    if sweep == real.evolved_side:
+        visible = real.visibility.matrix[:, real.rays["cluster_ids"]].T  # (n_rays, E)
     else:
-        fixed = tx_element if real.evolved_side == "tx" else rx_element
-        visible = np.broadcast_to(real.ray_visibility(fixed)[:, None], (n_rays, n_elem))
-
-    def side_norms(d0, v_rel, offs):
-        if offs.shape[0] == 1:
-            diff = (d0 - offs[0])[:, None, :] - v_rel[:, None, :] * times[None, :, None]
-            return np.linalg.norm(diff, axis=-1)[:, None, :]  # (n, 1, T)
-        out = np.empty((n_rays, offs.shape[0], n_t))
-        step = max(1, int(_BLOCK_FLOATS // max(1, n_rays * n_t * 3)))
-        for lo in range(0, offs.shape[0], step):
-            block = offs[lo: lo + step]
-            diff = (d0[:, None, :] - block[None, :, :])[:, :, None, :] \
-                - v_rel[:, None, None, :] * times[None, None, :, None]
-            out[:, lo: lo + block.shape[0], :] = np.linalg.norm(diff, axis=-1)
-        return out
-
-    if n_rays:
-        d = (side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx)
-             + side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx))
-        if d.shape[1] == 1 and n_elem > 1:
-            d = np.broadcast_to(d, (n_rays, n_elem, n_t))
-        tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None]
-        w = np.exp(-tau / real.gamma_ds) * visible[:, :, None]
-        total = w.sum(axis=0)
-        powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-        g = np.sqrt(powers) * np.exp(1j * kappa * d) * visible[:, :, None]
-        vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
-    else:
-        tau = np.zeros((0, n_elem, n_t))
-        powers = np.zeros((0, n_elem, n_t))
-        g = np.zeros((0, n_elem, n_t), dtype=complex)
-        vlink = np.zeros(0, dtype=complex)
-
-    # LoS over the swept axis
-    d0_los = (real.rx_ref - real.tx_ref) - l_tx + l_rx  # (E, 3) after broadcast
-    if d0_los.shape[0] == 1 and n_elem > 1:
-        d0_los = np.broadcast_to(d0_los, (n_elem, 3))
-    d_los = np.linalg.norm(
-        d0_los[:, None, :] + (real.v_rx - real.v_tx) * times[None, :, None], axis=-1)
-    los_tau_ = d_los / SPEED_OF_LIGHT
-    u = np.exp(1j * kappa * d_los)
-
-    return FieldBundle(g=g, u=u, tau=tau, los_tau=los_tau_, powers=powers,
-                       visible=np.ascontiguousarray(visible), vlink=vlink,
+        visible = np.broadcast_to(real.visible_rays(tx_element, rx_element)[:, None],
+                                  (real.num_rays, n_elem))
+    g, powers, u, vlink = _fields(real, times, f, l_tx, l_rx, visible)
+    return FieldBundle(g=g, u=u, powers=powers, visible=visible, vlink=vlink,
                        k_factor=real.k_factor)
 
 
@@ -319,52 +331,23 @@ def transfer_values(real: ClusterRealization, times, f: float = 0.0,
     return h[0] if sweep is None else h
 
 
-def _pair_norms(d0: np.ndarray, v_rel: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|d0 - v_rel t| over (n_rays, n_times), one component at a time.
-
-    No (n_rays, n_times, 3) temporary is formed.  The squares are summed as
-    (x0^2 + x2^2) + x1^2, the order numpy's ``einsum("nti,nti->nt")`` uses,
-    so the norms equal that contraction's bit for bit.
-    """
-    x0, x1, x2 = (d0[:, i, None] - v_rel[:, i, None] * times for i in range(3))
-    return np.sqrt((x0 * x0 + x2 * x2) + x1 * x1)
-
-
 def pair_field(real: ClusterRealization, times, f: float = 0.0,
                tx_element: int = 1, rx_element: int = 1) -> dict:
-    """Lean single-pair variant of :func:`ray_field` (no element axis).
+    """Single-pair :func:`ray_field` without the element axis or the bundle.
 
     Returns g (n_rays, T), u (T,), powers (n_rays, T), h (T,) where g and u
     are the NLoS/LoS phasors used by the correlation statistics and h the
-    Rician-weighted transfer value.
+    Rician-weighted transfer value; g, u and powers equal ``ray_field``'s at
+    element axis 0.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-    l_tx = element_offset(real.tx_layout, tx_element)
-    l_rx = element_offset(real.rx_layout, rx_element)
+    g, powers, u, vlink = _fields(
+        real, times, f, element_offset(real.tx_layout, tx_element)[None],
+        element_offset(real.rx_layout, rx_element)[None],
+        real.visible_rays(tx_element, rx_element)[:, None])
+    g, powers, u = g[:, 0], powers[:, 0], u[0]
     k = real.k_factor
     w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
-
-    diff_los = ((real.rx_ref - real.tx_ref - l_tx + l_rx)
-                + (real.v_rx - real.v_tx) * times[:, None])
-    d_los = np.sqrt(np.einsum("ij,ij->i", diff_los, diff_los))
-    u = np.exp(1j * kappa * d_los)
-
-    if real.num_rays == 0:
-        empty = np.zeros((0, times.size))
-        return {"g": empty.astype(complex), "u": u, "powers": empty,
-                "h": np.sqrt(w_l2) * u, "w_l2": w_l2, "w_n2": w_n2}
-
-    visible = real.visible_rays(tx_element, rx_element)
-    d = (_pair_norms(rays["d0_tx"] - l_tx, rays["v_rel_tx"], times)
-         + _pair_norms(rays["d0_rx"] - l_rx, rays["v_rel_rx"], times))
-    tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None]
-    w = np.exp(-tau / real.gamma_ds) * visible[:, None]
-    total = w.sum(axis=0)
-    powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-    g = np.sqrt(powers) * np.exp(1j * kappa * d)
-    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
     h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
     return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
 
@@ -408,7 +391,6 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
     cluster = np.concatenate([[-1], ids])
     ray = np.concatenate([[-1], rays["ray_ids"]])
     d0_los = real.rx_ref - real.tx_ref
-    v_los = real.v_rx - real.v_tx
 
     evolved_tx = real.evolved_side == "tx"
     other = n_rx if evolved_tx else n_tx
@@ -419,21 +401,21 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
               [(q, q + 1, lo, min(lo + step, n_rx))
                for q in range(n_tx) for lo in range(0, n_rx, step)])
 
-    def side_norms(side, elements, r, t):
-        """|d0 - l - v t| of rays ``r`` seen from ``elements`` (broadcast)."""
-        offs = (l_tx if side == "tx" else l_rx)[elements]
-        diff = (rays[f"d0_{side}"][r] - offs) - rays[f"v_rel_{side}"][r] * t
-        return np.linalg.norm(diff, axis=-1)
+    def pair_norms(side, elements, r, t):
+        """|d0 - l - v t| of rays ``r`` seen from ``elements``, pair by pair."""
+        diff = rays[f"d0_{side}"][r] - (l_tx if side == "tx" else l_rx)[elements]
+        return _side_norms(diff, rays[f"v_rel_{side}"][r], _ORIGIN, t)[:, 0, 0]
 
-    all_rays = np.arange(n_rays)[None, :]
     n_rows = cir_row_count(real, times.size)
     out = tuple(np.empty(n_rows, dtype=dt) for dt in (float, int, int, int, int, float,
                                                        float, float, bool))
     pos = 0
-    for t in times:
-        # the fixed side's norms for every ray; the evolved side's only where visible
-        fixed = side_norms("rx" if evolved_tx else "tx", np.arange(other)[:, None],
-                           all_rays, t)
+    fixed_side = "rx" if evolved_tx else "tx"
+    for t in times[:, None]:
+        # the fixed side's norms for every ray, (n_rays, other); the evolved
+        # side's only where visible
+        fixed = _side_norms(rays[f"d0_{fixed_side}"], rays[f"v_rel_{fixed_side}"],
+                            l_rx if evolved_tx else l_tx, t)[:, :, 0]
         for tx0, tx1, rx0, rx1 in blocks:
             shape = (tx1 - tx0, rx1 - rx0, 1 + n_rays)
             mask = np.ones(shape, dtype=bool)
@@ -443,16 +425,15 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
             is_los = slot == 0
             delay = np.empty(slot.size)
             amplitude = np.empty(slot.size)
-            los = np.linalg.norm(
-                (d0_los - l_tx[tx0:tx1, None, :] + l_rx[None, rx0:rx1, :]) + v_los * t,
-                axis=-1)
-            delay[is_los] = (los / SPEED_OF_LIGHT).ravel()
+            los = _los_norms(real, (d0_los - l_tx[tx0:tx1, None, :]
+                                    + l_rx[None, rx0:rx1, :]).reshape(-1, 3), t)
+            delay[is_los] = los[:, 0] / SPEED_OF_LIGHT
             amplitude[is_los] = w_los
             i, j, r = i_tx[~is_los], i_rx[~is_los], slot[~is_los] - 1
             if evolved_tx:
-                d = side_norms("tx", i + tx0, r, t) + fixed[j + rx0, r]
+                d = pair_norms("tx", i + tx0, r, t) + fixed[r, j + rx0]
             else:
-                d = fixed[i + tx0, r] + side_norms("rx", j + rx0, r, t)
+                d = fixed[r, i + tx0] + pair_norms("rx", j + rx0, r, t)
             tau = d / SPEED_OF_LIGHT + rays["tau_v"][r]
             w = np.exp(-tau / real.gamma_ds)
             # the normalizer sums the full ray axis, invisible rays as zeros, so

@@ -169,7 +169,8 @@ class TestExportColumns:
             assert len(got) == cir_row_count(real, times.size)
 
     # SHA-256 of the bytes earlier versions wrote for SMALL: the row-wise
-    # export (simulate, cluster-evolve) and the per-cluster realization (acf)
+    # export (simulate, cluster-evolve), the per-cluster realization (acf) and
+    # the per-kernel side norms (ccf, doppler, ds-cdf, link-budget)
     PINNED = {
         "acf": {
             "acf_2bit_0s_62GHz.csv":
@@ -190,6 +191,22 @@ class TestExportColumns:
             "cluster_visibility.csv":
                 "90635cb5bfec3694afbcab864ad15df0b766ffe53171fd9f2f835f7a226ebad9",
         },
+        "ccf": {
+            "ccf_0s_62GHz.csv":
+                "503dbb0c497b7ca417869fa0bdf4444527265bef5f2415269cca48e4b8dda6ff",
+        },
+        "doppler": {
+            "doppler_0s_62GHz.csv":
+                "bc83e1173274d5d2d2d3ac63ca0c09f8d563c4af9b3e1ae1b9a4da3ac42a96da",
+        },
+        "ds-cdf": {
+            "ds_cdf_sigma1_0s_62GHz.csv":
+                "98925acc4889f543a0f89d5cfa50406e6bfbb8cdd862ae3e93c0541988416cff",
+        },
+        "link-budget": {
+            "link_budget.csv":
+                "a6621765413160df5b8ebcf1bafb5e681797e0ddd9c347f1a2cd860c59fa2558",
+        },
     }
 
     @pytest.mark.parametrize("sub", sorted(PINNED))
@@ -198,13 +215,15 @@ class TestExportColumns:
         assert manifest(tmp_path / sub)["outputs"] == self.PINNED[sub]
 
     def test_single_element_acf_bytes_are_pinned(self, tmp_path):
-        # a 1x1 surface takes the single-pair path (pair_field), which SMALL's 2x2 does not
+        # a 1x1 surface takes the single-pair path (pair_field), which SMALL's 2x2 does
+        # not.  Pinned with the path lengths summed in np.linalg.norm's order; the
+        # earlier (x0^2 + x2^2) + x1^2 order wrote 6c88b523...decd945
         path = tmp_path / "element.json"
         path.write_text(json.dumps(dict(SMALL, irs=dict(SMALL["irs"], m_x=1, m_y=1))))
         assert run("acf", path, tmp_path / "acf") == 0
         assert manifest(tmp_path / "acf")["outputs"] == {
             "acf_0s_62GHz.csv":
-                "6c88b5231c3f4d1339a3fbadff4de7f70a4727987f1329aa0f9a57dfadecd945"}
+                "1843f8d8573a5bc0038ee0711ee2b66f6ab8d2fcc58d31b2df503ce9a0c74618"}
 
     def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
         cfg = parse_config(SMALL)

@@ -87,11 +87,26 @@ class TestElementOffsets:
         assert np.allclose(element_offset(layout, center), 0.0)
 
     def test_vectorized_matches_scalar(self):
+        # the per-element form each offset was once computed by, as oracle
+        def per_element(layout, index):
+            if layout.kind == "IRS":
+                m_x, m_y = layout.counts
+                x, y = unflatten_index(index, m_y, m_x)
+                return (((m_x + 1) / 2.0 - x) * layout.axis_vector(0)
+                        + (y - (m_y + 1) / 2.0) * layout.axis_vector(1))
+            return (index - 1) * layout.axis_vector(0)
+
         for layout in (TerminalLayout.linear("BS", 5, 0.4, 0.3, 0.1),
-                       TerminalLayout.planar(3, 4, 0.02, 0.05, 0.1, -0.2, 1.4, 0.3)):
+                       TerminalLayout.linear("USER", 7, 0.0024, 1.7, -0.6),
+                       TerminalLayout.planar(3, 4, 0.02, 0.05, 0.1, -0.2, 1.4, 0.3),
+                       TerminalLayout.planar(8, 5, 0.0024, 0.0024, 0.0, np.pi / 3,
+                                             np.pi / 2, np.pi / 6)):
             stacked = element_offsets(layout)
+            assert stacked is layout.offsets is element_offsets(layout)  # built once
+            assert not stacked.flags.writeable
             for idx in range(1, layout.num_elements + 1):
-                assert np.allclose(stacked[idx - 1], element_offset(layout, idx), atol=1e-15)
+                assert np.array_equal(stacked[idx - 1], per_element(layout, idx))
+                assert np.array_equal(element_offset(layout, idx), per_element(layout, idx))
 
     def test_invalid_index(self):
         layout = TerminalLayout.linear("BS", 3, 0.5, 0.0, 0.0)

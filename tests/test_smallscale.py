@@ -13,6 +13,7 @@ from irs_gbsm.geometry import SPEED_OF_LIGHT, TerminalLayout, element_offset
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import (
     RayTap,
+    _side_norms,
     compose_cir,
     los_delay,
     los_distance,
@@ -256,7 +257,7 @@ class TestNonStationarityHooks:
 
 
 def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
-    """pair_field with the norms taken by einsum over (n, T, 3) differences (oracle)."""
+    """pair_field with the norms taken by np.linalg.norm over (n, T, 3) differences."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
     kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
@@ -266,8 +267,7 @@ def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
     w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
     diff_los = ((real.rx_ref - real.tx_ref - l_tx + l_rx)
                 + (real.v_rx - real.v_tx) * times[:, None])
-    d_los = np.sqrt(np.einsum("ij,ij->i", diff_los, diff_los))
-    u = np.exp(1j * kappa * d_los)
+    u = np.exp(1j * kappa * np.linalg.norm(diff_los, axis=-1))
     if real.num_rays == 0:
         empty = np.zeros((0, times.size))
         return {"g": empty.astype(complex), "u": u, "powers": empty,
@@ -277,8 +277,7 @@ def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
         * times[None, :, None]
     diff_rx = (rays["d0_rx"] - l_rx)[:, None, :] - rays["v_rel_rx"][:, None, :] \
         * times[None, :, None]
-    d = (np.sqrt(np.einsum("nti,nti->nt", diff_tx, diff_tx))
-         + np.sqrt(np.einsum("nti,nti->nt", diff_rx, diff_rx)))
+    d = np.linalg.norm(diff_tx, axis=-1) + np.linalg.norm(diff_rx, axis=-1)
     tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None]
     w = np.exp(-tau / real.gamma_ds) * visible[:, None]
     total = w.sum(axis=0)
@@ -287,6 +286,128 @@ def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
     vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
     h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
     return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
+
+
+def reference_ray_field(real, times, f=0.0, tx_element=1, rx_element=1, sweep=None):
+    """The ray-field kernel before the component-wise norms (oracle).
+
+    Norms of blocked (n_rays, E, T, 3) differences by np.linalg.norm; returns
+    g, u, powers and the Rician-weighted transfer values.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rays = real.rays
+    kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
+    l_tx = element_offset(real.tx_layout, tx_element)[None, :]
+    l_rx = element_offset(real.rx_layout, rx_element)[None, :]
+    if sweep == "tx":
+        l_tx = real.tx_offsets()
+    elif sweep == "rx":
+        l_rx = real.rx_offsets()
+    n_elem = max(l_tx.shape[0], l_rx.shape[0])
+    n_rays, n_t = real.num_rays, times.size
+    if n_rays == 0:
+        visible = np.zeros((0, n_elem), dtype=bool)
+    elif sweep == real.evolved_side:
+        visible = real.visibility.matrix[:, rays["cluster_ids"]].T
+    else:
+        fixed = tx_element if real.evolved_side == "tx" else rx_element
+        visible = np.broadcast_to(real.ray_visibility(fixed)[:, None], (n_rays, n_elem))
+
+    def side_norms(d0, v_rel, offs):
+        if offs.shape[0] == 1:
+            diff = (d0 - offs[0])[:, None, :] - v_rel[:, None, :] * times[None, :, None]
+            return np.linalg.norm(diff, axis=-1)[:, None, :]
+        out = np.empty((n_rays, offs.shape[0], n_t))
+        step = max(1, int(12_000_000 // max(1, n_rays * n_t * 3)))
+        for lo in range(0, offs.shape[0], step):
+            block = offs[lo: lo + step]
+            diff = (d0[:, None, :] - block[None, :, :])[:, :, None, :] \
+                - v_rel[:, None, None, :] * times[None, None, :, None]
+            out[:, lo: lo + block.shape[0], :] = np.linalg.norm(diff, axis=-1)
+        return out
+
+    if n_rays:
+        d = (side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx)
+             + side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx))
+        if d.shape[1] == 1 and n_elem > 1:
+            d = np.broadcast_to(d, (n_rays, n_elem, n_t))
+        tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None]
+        w = np.exp(-tau / real.gamma_ds) * visible[:, :, None]
+        total = w.sum(axis=0)
+        powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+        g = np.sqrt(powers) * np.exp(1j * kappa * d) * visible[:, :, None]
+        vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
+    else:
+        powers = np.zeros((0, n_elem, n_t))
+        g = np.zeros((0, n_elem, n_t), dtype=complex)
+        vlink = np.zeros(0, dtype=complex)
+    d0_los = (real.rx_ref - real.tx_ref) - l_tx + l_rx
+    if d0_los.shape[0] == 1 and n_elem > 1:
+        d0_los = np.broadcast_to(d0_los, (n_elem, 3))
+    d_los = np.linalg.norm(
+        d0_los[:, None, :] + (real.v_rx - real.v_tx) * times[None, :, None], axis=-1)
+    u = np.exp(1j * kappa * d_los)
+    k = real.k_factor
+    transfer = (np.sqrt(k / (k + 1.0)) * u
+                + np.sqrt(1.0 / (k + 1.0)) * np.einsum("net,n->et", g, vlink))
+    return {"g": g, "u": u, "powers": powers, "transfer": transfer, "visible": visible}
+
+
+def _realizations(cfg, kind, count, empty=False):
+    for k in range(count):
+        real = realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", k, kind))
+        if empty:
+            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+                cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
+            assert real.num_rays == 0
+        yield real
+
+
+class TestSideNorms:
+    @pytest.mark.parametrize("n_rays, n_elem, n_t", [
+        (7, 1, 5), (7, 6, 5), (0, 1, 5), (0, 6, 3), (4, 9, 1)])
+    def test_equals_linalg_norm_of_broadcast_difference(self, n_rays, n_elem, n_t):
+        rng = np.random.default_rng(n_rays * 100 + n_elem * 10 + n_t)
+        d0 = rng.normal(scale=50.0, size=(n_rays, 3))
+        v_rel = rng.normal(scale=10.0, size=(n_rays, 3))
+        offsets = rng.normal(scale=0.01, size=(n_elem, 3))
+        times = np.sort(rng.uniform(0.0, 2.0, size=n_t))
+        diff = ((d0[:, None, :] - offsets[None, :, :])[:, :, None, :]
+                - v_rel[:, None, None, :] * times[None, None, :, None])
+        got = _side_norms(d0, v_rel, offsets, times)
+        assert got.shape == (n_rays, n_elem, n_t)
+        assert np.array_equal(got, np.linalg.norm(diff, axis=-1))
+
+
+class TestRayFieldOracle:
+    @pytest.mark.parametrize("kind, over, f, elements, sweep, empty", [
+        ("IU", {}, 0.0, (1, 1), None, False),
+        ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), None, False),
+        ("BI", {"bs": {"num_elements": 4}, "irs": {"m_x": 3, "m_y": 3},
+                "rician_k_db": 5.0}, 0.0, (3, 1), "rx", False),
+        ("BI", {"bs": {"num_elements": 4}, "irs": {"m_x": 3, "m_y": 3}}, -1e5, (1, 5),
+         "tx", False),
+        ("IU", {"irs": {"m_x": 2, "m_y": 3}, "user": {"num_elements": 3},
+                "rician_k_db": 5.0}, 2.5e5, (1, 2), "tx", False),
+        ("IU", {"irs": {"m_x": 2, "m_y": 3}, "user": {"num_elements": 3}}, 0.0, (4, 1),
+         "rx", False),
+        ("BI", {"irs": {"m_x": 3, "m_y": 3}, "rician_k_db": 5.0}, 1e5, (1, 1), "rx", True),
+        ("IU", {"rician_k_db": 5.0}, 1e5, (1, 1), None, True),
+    ], ids=["k0", "k5db_f", "bi_rx", "bi_tx_f", "iu_tx_f", "iu_rx", "zero_rays_rx",
+            "zero_rays"])
+    def test_bit_equal_to_blocked_norms(self, kind, over, f, elements, sweep, empty):
+        cfg = make_config(**over)
+        times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
+        tx, rx = elements
+        for real in _realizations(cfg, kind, 8, empty):
+            got = ray_field(real, times, f, tx, rx, sweep)
+            want = reference_ray_field(real, times, f, tx, rx, sweep)
+            for key in ("g", "u", "powers", "visible"):
+                value = getattr(got, key)
+                assert value.shape == want[key].shape, key
+                assert value.dtype == want[key].dtype, key
+                assert np.array_equal(value, want[key]), key
+            assert np.array_equal(got.transfer(), want["transfer"])
 
 
 class TestPairFieldOracle:
@@ -301,15 +422,11 @@ class TestPairFieldOracle:
         ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), True),
     ], ids=["k0", "k5db", "f_offset", "elements_bi", "elements_iu", "zero_rays"])
     def test_equals_einsum_form(self, kind, over, f, elements, empty):
+        # the id predates the change of order; the oracle now sums as np.linalg.norm
         cfg = make_config(**over)
         times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
         tx, rx = elements
-        for k in range(12):
-            real = realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", k, kind))
-            if empty:
-                real = dataclasses.replace(real, clusters=ClusterSet.empty(
-                    cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
-                assert real.num_rays == 0
+        for real in _realizations(cfg, kind, 12, empty):
             got = pair_field(real, times, f, tx, rx)
             want = reference_pair_field(real, times, f, tx, rx)
             assert got.keys() == want.keys()
@@ -320,14 +437,18 @@ class TestPairFieldOracle:
 
 
 class TestFieldKernels:
-    def test_pair_field_matches_ray_field(self, small_cfg):
-        real = realize_subchannel(small_cfg, "IU", rng_stream(9, "t"))
-        times = np.array([0.0, 0.01, 0.5])
-        lean = pair_field(real, times, f=1e5)
-        bundle = ray_field(real, times, f=1e5)
-        assert np.allclose(lean["h"], bundle.transfer()[0], rtol=1e-12)
-        assert np.allclose(lean["g"], bundle.g[:, 0, :], rtol=1e-12)
-        assert np.allclose(lean["powers"], bundle.powers[:, 0, :], rtol=1e-12)
+    def test_pair_field_matches_ray_field(self):
+        # 200 realizations of the criterion-01 cluster density and lag grid
+        cfg = make_config(clusters={"birth_rate": 40.0}, acf={"num_lags": 41})
+        times = cfg.lag_grid()
+        for kind in ("BI", "IU"):
+            for real in _realizations(cfg, kind, 100):
+                lean = pair_field(real, times, f=1e5)
+                bundle = ray_field(real, times, f=1e5)
+                assert np.array_equal(lean["g"], bundle.g[:, 0, :])
+                assert np.array_equal(lean["u"], bundle.u[0])
+                assert np.array_equal(lean["powers"], bundle.powers[:, 0, :])
+                assert np.allclose(lean["h"], bundle.transfer()[0], rtol=1e-12)
 
     def test_sweep_columns_match_single_pairs(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 3})
