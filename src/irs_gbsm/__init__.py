@@ -1,9 +1,19 @@
 """Non-stationary geometry-based stochastic channel model for IRS-assisted MIMO."""
 
+import logging as _logging
 import os as _os
+import sys as _sys
 
 # Ensembles run one worker process per core, so BLAS gets one thread per
-# process unless the user chose otherwise.  Must run before numpy is imported.
+# process unless the user chose otherwise.  Must run before numpy is imported:
+# numpy imported first has already started BLAS with one thread per core.
+if ("numpy" in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ
+        and "MKL_NUM_THREADS" not in _os.environ):
+    _logging.getLogger("irs_gbsm").warning(
+        "numpy was imported before irs_gbsm, so BLAS keeps one thread per core in "
+        "every worker process and pooled ensembles (threads > 1) oversubscribe the "
+        "cores; import irs_gbsm first or set OPENBLAS_NUM_THREADS=1 before numpy "
+        "is imported")
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _os.environ.setdefault("MKL_NUM_THREADS", "1")
 
@@ -16,10 +26,10 @@ from .clusters import (
     ClusterRealization,
     ClusterSet,
     VisibilityTensor,
-    advance_clusters,
     evolve_visibility,
     generate_cluster_pairs,
     realize_subchannel,
+    realize_subchannels,
 )
 from .config import ConfigError, ScenarioConfig, parse_config, serialize_config
 from .geometry import (

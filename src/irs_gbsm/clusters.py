@@ -11,6 +11,17 @@ cluster axis (C, ...), scatterers (C, M_n, 3).  The per-ray arrays of
 ``ClusterRealization.rays`` are reshapes and repeats of it, in (cluster, ray)
 order; iterating the set yields per-cluster :class:`ClusterPair` views.
 
+Realizations are built a chunk at a time (:func:`realize_subchannels`; a
+single realization is the chunk of one).  The random draws stay on each
+trial's own generator, in the order a realization built alone makes them, so
+trial k's realization does not depend on which trials share its chunk.  What
+follows the draws is elementwise or per cluster (center and scatterer
+geometry, velocities, reference powers, ray arrays) and runs once over every
+cluster of the chunk: at about ten clusters per realization that work is set
+by numpy's per-call overhead, not by arithmetic.  Each realization's arrays
+are views into the chunk's.  The ensemble keeps chunks small (16 trials),
+because all of a chunk's realizations are alive at once.
+
 Space-domain non-stationarity: which clusters are visible to which array
 element follows a sequential birth-death chain along the array.  The
 per-step survival probability is p = exp(-rate * delta * cos(beta_E) / D_C)
@@ -24,7 +35,7 @@ along Y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -115,8 +126,111 @@ def _unit_rows(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     return np.stack([ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation)], axis=-1)
 
 
-def _planar_velocity(speed: float, azimuth: np.ndarray) -> np.ndarray:
+def _planar_velocity(speed, azimuth: np.ndarray) -> np.ndarray:
     return speed * np.stack([np.cos(azimuth), np.sin(azimuth), np.zeros_like(azimuth)], axis=-1)
+
+
+def _draw(params: ClusterParams, rng: np.random.Generator, count: int) -> dict:
+    """One cluster set's draws from its own generator, as per-side lists.
+
+    The order is fixed: center azimuth, elevation, distance and frame angles
+    of side a, the same of side z, both sides' scatterer normals as one
+    (2C, M, 3) draw (equal, bit for bit, to side a's (C, M, 3) draw followed
+    by side z's), the virtual delays, then each side's velocity azimuth unless
+    it is fixed.  A zero-size draw consumes nothing, so an empty set draws
+    nothing.
+    """
+    el_max = math.radians(params.center_elevation_max_deg)
+    out: dict = {"az": [], "el": [], "dist": [], "angles": []}
+    for _ in range(2):
+        out["az"].append(rng.uniform(-np.pi, np.pi, count))
+        out["el"].append(rng.uniform(-el_max, el_max, count))
+        out["dist"].append(rng.exponential(params.center_distance_mean_m, count))
+        out["angles"].append(rng.uniform(-np.pi, np.pi, (count, 3)))
+    normals = rng.standard_normal((2 * count, params.rays_per_cluster, 3))
+    out["normals"] = [normals[:count], normals[count:]]
+    out["tau_v"] = [rng.exponential(params.virtual_delay_mean_ns * 1e-9, count)]
+    out["alpha"] = [rng.uniform(-np.pi, np.pi, count) if fixed is None
+                    else np.full(count, math.radians(fixed))
+                    for fixed in (params.velocity_azimuth_a_deg, params.velocity_azimuth_z_deg)]
+    return out
+
+
+def _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds) -> tuple[np.ndarray, list]:
+    """Per-ray arrays of stacked cluster sets, in (cluster, ray) order.
+
+    ``refs`` and ``velocities`` are the (2, 3) tx/rx link ends, ``scatter``
+    (2, C, M, 3), ``vel`` (2, C, 3) and ``tau_v`` (C,) the stacked clusters,
+    and set i owns clusters bounds[i]:bounds[i + 1].  Returns the
+    reference-to-scatterer vectors d0, (2, C * M, 3), and one dict of ray
+    arrays per set, each a view into the stacked ones.
+    """
+    m_n = scatter.shape[2]
+    n = tau_v.size
+    counts = np.diff(bounds)
+    d0 = scatter.reshape(2, n * m_n, 3) - refs[:, None, :]
+    v_rel = np.repeat(velocities[:, None, :] - vel, m_n, axis=1)
+    tau_rays = np.repeat(tau_v, m_n)
+    cluster_ids = np.repeat(np.arange(n) - np.repeat(bounds[:-1], counts), m_n)
+    ray_ids = np.tile(np.arange(m_n), n)
+    sets = []
+    for lo, hi in zip(bounds[:-1] * m_n, bounds[1:] * m_n):
+        sets.append({"d0_tx": d0[0, lo:hi], "d0_rx": d0[1, lo:hi],
+                     "v_rel_tx": v_rel[0, lo:hi], "v_rel_rx": v_rel[1, lo:hi],
+                     "tau_v": tau_rays[lo:hi], "cluster_ids": cluster_ids[lo:hi],
+                     "ray_ids": ray_ids[lo:hi]})
+    return d0, sets
+
+
+def _build(params: ClusterParams, refs: np.ndarray, velocities: np.ndarray,
+           draws: list[dict]) -> list[tuple[ClusterSet, dict]]:
+    """Every drawn cluster set and its ray arrays, from one pass over all clusters.
+
+    ``refs`` and ``velocities`` are the (2, 3) tx/rx link ends.  Each set's
+    arrays are views into arrays over the clusters of every set; every step
+    is elementwise or per cluster, so a set equals the one built alone bit
+    for bit.  Reference powers are normalized over each set's own slice.
+    """
+    sigma = np.asarray(params.sigma_xyz_m, dtype=float)
+    if np.any(sigma < 0):
+        raise ValueError(f"scatterer sigmas must be >= 0, got {tuple(sigma)}")
+    if not draws:
+        return []
+    m_n = params.rays_per_cluster
+
+    def stacked(key):  # side-major: every set's side a, then every set's side z
+        return np.concatenate([x for side in zip(*(d[key] for d in draws)) for x in side])
+
+    bounds = np.cumsum([0] + [d["tau_v"][0].size for d in draws])
+    n = int(bounds[-1])
+    az, el, dist, alpha = (stacked(key).reshape(2, n) for key in ("az", "el", "dist", "alpha"))
+    dist = params.center_distance_min_m + dist
+    centers = refs[:, None, :] + dist[..., None] * _unit_rows(az, el)
+    angles = stacked("angles")
+    rot = rotation_matrices(*angles.T)
+    # row-vector LCS -> GCS: p @ R.T + center, per cluster
+    scatter = (np.einsum("nmi,nji->nmj", stacked("normals") * sigma, rot)
+               + centers.reshape(2 * n, 1, 3)).reshape(2, n, m_n, 3)
+    tau_v = stacked("tau_v")
+    vel = _planar_velocity(np.array([params.speed_a_mps, params.speed_z_mps])[:, None, None],
+                           alpha)
+    d0, rays = _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds)
+    d_ref = np.linalg.norm(d0, axis=-1)
+    tau_ref = (d_ref[0] + d_ref[1]).reshape(n, m_n) / SPEED_OF_LIGHT + tau_v[:, None]
+    weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
+    angles = angles.reshape(2, n, 3)
+    out = []
+    for lo, hi, set_rays in zip(bounds[:-1], bounds[1:], rays):
+        w = weights[lo:hi]
+        w /= w.sum()
+        clusters = ClusterSet(
+            center_a=centers[0, lo:hi], center_z=centers[1, lo:hi],
+            angles_a=angles[0, lo:hi], angles_z=angles[1, lo:hi], sigma=tuple(sigma),
+            scatter_a=scatter[0, lo:hi], scatter_z=scatter[1, lo:hi],
+            virtual_delay=tau_v[lo:hi], vel_a=vel[0, lo:hi], vel_z=vel[1, lo:hi],
+            ray_powers=w)
+        out.append((clusters, set_rays))
+    return out
 
 
 def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
@@ -131,60 +245,10 @@ def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
     reference element pair at t = 0, normalized over the whole realization.
     Zero clusters draw nothing further and give an empty set.
     """
-    sigma = np.asarray(params.sigma_xyz_m, dtype=float)
-    if np.any(sigma < 0):
-        raise ValueError(f"scatterer sigmas must be >= 0, got {tuple(sigma)}")
     if count is None:
         count = int(rng.poisson(params.mean_count))
-    m_n = params.rays_per_cluster
-    if count == 0:
-        return ClusterSet.empty(m_n, sigma)
-    tx_ref = np.asarray(tx_ref, dtype=float)
-    rx_ref = np.asarray(rx_ref, dtype=float)
-    el_max = math.radians(params.center_elevation_max_deg)
-
-    centers, angles, scatter, vel = {}, {}, {}, {}
-    for side, ref in (("a", tx_ref), ("z", rx_ref)):
-        az = rng.uniform(-np.pi, np.pi, count)
-        el = rng.uniform(-el_max, el_max, count)
-        dist = params.center_distance_min_m + rng.exponential(
-            params.center_distance_mean_m, count)
-        centers[side] = ref + dist[:, None] * _unit_rows(az, el)
-        angles[side] = rng.uniform(-np.pi, np.pi, (count, 3))
-    for side in ("a", "z"):
-        local = rng.standard_normal((count, m_n, 3)) * sigma
-        rot = rotation_matrices(*angles[side].T)
-        # row-vector LCS -> GCS: p @ R.T + center, per cluster
-        scatter[side] = np.einsum("nmi,nji->nmj", local, rot) + centers[side][:, None, :]
-    tau_v = rng.exponential(params.virtual_delay_mean_ns * 1e-9, count)
-    for side, speed, fixed in (
-        ("a", params.speed_a_mps, params.velocity_azimuth_a_deg),
-        ("z", params.speed_z_mps, params.velocity_azimuth_z_deg),
-    ):
-        alpha = (rng.uniform(-np.pi, np.pi, count) if fixed is None
-                 else np.full(count, math.radians(fixed)))
-        vel[side] = _planar_velocity(speed, alpha)
-
-    d_ref = (np.linalg.norm(scatter["a"] - tx_ref, axis=2)
-             + np.linalg.norm(scatter["z"] - rx_ref, axis=2))
-    tau_ref = d_ref / SPEED_OF_LIGHT + tau_v[:, None]
-    weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
-    return ClusterSet(
-        center_a=centers["a"], center_z=centers["z"],
-        angles_a=angles["a"], angles_z=angles["z"], sigma=tuple(sigma),
-        scatter_a=scatter["a"], scatter_z=scatter["z"], virtual_delay=tau_v,
-        vel_a=vel["a"], vel_z=vel["z"], ray_powers=weights / weights.sum())
-
-
-def advance_clusters(clusters: ClusterSet, dt: float) -> ClusterSet:
-    """Translate cluster centers and scatterers by their velocities over dt."""
-    shift_a = clusters.vel_a * dt
-    shift_z = clusters.vel_z * dt
-    return replace(
-        clusters,
-        center_a=clusters.center_a + shift_a, center_z=clusters.center_z + shift_z,
-        scatter_a=clusters.scatter_a + shift_a[:, None, :],
-        scatter_z=clusters.scatter_z + shift_z[:, None, :])
+    refs = np.array([tx_ref, rx_ref], dtype=float)
+    return _build(params, refs, np.zeros((2, 3)), [_draw(params, rng, count)])[0][0]
 
 
 @dataclass(frozen=True)
@@ -328,16 +392,17 @@ class ClusterRealization:
 
     @cached_property
     def rays(self) -> dict[str, np.ndarray]:
-        """Per-ray arrays in (cluster, ray) order, reshaped from the cluster set."""
+        """Per-ray arrays in (cluster, ray) order, reshaped from the cluster set.
+
+        :func:`realize_subchannels` fills this from the pass that built the
+        set; a realization made otherwise (e.g. by ``dataclasses.replace``)
+        computes it here, by the same function.
+        """
         c = self.clusters
-        n_clusters, m_n = c.ray_powers.shape
-        return {"d0_tx": c.scatter_a.reshape(-1, 3) - self.tx_ref,
-                "d0_rx": c.scatter_z.reshape(-1, 3) - self.rx_ref,
-                "v_rel_tx": np.repeat(self.v_tx - c.vel_a, m_n, axis=0),
-                "v_rel_rx": np.repeat(self.v_rx - c.vel_z, m_n, axis=0),
-                "tau_v": np.repeat(c.virtual_delay, m_n),
-                "cluster_ids": np.repeat(np.arange(n_clusters), m_n),
-                "ray_ids": np.tile(np.arange(m_n), n_clusters)}
+        return _ray_arrays(np.stack([self.tx_ref, self.rx_ref]),
+                           np.stack([self.v_tx, self.v_rx]),
+                           np.stack([c.scatter_a, c.scatter_z]), np.stack([c.vel_a, c.vel_z]),
+                           c.virtual_delay, np.array([0, len(c)]))[1][0]
 
     @property
     def num_rays(self) -> int:
@@ -359,9 +424,16 @@ class ClusterRealization:
         return element_offsets(self.rx_layout)
 
 
-def realize_subchannel(cfg: ScenarioConfig, subchannel: str,
-                       rng: np.random.Generator) -> ClusterRealization:
-    """Build one sub-channel's cluster realization from the scenario config.
+def realize_subchannels(cfg: ScenarioConfig, subchannel: str,
+                        rngs) -> list[ClusterRealization]:
+    """One sub-channel realization per generator, built together.
+
+    Each generator, in order, runs its birth-death chain and then its cluster
+    draws, exactly as a realization built alone would: the draws stay on
+    the trial's own stream, so a trial's realization never depends on the
+    others built with it.  The geometry of every drawn cluster (frames,
+    scatterers, velocities, reference powers, ray arrays) is then computed
+    in one pass, and each realization's arrays are views into it.
 
     The birth-death chain runs over the sub-channel's large-array side (the
     IRS for BI/IU, the BS for BU); the opposite side sees every cluster.
@@ -370,14 +442,29 @@ def realize_subchannel(cfg: ScenarioConfig, subchannel: str,
     """
     if subchannel not in cfg.links:
         raise ValueError(f"unknown sub-channel {subchannel!r}")
+    params = cfg.clusters
     ends = cfg.links[subchannel]
     evolved_layout = ends.tx_layout if ends.evolved_side == "tx" else ends.rx_layout
-    vis = evolve_visibility(evolved_layout, cfg.clusters, rng)
-    clusters = generate_cluster_pairs(cfg.clusters, ends.tx_ref, ends.rx_ref, rng,
-                                      count=vis.n_clusters)
-    return ClusterRealization(
-        subchannel=subchannel, tx_ref=ends.tx_ref, rx_ref=ends.rx_ref,
-        tx_layout=ends.tx_layout, rx_layout=ends.rx_layout,
-        v_tx=ends.v_tx, v_rx=ends.v_rx, clusters=clusters, visibility=vis,
-        evolved_side=ends.evolved_side, k_factor=cfg.k_linear,
-        gamma_ds=cfg.clusters.power_decay_ns * 1e-9, fc_hz=cfg.fc_hz)
+    visibility, draws = [], []
+    for rng in rngs:
+        visibility.append(evolve_visibility(evolved_layout, params, rng))
+        draws.append(_draw(params, rng, visibility[-1].n_clusters))
+    built = _build(params, np.stack([ends.tx_ref, ends.rx_ref]),
+                   np.stack([ends.v_tx, ends.v_rx]), draws)
+    out = []
+    for vis, (clusters, rays) in zip(visibility, built):
+        real = ClusterRealization(
+            subchannel=subchannel, tx_ref=ends.tx_ref, rx_ref=ends.rx_ref,
+            tx_layout=ends.tx_layout, rx_layout=ends.rx_layout,
+            v_tx=ends.v_tx, v_rx=ends.v_rx, clusters=clusters, visibility=vis,
+            evolved_side=ends.evolved_side, k_factor=cfg.k_linear,
+            gamma_ds=params.power_decay_ns * 1e-9, fc_hz=cfg.fc_hz)
+        real.__dict__["rays"] = rays  # the cached property, filled from the shared pass
+        out.append(real)
+    return out
+
+
+def realize_subchannel(cfg: ScenarioConfig, subchannel: str,
+                       rng: np.random.Generator) -> ClusterRealization:
+    """Build one sub-channel's cluster realization (see :func:`realize_subchannels`)."""
+    return realize_subchannels(cfg, subchannel, [rng])[0]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterRealization
-from .geometry import SPEED_OF_LIGHT, element_offset
+from .geometry import SPEED_OF_LIGHT, element_offset, element_offsets
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,10 +112,13 @@ def _side_norms(d0, v_rel, offsets, times):
     return np.sqrt(acc, out=acc)
 
 
-def _los_norms(real: ClusterRealization, d0_los: np.ndarray, times) -> np.ndarray:
-    """|D0 + (v_rx - v_tx) t| of LoS vectors ``d0_los`` (m, 3); shape (m, T)."""
+def _los_norms(link, d0_los: np.ndarray, times) -> np.ndarray:
+    """|D0 + (v_rx - v_tx) t| of LoS vectors ``d0_los`` (m, 3); shape (m, T).
+
+    ``link`` is a realization or its ``LinkEnds``: only the velocities are read.
+    """
     # d - (v_tx - v_rx) t equals d + (v_rx - v_tx) t exactly
-    return _side_norms(d0_los, (real.v_tx - real.v_rx)[None], _ORIGIN, times)[:, 0, :]
+    return _side_norms(d0_los, (link.v_tx - link.v_rx)[None], _ORIGIN, times)[:, 0, :]
 
 
 def ray_path_lengths(real: ClusterRealization, tx_element: int, rx_element: int,
@@ -268,12 +271,11 @@ class FieldBundle:
 
 def _fields(real: ClusterRealization, times: np.ndarray, f: float, l_tx: np.ndarray,
             l_rx: np.ndarray, visible: np.ndarray):
-    """(g, powers, u, vlink) of the element offsets ``l_tx`` and ``l_rx``.
+    """(g, powers, vlink) of the element offsets ``l_tx`` and ``l_rx``.
 
     One of the offsets is a single (1, 3) row, the other (E, 3); ``visible``
-    is the boolean (n_rays, E) mask.  g and powers are (n_rays, E, T), u is
-    (E, T).  Powers are renormalized over the visible rays of each (element,
-    time).
+    is the boolean (n_rays, E) mask.  g and powers are (n_rays, E, T).
+    Powers are renormalized over the visible rays of each (element, time).
     """
     rays = real.rays
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
@@ -287,28 +289,50 @@ def _fields(real: ClusterRealization, times: np.ndarray, f: float, l_tx: np.ndar
     g *= np.sqrt(powers)
     g *= visible[:, :, None]
     vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
-    u = np.exp(1j * kappa * _los_norms(real, (real.rx_ref - real.tx_ref) - l_tx + l_rx,
-                                       times))
-    return g, powers, u, vlink
+    return g, powers, vlink
+
+
+def _offsets(link, tx_element: int, rx_element: int, sweep: str | None):
+    """Element offsets (l_tx, l_rx): one (1, 3) row each, or every element of the swept side."""
+    l_tx = element_offset(link.tx_layout, tx_element)[None]
+    l_rx = element_offset(link.rx_layout, rx_element)[None]
+    if sweep == "tx":
+        l_tx = element_offsets(link.tx_layout)
+    elif sweep == "rx":
+        l_rx = element_offsets(link.rx_layout)
+    elif sweep is not None:
+        raise ValueError(f"sweep must be None, 'tx' or 'rx', got {sweep!r}")
+    return l_tx, l_rx
+
+
+def los_phasor(link, times, fc_hz: float, f: float = 0.0, tx_element: int = 1,
+               rx_element: int = 1, sweep: str | None = None) -> np.ndarray:
+    """LoS phasor exp(j kappa |D(t)|) over (elements, times), shape (E, T).
+
+    ``link`` is a realization or the ``LinkEnds`` of its sub-channel: the LoS
+    depends only on the link ends, the element offsets, the times and the
+    frequency, never on a trial's draws, so an ensemble computes it once and
+    passes it to :func:`ray_field` or :func:`pair_field` as ``u``.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    l_tx, l_rx = _offsets(link, tx_element, rx_element, sweep)
+    kappa = TWO_PI * (fc_hz - f) / SPEED_OF_LIGHT
+    return np.exp(1j * kappa * _los_norms(link, (link.rx_ref - link.tx_ref) - l_tx + l_rx,
+                                          times))
 
 
 def ray_field(real: ClusterRealization, times, f: float = 0.0,
               tx_element: int = 1, rx_element: int = 1,
-              sweep: str | None = None) -> FieldBundle:
+              sweep: str | None = None, u: np.ndarray | None = None) -> FieldBundle:
     """Compute the field bundle for one pair or for a swept element axis.
 
     ``sweep`` of "tx"/"rx" evaluates every element on that side (the other
     side stays fixed); None keeps both fixed with a singleton element axis.
+    ``u`` is the (E, T) :func:`los_phasor` of the same arguments, computed
+    here when not given.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    l_tx = element_offset(real.tx_layout, tx_element)[None]
-    l_rx = element_offset(real.rx_layout, rx_element)[None]
-    if sweep == "tx":
-        l_tx = real.tx_offsets()
-    elif sweep == "rx":
-        l_rx = real.rx_offsets()
-    elif sweep is not None:
-        raise ValueError(f"sweep must be None, 'tx' or 'rx', got {sweep!r}")
+    l_tx, l_rx = _offsets(real, tx_element, rx_element, sweep)
     n_elem = max(l_tx.shape[0], l_rx.shape[0])
 
     # visibility mask over (rays, swept elements)
@@ -317,7 +341,9 @@ def ray_field(real: ClusterRealization, times, f: float = 0.0,
     else:
         visible = np.broadcast_to(real.visible_rays(tx_element, rx_element)[:, None],
                                   (real.num_rays, n_elem))
-    g, powers, u, vlink = _fields(real, times, f, l_tx, l_rx, visible)
+    g, powers, vlink = _fields(real, times, f, l_tx, l_rx, visible)
+    if u is None:
+        u = los_phasor(real, times, real.fc_hz, f, tx_element, rx_element, sweep)
     return FieldBundle(g=g, u=u, powers=powers, visible=visible, vlink=vlink,
                        k_factor=real.k_factor)
 
@@ -332,20 +358,24 @@ def transfer_values(real: ClusterRealization, times, f: float = 0.0,
 
 
 def pair_field(real: ClusterRealization, times, f: float = 0.0,
-               tx_element: int = 1, rx_element: int = 1) -> dict:
+               tx_element: int = 1, rx_element: int = 1,
+               u: np.ndarray | None = None) -> dict:
     """Single-pair :func:`ray_field` without the element axis or the bundle.
 
     Returns g (n_rays, T), u (T,), powers (n_rays, T), h (T,) where g and u
     are the NLoS/LoS phasors used by the correlation statistics and h the
     Rician-weighted transfer value; g, u and powers equal ``ray_field``'s at
-    element axis 0.
+    element axis 0.  ``u`` is row 0 of the pair's :func:`los_phasor`,
+    computed here when not given.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    g, powers, u, vlink = _fields(
+    g, powers, vlink = _fields(
         real, times, f, element_offset(real.tx_layout, tx_element)[None],
         element_offset(real.rx_layout, rx_element)[None],
         real.visible_rays(tx_element, rx_element)[:, None])
-    g, powers, u = g[:, 0], powers[:, 0], u[0]
+    if u is None:
+        u = los_phasor(real, times, real.fc_hz, f, tx_element, rx_element)[0]
+    g, powers = g[:, 0], powers[:, 0]
     k = real.k_factor
     w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
     h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)

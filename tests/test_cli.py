@@ -259,14 +259,17 @@ class TestDeterminism:
         assert manifest(tmp_path / "t1")["outputs"] == manifest(tmp_path / "t2")["outputs"]
 
     def test_pool_path_thread_count_invariance(self, tmp_path):
-        # 300 trials are two 256-trial blocks, so --threads 2 starts the worker pool
+        # 300 trials are two 256-trial blocks, so --threads 2 starts the worker pool;
+        # the second block ends in a partial chunk
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(dict(SMALL, trials=300)))
         assert len(stats._blocks(300)) == 2
-        for threads in ("1", "2"):
-            assert main(["acf", "--config", str(path), "--out",
-                         str(tmp_path / f"t{threads}"), "--threads", threads]) == 0
-        assert manifest(tmp_path / "t1")["outputs"] == manifest(tmp_path / "t2")["outputs"]
+        for sub in ("acf", "ccf", "doppler", "ds-cdf"):
+            for threads in ("1", "2"):
+                assert main([sub, "--config", str(path), "--out",
+                             str(tmp_path / f"{sub}{threads}"), "--threads", threads]) == 0
+            assert (manifest(tmp_path / f"{sub}1")["outputs"]
+                    == manifest(tmp_path / f"{sub}2")["outputs"]), sub
 
     def test_seed_override_changes_results(self, config_path, tmp_path):
         assert run("acf", config_path, tmp_path / "s1") == 0
@@ -332,17 +335,19 @@ class TestBlasThreadPolicy:
     """Importing the package pins BLAS to one thread per process by default."""
 
     @staticmethod
-    def blas_env_after_import(**env):
+    def fresh_interpreter(code, **env):
         clean = {k: v for k, v in os.environ.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         src = str(Path(irs_gbsm.__file__).resolve().parents[1])
         clean["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+                              capture_output=True, text=True, timeout=60, check=True)
+
+    def blas_env_after_import(self, **env):
         code = ("import os, irs_gbsm; print(os.environ['OPENBLAS_NUM_THREADS'], "
                 "os.environ['MKL_NUM_THREADS'])")
-        done = subprocess.run([sys.executable, "-c", code], env={**clean, **env},
-                              capture_output=True, text=True, timeout=60, check=True)
-        return done.stdout.split()
+        return self.fresh_interpreter(code, **env).stdout.split()
 
     def test_default_is_one_thread(self):
         assert self.blas_env_after_import() == ["1", "1"]
@@ -350,3 +355,14 @@ class TestBlasThreadPolicy:
     def test_user_setting_wins(self):
         assert self.blas_env_after_import(OPENBLAS_NUM_THREADS="3",
                                           MKL_NUM_THREADS="2") == ["3", "2"]
+
+    def test_numpy_imported_first_warns(self):
+        err = self.fresh_interpreter("import numpy, irs_gbsm").stderr
+        assert "numpy was imported before irs_gbsm" in err
+        assert "OPENBLAS_NUM_THREADS=1" in err
+        # a user's own BLAS setting is a choice, not an accident
+        assert self.fresh_interpreter("import numpy, irs_gbsm",
+                                      OPENBLAS_NUM_THREADS="1").stderr == ""
+
+    def test_package_imported_first_is_silent(self):
+        assert self.fresh_interpreter("import irs_gbsm, numpy").stderr == ""

@@ -6,11 +6,12 @@ import pytest
 
 from irs_gbsm.clusters import (
     ClusterPair,
-    advance_clusters,
+    ClusterSet,
     evolve_visibility,
     generate_cluster_pairs,
     lag1_autocorrelation,
     realize_subchannel,
+    realize_subchannels,
 )
 from irs_gbsm.geometry import (
     SPEED_OF_LIGHT,
@@ -363,6 +364,68 @@ class TestStackedRealizationOracle:
             assert real.num_rays == 0 and not ref_clusters
         else:
             assert real.num_rays > 0
+
+
+_SET_FIELDS = [f.name for f in dataclasses.fields(ClusterSet)]
+
+
+class TestChunkOracle:
+    """A chunk of realizations equals each realization built alone, field by field."""
+
+    @pytest.mark.parametrize("kind", ["BI", "IU", "BU"])
+    @pytest.mark.parametrize("chunk", [1, 8])
+    @pytest.mark.parametrize("over", [
+        {},
+        {"clusters": {"velocity_azimuth_a_deg": 30.0, "velocity_azimuth_z_deg": -45.0}},
+        {"clusters": {"birth_rate": 2.0, "death_rate": 4.0}},
+    ], ids=["drawn_azimuth", "fixed_azimuth", "sparse"])
+    def test_matches_single_realizations(self, kind, chunk, over):
+        cfg = make_config(irs={"m_x": 3, "m_y": 2}, bs={"num_elements": 4}, **over)
+        streams = [rng_stream(5, "trial", k, kind) for k in range(chunk)]
+        singles = [rng_stream(5, "trial", k, kind) for k in range(chunk)]
+        oracles = [rng_stream(5, "trial", k, kind) for k in range(chunk)]
+        reals = realize_subchannels(cfg, kind, streams)
+        assert len(reals) == chunk and realize_subchannels(cfg, kind, []) == []
+        for real, stream, single, oracle in zip(reals, streams, singles, oracles):
+            alone = realize_subchannel(cfg, kind, single)
+            _, ref_rays, ref_grid = reference_realization(cfg, kind, oracle)
+            for field in dataclasses.fields(real):
+                if field.name not in ("clusters", "visibility"):
+                    a, b = getattr(real, field.name), getattr(alone, field.name)
+                    assert a is b or a == b, field.name  # shared link ends, scalars
+            for name in _SET_FIELDS:
+                a, b = getattr(real.clusters, name), getattr(alone.clusters, name)
+                assert np.array_equal(a, b) and np.shape(a) == np.shape(b), name
+            assert np.array_equal(real.visibility.grid, alone.visibility.grid)
+            assert real.visibility.initial_count == alone.visibility.initial_count
+            assert np.array_equal(real.visibility.grid, ref_grid)
+            assert real.rays.keys() == alone.rays.keys() == ref_rays.keys()
+            for key, want in ref_rays.items():
+                for got in (real.rays[key], alone.rays[key]):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), key
+            # each generator is left where a realization built alone leaves it
+            assert stream.random() == single.random() == oracle.random()
+        if over.get("clusters", {}).get("birth_rate") == 2.0 and chunk == 8:
+            counts = [len(r.clusters) for r in reals]
+            assert 0 in counts and max(counts) > 0  # an empty trial inside a chunk
+
+    def test_rays_of_a_replaced_realization_follow_its_clusters(self):
+        cfg = make_config()
+        real, other = realize_subchannels(cfg, "BI", [rng_stream(1, "r", k) for k in (0, 1)])
+        moved = dataclasses.replace(real, clusters=other.clusters)
+        for key, value in other.rays.items():
+            assert np.array_equal(moved.rays[key], value), key
+
+
+def advance_clusters(clusters: ClusterSet, dt: float) -> ClusterSet:
+    """Translate cluster centers and scatterers by their velocities over dt (oracle)."""
+    shift_a = clusters.vel_a * dt
+    shift_z = clusters.vel_z * dt
+    return dataclasses.replace(
+        clusters,
+        center_a=clusters.center_a + shift_a, center_z=clusters.center_z + shift_z,
+        scatter_a=clusters.scatter_a + shift_a[:, None, :],
+        scatter_z=clusters.scatter_z + shift_z[:, None, :])
 
 
 class TestMotion:

@@ -6,7 +6,8 @@ import pytest
 from irs_gbsm.assembly import phase_model_for
 from irs_gbsm.clusters import ClusterSet, generate_cluster_pairs, realize_subchannel
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_field, ray_path_lengths
+from irs_gbsm.geometry import SPEED_OF_LIGHT
+from irs_gbsm.smallscale import los_distance, pair_field, ray_field, ray_path_lengths
 from irs_gbsm import stats
 from tests.conftest import make_config
 
@@ -49,9 +50,9 @@ class TestAcfSubchannel:
                                   rng_stream(small_cfg.seed, "trial", 0, "BI"))
         lags = small_cfg.lag_grid()
         curve = stats.acf_analytical_subchannel(real, 0.0, lags)
-        kernel = stats._trial_sub(small_cfg, small_cfg.seed, 0,
-                                  {"t": 0.0, "lags": lags, "f": 0.0,
-                                   "kinds": [("BI", 1, 1)]})
+        args = stats._setup_sub(small_cfg, {"t": 0.0, "lags": lags, "f": 0.0,
+                                            "kinds": [("BI", 1, 1)]})
+        kernel = stats._trial_sub({"BI": real}, args)
         expect = kernel["bi_ana"] / np.sqrt(kernel["bi_ana0"][0] * kernel["bi_ana0"])
         assert np.allclose(curve.values, expect, atol=1e-12)
         assert curve.values[0] == pytest.approx(1.0, abs=1e-9)
@@ -175,6 +176,66 @@ class TestCorrelationTensors:
         np.testing.assert_allclose(gram, h[:, None, :] * np.conj(h)[None], rtol=1e-12)
 
 
+def _los_oracle(real, times, f, tx_el, rx_el, sweep):
+    """exp(j kappa |D|) per element from the LoS distance of each element pair."""
+    kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
+    layout = real.tx_layout if sweep == "tx" else real.rx_layout
+    elements = range(1, layout.num_elements + 1) if sweep else [None]
+    return np.exp(1j * kappa * np.array([
+        los_distance(real, e if sweep == "tx" else tx_el, e if sweep == "rx" else rx_el, times)
+        for e in elements]))
+
+
+class TestChunkedEnsemble:
+    CFG = {"irs": {"m_x": 2, "m_y": 3}, "bs": {"num_elements": 2}, "rician_k_db": 5.0,
+           "acf": {"num_lags": 7}}
+
+    def test_trial_rows_share_their_prefix(self):
+        cfg = make_config(**self.CFG)
+        n = stats._CHUNK
+        counts = (7, 8, 9, n - 1, n, n + 1, 300)
+        rows = {c: stats.cascade_trial_products(cfg, 0.0, trials=c) for c in counts}
+        prod_all, pow_all = rows[300]
+        for c, (prod, power) in rows.items():
+            assert prod.shape[0] == power.shape[0] == c
+            np.testing.assert_array_equal(prod, prod_all[:c])
+            np.testing.assert_array_equal(power, pow_all[:c])
+
+    def test_hoisted_phasors_equal_per_trial_ones(self):
+        cfg = make_config(**self.CFG)
+        t, f, lags = 0.5, 2e6, cfg.lag_grid()
+        times = stats._times(t, lags)
+        theta = phase_model_for(cfg, bits=2).applied_profile(times)
+        cascade = stats._setup_cascade(cfg, {"t": t, "lags": lags, "f": f, "q": 2, "p": 1,
+                                             "theta": {"2bit": theta}})
+        sub = stats._setup_sub(cfg, {"t": t, "lags": lags, "f": f,
+                                     "kinds": [("BI", 2, 3), ("IU", 3, 1)]})
+        ccf = stats._setup_ccf(cfg, {"subchannel": "IU", "axis": "tx", "t": t,
+                                     "dt": 0.01, "f": f})
+        for k in range(3):
+            bi, iu = (realize_subchannel(cfg, kind, rng_stream(9, "trial", k, kind))
+                      for kind in ("BI", "IU"))
+            f_bi = ray_field(bi, times, f, 2, 1, sweep="rx")
+            f_iu = ray_field(iu, times, f, 1, 1, sweep="tx")
+            np.testing.assert_array_equal(cascade["los_bi"], f_bi.u)
+            np.testing.assert_array_equal(cascade["los_iu"], f_iu.u)
+            np.testing.assert_array_equal(f_bi.u, _los_oracle(bi, times, f, 2, 1, "rx"))
+            np.testing.assert_array_equal(f_iu.u, _los_oracle(iu, times, f, 1, 1, "tx"))
+            # the cascade products with the run's phasors equal the per-trial form
+            out = stats._trial_cascade({"BI": bi, "IU": iu}, {**cascade, "analytical": False})
+            h_part = np.sum(f_bi.transfer() * f_iu.transfer() * np.exp(-1j * theta), axis=0)
+            np.testing.assert_array_equal(out["trial_prod_2bit"], h_part[0] * np.conj(h_part))
+            np.testing.assert_array_equal(out["trial_pow_2bit"], np.abs(h_part) ** 2)
+            for (kind, tx, rx), u in zip(sub["kinds"], sub["los"]):
+                real = bi if kind == "BI" else iu
+                np.testing.assert_array_equal(u, pair_field(real, times, f, tx, rx)["u"])
+                np.testing.assert_array_equal(u, _los_oracle(real, times, f, tx, rx, None)[0])
+            u_ccf = ray_field(iu, ccf["times"], f, 1, 1, sweep="tx").u
+            np.testing.assert_array_equal(ccf["los"], u_ccf)
+        assert not cascade["phasors"]["2bit"].flags.writeable
+        assert not cascade["los_bi"].flags.writeable
+
+
 class TestReduce:
     def test_sums_in_order_without_writing_inputs(self):
         parts = [{"s": np.array([1.0, 2.0]), "trial_x": np.array([[1.0]])},
@@ -232,12 +293,6 @@ class TestRmsDelaySpread:
             stats.rms_delay_spread([], [])
         with pytest.raises(ValueError):
             stats.rms_delay_spread([1e-6, 2e-6], [0.7, 0.7])
-
-    def test_taps_variant(self):
-        from irs_gbsm.smallscale import RayTap
-        taps = [RayTap(0.0, np.sqrt(0.5), 0.0, 0, 0),
-                RayTap(1.0, np.sqrt(0.5), 0.0, 0, 1)]
-        assert stats.rms_delay_spread_taps(taps) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDsCdf:
