@@ -29,7 +29,10 @@ and new clusters arrive Poisson with mean (lambda_B / lambda_D) * (1 - p);
 treating p as survival (not death) is what keeps the expected visible count
 at lambda_B / lambda_D for every element.  On the planar IRS the chain runs
 along the X direction first; each row's result seeds an independent chain
-along Y.
+along Y.  Visibility is sparse (about 0.3 % of the cells of a 128 x 128
+surface), so a :class:`VisibilityTensor` holds only the sorted flat indices
+of its visible (x, y, cluster) entries; the dense boolean grid is a view
+built when first read.
 """
 
 from __future__ import annotations
@@ -255,11 +258,18 @@ def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
 class VisibilityTensor:
     """Per-element cluster visibility from the sequential birth-death chain.
 
-    ``grid`` has shape (m_x, m_y, n_clusters); linear arrays use m_y = 1.
-    Flat element order matches the row-major IRS flat index.
+    ``shape`` is (m_x, m_y, n_clusters); linear arrays use m_y = 1.  ``flat``
+    holds the sorted flat indices of the visible (x, y, cluster) entries in
+    that shape, i.e. ``np.flatnonzero(grid)``, and is all that is stored.
+    ``grid`` and ``matrix`` are a read-only dense view, built from ``flat``
+    when first read and cached (about 97 MB at 128 x 128, so paths that only
+    count or list the entries never read it); a single-row array caches the
+    chain's own (m_x, n) state, which already is that view.  Flat element
+    order matches the row-major IRS flat index.
     """
 
-    grid: np.ndarray
+    shape: tuple[int, int, int]
+    flat: np.ndarray
     birth_rate: float
     death_rate: float
     correlation_factor: float
@@ -267,24 +277,32 @@ class VisibilityTensor:
 
     @property
     def n_clusters(self) -> int:
-        return self.grid.shape[2]
+        return self.shape[2]
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Dense (m_x, m_y, n_clusters) boolean view, read-only."""
+        grid = np.zeros(self.shape, dtype=bool)
+        grid.reshape(-1)[self.flat] = True
+        grid.flags.writeable = False
+        return grid
 
     @property
     def matrix(self) -> np.ndarray:
         """(n_elements, n_clusters) boolean view in flat element order."""
-        m_x, m_y, n = self.grid.shape
+        m_x, m_y, n = self.shape
         return self.grid.reshape(m_x * m_y, n)
 
     def mean_visible(self) -> float:
-        return float(self.matrix.sum(axis=1).mean())
+        m_x, m_y, _ = self.shape
+        return self.flat.size / (m_x * m_y)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """CSV columns (x, y, cluster_id, visible) of the visible entries.
 
-        Equal to ``np.nonzero(grid)`` (1-based x, y), from one flat scan,
-        which is several times faster than the 3-D scan.
+        Equal to ``np.nonzero(grid)`` (1-based x, y), in the grid's C order.
         """
-        xs, ys, cs = np.unravel_index(np.flatnonzero(self.grid), self.grid.shape)
+        xs, ys, cs = np.unravel_index(self.flat, self.shape)
         return xs + 1, ys + 1, cs, np.ones(cs.size, dtype=bool)
 
 
@@ -301,7 +319,9 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
     the next element, each visible cluster survives with probability p and
     Poisson(mean * (1 - p)) new clusters appear, indexed after all existing
     ones.  For the IRS the X chain over the first column runs first and each
-    row state then evolves independently along Y.
+    row state then evolves independently along Y.  Only the visible entries
+    of each Y step are kept, so memory follows the visible count, not the
+    m_x x m_y x n_clusters grid.
     """
     mean_n = params.mean_count
     if layout.kind == "IRS":
@@ -319,34 +339,50 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
     row_states: list[np.ndarray] = [np.ones(n0, dtype=bool)]
     for _ in range(1, m_x):
         prev = row_states[-1]
-        survive = prev & (rng.random(prev.size) < p_x)
+        row = prev & (rng.random(prev.size) < p_x)
         n_new = int(rng.poisson(mean_n * (1.0 - p_x)))
-        row_states.append(np.concatenate([survive, np.ones(n_new, dtype=bool)]))
+        if n_new:
+            row = np.concatenate([row, np.ones(n_new, dtype=bool)])
+        row_states.append(row)
     state = np.zeros((m_x, row_states[-1].size), dtype=bool)
     for x, row in enumerate(row_states):
         state[x, : row.size] = row
 
-    # Y pass: all rows advance in lockstep, births are appended per row.  Each
-    # slice keeps its own width; the grid is padded once, at its final size.
-    slices = [state]
-    for _ in range(1, m_y):
-        state = state & (rng.random(state.shape) < p_y)
-        births = rng.poisson(mean_n * (1.0 - p_y), size=m_x)
-        total_new = int(births.sum())
-        if total_new:
-            fresh = np.zeros((m_x, total_new), dtype=bool)
-            fresh[np.repeat(np.arange(m_x), births), np.arange(total_new)] = True
-            state = np.concatenate([state, fresh], axis=1)
-        slices.append(state)
-
-    grid = np.zeros((m_x, m_y, state.shape[1]), dtype=bool)
-    for y, s in enumerate(slices):
-        grid[:, y, : s.shape[1]] = s
-    grid.flags.writeable = False
-    return VisibilityTensor(grid=grid, birth_rate=params.birth_rate,
-                            death_rate=params.death_rate,
-                            correlation_factor=params.correlation_factor_m,
-                            initial_count=n0)
+    if m_y == 1:
+        flat = state.reshape(-1).nonzero()[0]  # (x, c) of (m_x, n) is (x, 0, c)
+    else:
+        # Y pass: all rows advance in lockstep, births are appended per row
+        # (row x's as copies of column x of the identity).  Each step keeps
+        # only the flat indices of its visible entries in its own (m_x, width)
+        # state, and its width.  Array methods, not numpy functions: at a few
+        # elements per row the call overhead is the cost, and a 1-D nonzero
+        # is several times faster than a 2-D one.
+        found, widths = [state.reshape(-1).nonzero()[0]], [state.shape[1]]
+        for _ in range(1, m_y):
+            state &= rng.random(state.shape) < p_y
+            births = rng.poisson(mean_n * (1.0 - p_y), size=m_x)
+            if np.count_nonzero(births):
+                state = np.concatenate(
+                    [state, np.eye(m_x, dtype=bool).repeat(births, axis=1)], axis=1)
+            found.append(state.reshape(-1).nonzero()[0])
+            widths.append(state.shape[1])
+        counts = [f.size for f in found]
+        xs, cs = np.divmod(np.concatenate(found), np.repeat(widths, counts))
+        flat = xs * m_y
+        flat += np.arange(m_y).repeat(counts)
+        flat *= state.shape[1]
+        flat += cs
+        flat.sort()
+    flat.flags.writeable = False
+    tensor = VisibilityTensor(shape=(m_x, m_y, state.shape[1]), flat=flat,
+                              birth_rate=params.birth_rate, death_rate=params.death_rate,
+                              correlation_factor=params.correlation_factor_m,
+                              initial_count=n0)
+    if m_y == 1:
+        # the (m_x, n) state already is the dense view: cache it, not a copy
+        state.flags.writeable = False
+        tensor.__dict__["grid"] = state.reshape(m_x, 1, -1)
+    return tensor
 
 
 def lag1_autocorrelation(tensor: VisibilityTensor) -> float:
@@ -354,18 +390,27 @@ def lag1_autocorrelation(tensor: VisibilityTensor) -> float:
 
     Computed along the chain direction (Y within rows for planar arrays, X
     for linear ones); i.i.d. visibility would give ~0, contiguous runs give
-    values near 1.
+    values near 1.  Over the N element pairs one step apart, with n_a and
+    n_b the visible counts of the first and second member and n_ab the
+    pairs where both are visible, the 0/1 Pearson correlation is
+    (N n_ab - n_a n_b) / sqrt(n_a (N - n_a) n_b (N - n_b)), computed from
+    the visible entries alone.  It is 1.0 when either indicator is constant,
+    including when there are no pairs.
     """
-    grid = tensor.grid
-    if grid.shape[1] > 1:
-        a = grid[:, :-1, :].reshape(-1).astype(float)
-        b = grid[:, 1:, :].reshape(-1).astype(float)
-    else:
-        a = grid[:-1, 0, :].reshape(-1).astype(float)
-        b = grid[1:, 0, :].reshape(-1).astype(float)
-    if a.std() == 0 or b.std() == 0:
+    m_x, m_y, n = tensor.shape
+    flat = tensor.flat
+    # element e = x m_y + y; its neighbour along the chain is flat index + n
+    length = m_y if m_y > 1 else m_x
+    n_pairs = m_x * m_y // length * (length - 1) * n
+    pos = flat // n % length
+    first = pos < length - 1
+    n_a = int(first.sum())
+    n_b = int((pos > 0).sum())
+    n_ab = int(np.isin(flat[first] + n, flat, assume_unique=True).sum())
+    if n_a in (0, n_pairs) or n_b in (0, n_pairs):
         return 1.0
-    return float(np.corrcoef(a, b)[0, 1])
+    return float((n_pairs * n_ab - n_a * n_b)
+                 / math.sqrt(n_a * (n_pairs - n_a) * n_b * (n_pairs - n_b)))
 
 
 @dataclass(frozen=True)

@@ -389,11 +389,13 @@ CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
 def cir_row_count(real: ClusterRealization, n_times: int) -> int:
     """Rows :func:`cir_columns` returns for ``n_times`` instants.
 
-    One LoS row plus one row per visible ray for every (time, tx, rx).
+    One LoS row plus one row per visible ray for every (time, tx, rx),
+    counted from the visible (element, cluster) entries, so the dense
+    visibility view is not built.
     """
-    matrix = real.visibility.matrix
-    rays_per_cluster = np.bincount(real.rays["cluster_ids"], minlength=matrix.shape[1])
-    taps = matrix.shape[0] + int(matrix.sum(axis=0) @ rays_per_cluster)
+    m_x, m_y, n = real.visibility.shape
+    rays_per_cluster = np.bincount(real.rays["cluster_ids"], minlength=n)
+    taps = m_x * m_y + int(rays_per_cluster[real.visibility.flat % n].sum())
     other = real.rx_layout if real.evolved_side == "tx" else real.tx_layout
     return n_times * other.num_elements * taps
 

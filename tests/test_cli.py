@@ -331,23 +331,42 @@ class TestErrors:
         assert run("link-budget", config_path, tmp_path / "log") == 0
 
 
+def fresh_interpreter(code, **env):
+    """Run ``code`` in a new interpreter on this package, without BLAS settings."""
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(irs_gbsm.__file__).resolve().parents[1])
+    clean["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env={**clean, **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+
+
+class TestMemory:
+    def test_cluster_evolve_128_peak_rss(self, tmp_path):
+        # the dense (128, 128, ~5900) grid alone is 97 MB: a run that built it
+        # peaked at 204-224 MB, one that keeps the ~321k visible entries at
+        # about 65 MB.  ru_maxrss survives exec, so the CLI runs under a small
+        # launcher; started straight from the test runner it would report the
+        # runner's own RSS
+        config = Path(__file__).resolve().parents[1] / "configs" / "cluster_evolution_128.json"
+        argv = [sys.executable, "-m", "irs_gbsm.cli", "cluster-evolve",
+                "--config", str(config), "--out", str(tmp_path)]
+        code = ("import resource, subprocess\n"
+                f"subprocess.run({argv!r}, check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        peak_kb = int(fresh_interpreter(code).stdout)
+        assert (tmp_path / "cluster_visibility.csv").exists()
+        assert peak_kb / 1024 < 150
+
+
 class TestBlasThreadPolicy:
     """Importing the package pins BLAS to one thread per process by default."""
-
-    @staticmethod
-    def fresh_interpreter(code, **env):
-        clean = {k: v for k, v in os.environ.items()
-                 if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        src = str(Path(irs_gbsm.__file__).resolve().parents[1])
-        clean["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-c", code], env={**clean, **env},
-                              capture_output=True, text=True, timeout=60, check=True)
 
     def blas_env_after_import(self, **env):
         code = ("import os, irs_gbsm; print(os.environ['OPENBLAS_NUM_THREADS'], "
                 "os.environ['MKL_NUM_THREADS'])")
-        return self.fresh_interpreter(code, **env).stdout.split()
+        return fresh_interpreter(code, **env).stdout.split()
 
     def test_default_is_one_thread(self):
         assert self.blas_env_after_import() == ["1", "1"]
@@ -357,12 +376,12 @@ class TestBlasThreadPolicy:
                                           MKL_NUM_THREADS="2") == ["3", "2"]
 
     def test_numpy_imported_first_warns(self):
-        err = self.fresh_interpreter("import numpy, irs_gbsm").stderr
+        err = fresh_interpreter("import numpy, irs_gbsm").stderr
         assert "numpy was imported before irs_gbsm" in err
         assert "OPENBLAS_NUM_THREADS=1" in err
         # a user's own BLAS setting is a choice, not an accident
-        assert self.fresh_interpreter("import numpy, irs_gbsm",
-                                      OPENBLAS_NUM_THREADS="1").stderr == ""
+        assert fresh_interpreter("import numpy, irs_gbsm",
+                                 OPENBLAS_NUM_THREADS="1").stderr == ""
 
     def test_package_imported_first_is_silent(self):
-        assert self.fresh_interpreter("import irs_gbsm, numpy").stderr == ""
+        assert fresh_interpreter("import irs_gbsm, numpy").stderr == ""

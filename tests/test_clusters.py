@@ -7,6 +7,7 @@ import pytest
 from irs_gbsm.clusters import (
     ClusterPair,
     ClusterSet,
+    VisibilityTensor,
     evolve_visibility,
     generate_cluster_pairs,
     lag1_autocorrelation,
@@ -157,6 +158,10 @@ class TestVisibilityEvolution:
     def test_rows_export_visible_only(self):
         tensor = evolve_visibility(IRS_LAYOUT, cluster_params(), rng_stream(16, "e"))
         x, y, cid, vis = tensor.columns()
+        mean = tensor.mean_visible()
+        # the cluster-evolve path lists and counts entries without the dense view
+        assert "grid" not in tensor.__dict__
+        assert mean == tensor.matrix.sum(axis=1).mean()
         assert x.size == y.size == cid.size == vis.size == int(tensor.grid.sum())
         assert vis.all() and 1 <= x.min() and x.max() <= 8 and 1 <= y.min()
         assert y.max() <= 8 and cid.min() >= 0
@@ -231,14 +236,63 @@ class TestChainOracle:
         rng_new, rng_ref = rng_stream(seed, "n0"), rng_stream(seed, "n0")
         tensor = evolve_visibility(layout, params, rng_new)
         grid, n0 = reference_chain(layout, params, rng_ref)
+        expect = np.flatnonzero(grid)
+        assert tensor.shape == grid.shape
+        assert tensor.flat.dtype == expect.dtype and tensor.flat.shape == expect.shape
+        assert np.array_equal(tensor.flat, expect)
         assert tensor.grid.shape == grid.shape and tensor.grid.dtype == grid.dtype
-        assert np.array_equal(tensor.grid, grid)
+        assert np.array_equal(tensor.grid, grid) and not tensor.grid.flags.writeable
         assert tensor.initial_count == n0
         assert rng_new.random() == rng_ref.random()
         if n0_zero:
             assert n0 == 0 and grid.shape[2] > 0  # every cluster is born later
         if layout.counts == (16, 9):
             assert grid.shape[2] > grid[:, 0, :].any(axis=0).sum()  # Y-pass births
+
+
+def corrcoef_lag1(grid):
+    """Lag-1 correlation as np.corrcoef of the two shifted dense grids (oracle)."""
+    if grid.shape[1] > 1:
+        a, b = grid[:, :-1, :], grid[:, 1:, :]
+    else:
+        a, b = grid[:-1, 0, :], grid[1:, 0, :]
+    a, b = a.reshape(-1).astype(float), b.reshape(-1).astype(float)
+    if a.std() == 0 or b.std() == 0:
+        return 1.0
+    return float(np.corrcoef(a, b)[0, 1])
+
+
+def tensor_of(grid):
+    return VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid), birth_rate=1,
+                            death_rate=1, correlation_factor=1, initial_count=0)
+
+
+class TestLag1Oracle:
+    @pytest.mark.parametrize("layout, over", [
+        (TerminalLayout.planar(48, 48, 2.585e-3, 2.585e-3, 0.0, np.pi / 3,
+                               np.pi / 2, np.pi / 6),
+         {"birth_rate": 80.0, "death_rate": 4.0, "correlation_factor_m": 10.0}),
+        (IRS_LAYOUT, {"birth_rate": 80.0, "correlation_factor_m": 0.05}),
+        (TerminalLayout.linear("BS", 16, 2.5e-3, 0.0, 0.0),
+         {"birth_rate": 80.0, "correlation_factor_m": 0.05}),
+    ], ids=["planar48x48", "planar8x8", "linear16x1"])
+    def test_chain_matches_corrcoef(self, layout, over):
+        tensor = evolve_visibility(layout, cluster_params(**over), rng_stream(19, "e"))
+        want = corrcoef_lag1(tensor.grid)
+        assert -1.0 < want < 1.0  # not a constant indicator
+        np.testing.assert_allclose(lag1_autocorrelation(tensor), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (7, 1, 4), (1, 6, 5)])
+    def test_random_grid_matches_corrcoef(self, shape):
+        grid = np.random.default_rng(sum(shape)).random(shape) < 0.4
+        np.testing.assert_allclose(lag1_autocorrelation(tensor_of(grid)),
+                                   corrcoef_lag1(grid), rtol=1e-12)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (6, 1, 3)])
+    def test_constant_grid_is_one(self, shape, fill):
+        grid = np.full(shape, fill)
+        assert lag1_autocorrelation(tensor_of(grid)) == corrcoef_lag1(grid) == 1.0
 
 
 def reference_cluster_pairs(params, tx_ref, rx_ref, rng, count):

@@ -55,8 +55,9 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
         rx_layout=TerminalLayout.linear("USER", 1, 0.0024, 0.0, 0.0),
         v_tx=np.asarray(v_tx, dtype=float), v_rx=np.asarray(v_rx, dtype=float),
         clusters=clusters,
-        visibility=VisibilityTensor(grid=grid, birth_rate=1, death_rate=1,
-                                    correlation_factor=1, initial_count=grid.shape[2]),
+        visibility=VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid),
+                                    birth_rate=1, death_rate=1, correlation_factor=1,
+                                    initial_count=grid.shape[2]),
         evolved_side="rx", k_factor=k_factor, gamma_ds=gamma_ds, fc_hz=FC)
 
 
