@@ -37,10 +37,6 @@ from .geometry import (
     SceneGeometry,
     TerminalLayout,
     element_offset,
-    flatten_index,
-    gcs_to_lcs,
-    lcs_to_gcs,
-    rotation_matrix,
     unflatten_index,
 )
 from .irs import (
@@ -55,16 +51,7 @@ from .irs import (
 )
 from .largescale import LargeScaleParams, path_loss_bu_db, sample_shadow_fading
 from .rng import rng_stream
-from .smallscale import (
-    RayTap,
-    SubchannelCIR,
-    compose_cir,
-    los_delay,
-    nlos_cir,
-    subchannel_cir,
-    transfer_function,
-    transfer_values,
-)
+from .smallscale import transfer_values
 from .stats import (
     CorrelationCurve,
     acf_analytical_subchannel,

@@ -24,7 +24,7 @@ import numpy as np
 from .clusters import ClusterRealization
 from .config import ScenarioConfig
 from .geometry import element_offsets
-from .irs import IrsPhaseModel, SteeringVector, cascaded_path_loss
+from .irs import IrsPhaseModel, SteeringVector, cascaded_path_loss, resolution_label
 from .largescale import db_to_linear, path_loss_bu_db, sample_shadow_fading
 from .smallscale import transfer_values
 
@@ -122,8 +122,7 @@ def cascade(t: float, f: float, subchannels: dict[str, ClusterRealization],
     return EndToEndChannel(
         t=t, f=f, matrix=cascade_term + direct_term, cascade_term=cascade_term,
         direct_term=direct_term,
-        phase_resolution="continuous" if phase_model.bits is None
-        else f"{phase_model.bits}bit",
+        phase_resolution=resolution_label(phase_model.bits),
         large_scale=large_scale)
 
 

@@ -26,26 +26,13 @@ def wrap_angle(angle: float) -> float:
     return float(np.mod(angle + np.pi, 2.0 * np.pi) - np.pi)
 
 
-def flatten_index(x: int, y: int, m_y: int) -> int:
-    """Map a 1-based (row, column) IRS element index to the 1-based flat index.
-
-    The panel is traversed row by row: r = (x - 1) * M_y + y.
-    """
-    if m_y < 1:
-        raise ValueError(f"column count must be >= 1, got {m_y}")
-    if x < 1:
-        raise ValueError(f"row index must be >= 1, got {x}")
-    if not 1 <= y <= m_y:
-        raise ValueError(f"column index {y} outside [1, {m_y}]")
-    return (x - 1) * m_y + y
-
-
 def unflatten_index(r: int, m_y: int, m_x: int | None = None) -> tuple[int, int]:
-    """Invert :func:`flatten_index`, returning the 1-based (row, column) pair.
+    """The 1-based (row, column) pair of a 1-based flat IRS element index.
 
-    Uses x = ceil(r / M_y), y = r - (x - 1) * M_y, which is the exact inverse
-    of the row-major flattening for every r (a naive integer-division /
-    modulo split fails at the column boundaries where mod(r, M_y) = 0).
+    The panel is flattened row by row, r = (x - 1) * M_y + y.  Uses
+    x = ceil(r / M_y), y = r - (x - 1) * M_y, the exact inverse for every r
+    (a naive integer-division / modulo split fails at the column boundaries
+    where mod(r, M_y) = 0).
     If ``m_x`` is given, r is range-checked against the full panel.
     """
     if m_y < 1:
@@ -220,20 +207,12 @@ class RotationAngles:
     slant: float
 
 
-def rotation_matrix(angles: RotationAngles) -> np.ndarray:
-    """3x3 rotation matrix R = R_z(bearing) @ R_y(downtilt) @ R_x(slant)."""
-    ca, sa = math.cos(angles.bearing), math.sin(angles.bearing)
-    cb, sb = math.cos(angles.downtilt), math.sin(angles.downtilt)
-    cg, sg = math.cos(angles.slant), math.sin(angles.slant)
-    r_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    r_y = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    r_x = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
-    return r_z @ r_y @ r_x
-
-
 def rotation_matrices(bearing: np.ndarray, downtilt: np.ndarray,
                       slant: np.ndarray) -> np.ndarray:
-    """Stacked rotation matrices for angle arrays, shape (n, 3, 3)."""
+    """Stacked R = R_z(bearing) @ R_y(downtilt) @ R_x(slant), shape (n, 3, 3).
+
+    A local-frame (LCS) row vector p is p @ R.T in the GCS.
+    """
     ca, sa = np.cos(bearing), np.sin(bearing)
     cb, sb = np.cos(downtilt), np.sin(downtilt)
     cg, sg = np.cos(slant), np.sin(slant)
@@ -249,21 +228,3 @@ def rotation_matrices(bearing: np.ndarray, downtilt: np.ndarray,
     out[:, 2, 1] = cb * sg
     out[:, 2, 2] = cb * cg
     return out
-
-
-def gcs_to_lcs(point_gcs: np.ndarray, angles: RotationAngles,
-               origin_gcs: np.ndarray | None = None) -> np.ndarray:
-    """Express a GCS point in the local frame: row-vector right-multiply by R."""
-    p = np.asarray(point_gcs, dtype=float)
-    if origin_gcs is not None:
-        p = p - np.asarray(origin_gcs, dtype=float)
-    return p @ rotation_matrix(angles)
-
-
-def lcs_to_gcs(point_lcs: np.ndarray, angles: RotationAngles,
-               origin_gcs: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`gcs_to_lcs`; exact round-trip since R is orthonormal."""
-    p = np.asarray(point_lcs, dtype=float) @ rotation_matrix(angles).T
-    if origin_gcs is not None:
-        p = p + np.asarray(origin_gcs, dtype=float)
-    return p

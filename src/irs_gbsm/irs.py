@@ -45,6 +45,14 @@ def quantize_phase(phi, bits: int):
     return out.reshape(np.asarray(phi).shape)
 
 
+def resolution_label(bits: int | None) -> str:
+    """Phase-resolution label: ``continuous`` or ``<bits>bit``.
+
+    It names output files and fills the ``phase_resolution`` CSV column.
+    """
+    return "continuous" if bits is None else f"{bits}bit"
+
+
 def optimal_phase(r_t, r_r, wavelength: float):
     """Power-maximizing reflection phase mod(2*pi*(r_t + r_r)/lambda, 2*pi)."""
     r_t = np.asarray(r_t, dtype=float)
@@ -84,12 +92,8 @@ class PhasePlan:
         return quantize_phase(self.raw_phases, self.bits)
 
     @property
-    def phasors(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
-
-    @property
     def resolution(self) -> str:
-        return "continuous" if self.bits is None else f"{self.bits}bit"
+        return resolution_label(self.bits)
 
     def rows(self):
         """CSV rows (r, x, y, phase_rad, quantized_phase_rad)."""
@@ -201,13 +205,6 @@ class IrsPhaseModel:
             raise ValueError("degenerate geometry: zero propagation distance")
         phases = np.mod(TWO_PI * (leg_in + leg_out) / self.wavelength, TWO_PI)
         return phases[:, 0] if np.asarray(t).ndim == 0 else phases
-
-    def element_phase_at(self, t: float, r: int) -> float:
-        """Effective phase of element r (1-based flat index) at time t."""
-        phi = self.profile(t)[r - 1]
-        if self.bits is None:
-            return float(phi)
-        return float(quantize_phase(phi, self.bits))
 
     def applied_profile(self, t) -> np.ndarray:
         """Phases after quantization (identity when the plan is continuous)."""

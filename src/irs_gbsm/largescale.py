@@ -38,15 +38,6 @@ def sample_shadow_fading(params: LargeScaleParams, rng: np.random.Generator,
     return 10.0 ** ((params.sf_mu_db + params.sf_sigma_db * z) / 20.0)
 
 
-def shadow_fading_pdf(x, params: LargeScaleParams):
-    """Closed-form pdf of the linear shadow-fading amplitude."""
-    x = np.asarray(x, dtype=float)
-    sigma = params.sf_sigma_db
-    coeff = 2.0 / (x * sigma * math.log(10.0) / 10.0)
-    arg = (10.0 * np.log10(x**2) - params.sf_mu_db) ** 2 / (2.0 * sigma**2)
-    return coeff / math.sqrt(2.0 * math.pi) * np.exp(-arg)
-
-
 def path_loss_bu_db(d_km: float, f_ghz: float, params: LargeScaleParams) -> float:
     """Direct-link path loss in dB (negative gain)."""
     if d_km <= 0:

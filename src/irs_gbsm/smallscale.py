@@ -22,14 +22,13 @@ Rician mixing: h = sqrt(K/(K+1)) h_LoS + sqrt(1/(K+1)) h_NLoS.
 Every ray path length, and the LoS distance of the field and CIR kernels,
 goes through one kernel, :func:`_side_norms`.  It takes |d0 - l - v t| one
 component at a time over (rays, elements, times) and adds the squares as
-(x0^2 + x1^2) + x2^2, the order of ``np.linalg.norm(..., axis=-1)``, which
-:func:`los_distance` calls directly.  The LoS vector and per-(element, ray)
-differences enter the kernel as d0 with the origin as offset.  The
-summation order is part of the output: a last-ulp change in d becomes about
-1e-11 rad once multiplied by kappa (about 1300 rad/m at 62 GHz), so the
-written CSV bytes move with it.  One order for every caller also makes the
-g, u and powers of :func:`pair_field` equal those of :func:`ray_field` on
-the same element pair bit for bit.
+(x0^2 + x1^2) + x2^2, the order of ``np.linalg.norm(..., axis=-1)``.  The
+LoS vector and per-(element, ray) differences enter the kernel as d0 with
+the origin as offset.  The summation order is part of the output: a
+last-ulp change in d becomes about 1e-11 rad once multiplied by kappa
+(about 1300 rad/m at 62 GHz), so the written CSV bytes move with it.  One
+order for every caller also makes the g, u and powers of :func:`pair_field`
+equal those of :func:`ray_field` on the same element pair bit for bit.
 """
 
 from __future__ import annotations
@@ -48,51 +47,6 @@ _BLOCK_FLOATS = 12_000_000
 # the element offset of a difference already formed per row (a LoS vector or a
 # gathered (element, ray) pair); subtracting it is exact
 _ORIGIN = np.zeros((1, 3))
-
-
-@dataclass(frozen=True)
-class RayTap:
-    """One resolvable ray: delay, linear amplitude, carrier phase."""
-
-    delay: float
-    amplitude: float
-    phase: float
-    cluster_id: int
-    ray_id: int
-    is_los: bool = False
-
-
-@dataclass(frozen=True)
-class SubchannelCIR:
-    """LoS tap plus NLoS tap set for one element pair at one time instant."""
-
-    pair: tuple[int, int]
-    t: float
-    k_factor: float
-    fc_hz: float
-    los_tap: RayTap
-    nlos_taps: tuple[RayTap, ...]
-
-    def __post_init__(self):
-        if self.k_factor < 0:
-            raise ValueError(f"Rician K must be >= 0, got {self.k_factor}")
-
-    @property
-    def los_weight(self) -> float:
-        return np.sqrt(self.k_factor / (self.k_factor + 1.0))
-
-    @property
-    def nlos_weight(self) -> float:
-        return np.sqrt(1.0 / (self.k_factor + 1.0))
-
-    def weighted_taps(self) -> list[RayTap]:
-        """All taps with the Rician weights folded into the amplitudes."""
-        out = [RayTap(self.los_tap.delay, self.los_weight * self.los_tap.amplitude,
-                      self.los_tap.phase, -1, -1, True)]
-        w = self.nlos_weight
-        out.extend(RayTap(tp.delay, w * tp.amplitude, tp.phase, tp.cluster_id, tp.ray_id)
-                   for tp in self.nlos_taps)
-        return out
 
 
 def _side_norms(d0, v_rel, offsets, times):
@@ -158,89 +112,18 @@ def ray_path_rates(real: ClusterRealization, tx_element: int, rx_element: int,
     return out
 
 
-def los_vector(real: ClusterRealization, tx_element: int, rx_element: int,
-               times) -> np.ndarray:
-    """LoS vector D(t) between the two elements; shape (n_times, 3)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    d0 = (real.rx_ref - real.tx_ref
-          - element_offset(real.tx_layout, tx_element)
-          + element_offset(real.rx_layout, rx_element))
-    return d0 + (real.v_rx - real.v_tx) * times[:, None]
-
-
-def los_distance(real: ClusterRealization, tx_element: int, rx_element: int,
-                 times) -> np.ndarray:
-    return np.linalg.norm(los_vector(real, tx_element, rx_element, times), axis=-1)
-
-
-def los_delay(real: ClusterRealization, tx_element: int, rx_element: int,
-              t: float) -> float:
-    """LoS propagation delay |D(t)|/c, seconds."""
-    return float(los_distance(real, tx_element, rx_element, t)[0] / SPEED_OF_LIGHT)
-
-
 def ray_powers_at(real: ClusterRealization, delays: np.ndarray,
                   visible: np.ndarray) -> np.ndarray:
     """Normalized ray powers exp(-tau/gamma) over the visible set.
 
-    ``delays`` is (n_rays, n_times), ``visible`` a boolean (n_rays,) mask.
-    Powers of invisible rays are zero; each time column sums to 1 (or 0 when
-    nothing is visible).
+    ``delays`` is (n_rays, ..., n_times) and ``visible`` the boolean mask of
+    its leading axes: (n_rays,) for one element pair, (n_rays, E) over a
+    swept element axis.  Powers of invisible rays are zero; each (element,
+    time) column sums to 1 (or 0 when nothing is visible).
     """
-    w = np.exp(-delays / real.gamma_ds) * visible[:, None]
+    w = np.exp(-delays / real.gamma_ds) * visible[..., None]
     total = w.sum(axis=0)
     return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-
-
-def los_tap(real: ClusterRealization, t: float, tx_element: int = 1,
-            rx_element: int = 1) -> RayTap:
-    """Unit-power LoS tap of an element pair."""
-    tau = los_delay(real, tx_element, rx_element, t)
-    phase = float(np.mod(TWO_PI * real.fc_hz * tau, TWO_PI))
-    return RayTap(tau, 1.0, phase, -1, -1, True)
-
-
-def nlos_cir(real: ClusterRealization, t: float, tx_element: int = 1,
-             rx_element: int = 1) -> list[RayTap]:
-    """NLoS taps of an element pair: one per (visible cluster, ray).
-
-    An empty visible set returns an empty list (deep non-stationarity).
-    """
-    if real.num_rays == 0:
-        return []
-    visible = real.visible_rays(tx_element, rx_element)
-    delays = ray_delays(real, tx_element, rx_element, t)
-    powers = ray_powers_at(real, delays, visible)[:, 0]
-    delays = delays[:, 0]
-    rays = real.rays
-    taps = []
-    for i in np.nonzero(visible)[0]:
-        phase = float(np.mod(TWO_PI * real.fc_hz * delays[i], TWO_PI))
-        taps.append(RayTap(float(delays[i]), float(np.sqrt(powers[i])), phase,
-                           int(rays["cluster_ids"][i]), int(rays["ray_ids"][i])))
-    return taps
-
-
-def compose_cir(los: RayTap, nlos: list[RayTap], k_factor: float,
-                pair: tuple[int, int], t: float, fc_hz: float) -> SubchannelCIR:
-    """Rician combination of the LoS tap and the NLoS tap list."""
-    return SubchannelCIR(pair=pair, t=t, k_factor=float(k_factor), fc_hz=fc_hz,
-                         los_tap=los, nlos_taps=tuple(nlos))
-
-
-def subchannel_cir(real: ClusterRealization, t: float, tx_element: int = 1,
-                   rx_element: int = 1) -> SubchannelCIR:
-    return compose_cir(los_tap(real, t, tx_element, rx_element),
-                       nlos_cir(real, t, tx_element, rx_element),
-                       real.k_factor, (tx_element, rx_element), t, real.fc_hz)
-
-
-def transfer_function(cir: SubchannelCIR, f: float = 0.0) -> complex:
-    """H(t, f) = sum over weighted taps of a * exp(j 2 pi (f_c - f) tau)."""
-    total = 0.0 + 0.0j
-    for tap in cir.weighted_taps():
-        total += tap.amplitude * np.exp(1j * TWO_PI * (cir.fc_hz - f) * tap.delay)
-    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -281,10 +164,7 @@ def _fields(real: ClusterRealization, times: np.ndarray, f: float, l_tx: np.ndar
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
     d = (_side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
          + _side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))
-    tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None]
-    w = np.exp(-tau / real.gamma_ds) * visible[:, :, None]
-    total = w.sum(axis=0)
-    powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+    powers = ray_powers_at(real, d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None], visible)
     g = np.exp(1j * kappa * d)
     g *= np.sqrt(powers)
     g *= visible[:, :, None]
@@ -404,7 +284,8 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
     """Weighted taps of every (time, tx, rx) as columns in :data:`CIR_HEADER` order.
 
     Rows run in C order over (t, tx, rx, [LoS, visible rays...]) and hold
-    exactly the values of ``subchannel_cir(real, t, tx, rx).weighted_taps()``.
+    exactly the values of the per-tap test oracle ``tests/cir_oracle.py``,
+    ``weighted_taps(real, t, tx, rx)``, which builds one tap per ray.
     The path length is separable, d = |d_tx| + |d_rx|, so each side's norms
     are computed per element and time, not per element pair, and on the
     evolved side only for visible rays.  The evolved element axis runs in
@@ -469,7 +350,7 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
             tau = d / SPEED_OF_LIGHT + rays["tau_v"][r]
             w = np.exp(-tau / real.gamma_ds)
             # the normalizer sums the full ray axis, invisible rays as zeros, so
-            # its rounding equals the per-pair sum of nlos_cir
+            # its rounding equals the per-pair sum of ray_powers_at
             full = np.zeros(shape[:2] + (n_rays,))
             full[i, j, r] = w
             total = full.sum(axis=-1)[i, j]

@@ -56,6 +56,7 @@ import numpy as np
 from .assembly import phase_model_for
 from .clusters import ClusterRealization, realize_subchannels
 from .config import ScenarioConfig, parse_config, serialize_config
+from .irs import resolution_label
 from .rng import rng_stream
 from .smallscale import (
     los_phasor,
@@ -263,6 +264,13 @@ def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float,
     return nu, weights
 
 
+def _weighted_spread(weights: np.ndarray, x: np.ndarray) -> float:
+    """sqrt(max(sum w x^2 - (sum w x)^2, 0)) for weights w that sum to 1."""
+    mean = float(np.dot(weights, x))
+    second = float(np.dot(weights, x**2))
+    return float(np.sqrt(max(second - mean**2, 0.0)))
+
+
 def local_doppler_spread(nu: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Power-weighted standard deviation of the instantaneous Doppler, Hz."""
     nu = np.asarray(nu, dtype=float)
@@ -270,9 +278,7 @@ def local_doppler_spread(nu: np.ndarray, weights: np.ndarray | None = None) -> f
         raise ValueError("local Doppler spread needs at least one ray")
     if weights is None:
         weights = np.full(nu.size, 1.0 / nu.size)
-    mean = float(np.dot(weights, nu))
-    second = float(np.dot(weights, nu**2))
-    return float(np.sqrt(max(second - mean**2, 0.0)))
+    return _weighted_spread(weights, nu)
 
 
 def _trial_doppler(reals: dict, args: dict) -> dict:
@@ -296,9 +302,7 @@ def rms_delay_spread(delays, powers) -> float:
         raise ValueError("RMS delay spread needs at least one tap")
     if abs(powers.sum() - 1.0) > 1e-6:
         raise ValueError(f"tap powers must sum to 1, got {powers.sum()}")
-    mean = float(np.dot(powers, delays))
-    second = float(np.dot(powers, delays**2))
-    return float(np.sqrt(max(second - mean**2, 0.0)))
+    return _weighted_spread(powers, delays)
 
 
 def _trial_ds(reals: dict, args: dict) -> dict:
@@ -535,8 +539,7 @@ def acf_full_irs(cfg: ScenarioConfig, t: float,
     thetas = {}
     for variant in bits_variants:
         bits = cfg.irs.phase_bits if variant == "config" else variant
-        label = "continuous" if bits is None else f"{bits}bit"
-        thetas[label] = phase_model_for(cfg, bits=bits).applied_profile(times)
+        thetas[resolution_label(bits)] = phase_model_for(cfg, bits=bits).applied_profile(times)
     trials = cfg.trials if trials is None else trials
     _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
                             trials, threads)
@@ -576,7 +579,7 @@ def cascade_trial_products(cfg: ScenarioConfig, t: float,
     lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
     f = cfg.eval_offset_hz if f is None else f
     use_bits = cfg.irs.phase_bits if bits == "config" else bits
-    label = "continuous" if use_bits is None else f"{use_bits}bit"
+    label = resolution_label(use_bits)
     theta = phase_model_for(cfg, bits=use_bits).applied_profile(_times(t, lags))
     params = {"t": t, "lags": lags, "f": f, "q": q, "p": p,
               "theta": {label: theta}, "analytical": False, "tensors": False}

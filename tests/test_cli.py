@@ -17,7 +17,8 @@ from irs_gbsm.geometry import element_offsets
 from irs_gbsm.irs import cascaded_path_loss, optimal_phase, received_power
 from irs_gbsm.output import file_sha256
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import cir_columns, cir_row_count, subchannel_cir
+from irs_gbsm.smallscale import cir_columns, cir_row_count
+from tests.cir_oracle import weighted_taps
 
 SMALL = {
     "seed": 77,
@@ -141,7 +142,7 @@ class TestExportColumns:
         for t in times:
             for tx in range(1, real.tx_layout.num_elements + 1):
                 for rx in range(1, real.rx_layout.num_elements + 1):
-                    for tap in subchannel_cir(real, float(t), tx, rx).weighted_taps():
+                    for tap in weighted_taps(real, float(t), tx, rx):
                         rows.append(repr((
                             float(t), tx, rx, int(tap.cluster_id), int(tap.ray_id),
                             float(tap.delay), float(tap.amplitude), float(tap.phase),

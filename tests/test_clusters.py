@@ -18,11 +18,11 @@ from irs_gbsm.geometry import (
     SPEED_OF_LIGHT,
     RotationAngles,
     TerminalLayout,
-    gcs_to_lcs,
     rotation_matrices,
 )
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import los_distance, ray_path_lengths
+from irs_gbsm.smallscale import ray_path_lengths
+from tests.cir_oracle import los_distance
 from tests.conftest import make_config
 
 TX = np.zeros(3)
@@ -51,8 +51,8 @@ class TestGeneration:
         params = cluster_params(sigma_xyz_m=list(sigma), rays_per_cluster=100)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(2, "g"), count=1000)
         offsets = clusters.scatter_a - clusters.center_a[:, None, :]
-        local = np.concatenate([gcs_to_lcs(o, RotationAngles(*a))
-                                for o, a in zip(offsets, clusters.angles_a)])
+        # a GCS row vector p is p @ R in the cluster frame
+        local = (offsets @ rotation_matrices(*clusters.angles_a.T)).reshape(-1, 3)
         cov = np.cov(local.T)
         assert np.allclose(np.diag(cov), np.square(sigma), rtol=0.02)
         off = cov - np.diag(np.diag(cov))

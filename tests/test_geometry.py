@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,28 @@ from irs_gbsm.geometry import (
     TerminalLayout,
     element_offset,
     element_offsets,
-    flatten_index,
-    gcs_to_lcs,
-    lcs_to_gcs,
     rotation_matrices,
-    rotation_matrix,
     unflatten_index,
 )
 
 
-class TestIndexMaps:
-    @pytest.mark.parametrize("x,y,m_y,r", [(1, 1, 4, 1), (2, 3, 4, 7), (3, 4, 4, 12)])
-    def test_flatten_examples(self, x, y, m_y, r):
-        assert flatten_index(x, y, m_y) == r
+def rotation_matrix(angles: RotationAngles) -> np.ndarray:
+    """R = R_z(bearing) @ R_y(downtilt) @ R_x(slant) of one angle triple (oracle)."""
+    ca, sa = math.cos(angles.bearing), math.sin(angles.bearing)
+    cb, sb = math.cos(angles.downtilt), math.sin(angles.downtilt)
+    cg, sg = math.cos(angles.slant), math.sin(angles.slant)
+    r_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    r_y = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    r_x = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
+    return r_z @ r_y @ r_x
 
+
+def rotations(angles) -> np.ndarray:
+    """rotation_matrices of an (n, 3) array of (bearing, downtilt, slant) rows."""
+    return rotation_matrices(*np.asarray(angles, dtype=float).reshape(-1, 3).T)
+
+
+class TestIndexMaps:
     @pytest.mark.parametrize("r,m_y,xy", [(1, 4, (1, 1)), (7, 4, (2, 3)), (8, 4, (2, 4))])
     def test_unflatten_examples(self, r, m_y, xy):
         # (8, 4) is the column-boundary case where a naive mod split yields y=0
@@ -31,17 +41,9 @@ class TestIndexMaps:
             for m_y in range(1, 17):
                 for x in range(1, m_x + 1):
                     for y in range(1, m_y + 1):
-                        r = flatten_index(x, y, m_y)
+                        r = (x - 1) * m_y + y  # row-major
                         assert 1 <= r <= m_x * m_y
                         assert unflatten_index(r, m_y, m_x) == (x, y)
-
-    def test_flatten_range_errors(self):
-        with pytest.raises(ValueError):
-            flatten_index(0, 1, 4)
-        with pytest.raises(ValueError):
-            flatten_index(1, 5, 4)
-        with pytest.raises(ValueError):
-            flatten_index(1, 0, 4)
 
     def test_unflatten_range_errors(self):
         with pytest.raises(ValueError):
@@ -61,7 +63,7 @@ class TestElementOffsets:
 
     def test_irs_center_element_is_origin(self):
         layout = TerminalLayout.planar(3, 3, 0.01, 0.01, 0.0, 0.0, np.pi / 2, 0.0)
-        assert np.allclose(element_offset(layout, flatten_index(2, 2, 3)), 0.0)
+        assert np.allclose(element_offset(layout, 5), 0.0)  # (x, y) = (2, 2)
 
     def test_linear_norm_law(self):
         layout = TerminalLayout.linear("USER", 6, 0.37, 1.1, 0.4)
@@ -79,9 +81,7 @@ class TestElementOffsets:
 
     def test_irs_axis_norm_law(self):
         layout = TerminalLayout.planar(5, 5, 0.02, 0.03, 0.3, 0.2, 1.8, -0.4)
-        center = flatten_index(3, 3, 5)
-        along_x = flatten_index(4, 3, 5)
-        along_y = flatten_index(3, 4, 5)
+        center, along_x, along_y = 13, 18, 14  # (x, y) = (3, 3), (4, 3), (3, 4)
         assert np.linalg.norm(element_offset(layout, along_x)) == pytest.approx(0.02, abs=1e-12)
         assert np.linalg.norm(element_offset(layout, along_y)) == pytest.approx(0.03, abs=1e-12)
         assert np.allclose(element_offset(layout, center), 0.0)
@@ -133,19 +133,16 @@ class TestElementOffsets:
 
 class TestRotation:
     def test_identity(self):
-        assert np.allclose(rotation_matrix(RotationAngles(0, 0, 0)), np.eye(3))
+        assert np.allclose(rotations([0, 0, 0])[0], np.eye(3))
 
     def test_pure_bearing_quarter_turn(self):
-        r = rotation_matrix(RotationAngles(np.pi / 2, 0, 0))
+        r = rotations([np.pi / 2, 0, 0])[0]
         assert np.allclose(r, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
     def test_orthonormal_and_proper(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            angles = RotationAngles(*rng.uniform(-np.pi, np.pi, 3))
-            r = rotation_matrix(angles)
-            assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+        r = rotations(np.random.default_rng(3).uniform(-np.pi, np.pi, (25, 3)))
+        assert np.allclose(r.transpose(0, 2, 1) @ r, np.eye(3), atol=1e-12)
+        assert np.allclose(np.linalg.det(r), 1.0, atol=1e-12)
 
     def test_matches_three_factor_product(self):
         rng = np.random.default_rng(4)
@@ -154,8 +151,7 @@ class TestRotation:
             r_z = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
             r_y = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
             r_x = np.array([[1, 0, 0], [0, np.cos(g), -np.sin(g)], [0, np.sin(g), np.cos(g)]])
-            assert np.allclose(rotation_matrix(RotationAngles(a, b, g)),
-                               r_z @ r_y @ r_x, atol=1e-14)
+            assert np.allclose(rotations([a, b, g])[0], r_z @ r_y @ r_x, atol=1e-14)
 
     def test_stacked_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -164,36 +160,6 @@ class TestRotation:
         for i in range(10):
             assert np.allclose(stacked[i], rotation_matrix(RotationAngles(*angles[i])),
                                atol=1e-14)
-
-
-class TestFrameTransforms:
-    def test_identity_angles_zero_origin(self):
-        p = np.array([1.2, -0.7, 3.0])
-        assert np.allclose(lcs_to_gcs(p, RotationAngles(0, 0, 0)), p)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            angles = RotationAngles(*rng.uniform(-np.pi, np.pi, 3))
-            origin = rng.normal(size=3)
-            p = rng.normal(size=3)
-            back = gcs_to_lcs(lcs_to_gcs(p, angles, origin), angles, origin)
-            assert np.allclose(back, p, atol=1e-12)
-
-    def test_quarter_turn_example_vs_matrix_oracle(self):
-        angles = RotationAngles(np.pi / 2, 0, 0)
-        got = lcs_to_gcs(np.array([1.0, 0.0, 0.0]), angles)
-        # direct 3x3 multiply oracle: row vector times R-transpose
-        oracle = np.array([1.0, 0.0, 0.0]) @ rotation_matrix(angles).T
-        assert np.allclose(got, [0.0, 1.0, 0.0], atol=1e-15)
-        assert np.allclose(got, oracle, atol=1e-15)
-
-    def test_batched_points(self):
-        angles = RotationAngles(0.3, -0.5, 1.0)
-        pts = np.random.default_rng(7).normal(size=(8, 3))
-        out = lcs_to_gcs(pts, angles, np.array([1.0, 2.0, 3.0]))
-        for i in range(8):
-            assert np.allclose(out[i], lcs_to_gcs(pts[i], angles, np.array([1.0, 2.0, 3.0])))
 
 
 class TestSceneGeometry:

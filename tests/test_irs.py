@@ -88,7 +88,6 @@ class TestPhasePlan:
         plan = PhasePlan(np.array([0.1, 7.0, -0.5]), bits=2, m_y=3)
         assert np.all(plan.raw_phases >= 0) and np.all(plan.raw_phases < 2 * np.pi)
         assert np.isin(np.round(plan.phases, 12), np.round(phase_set(2), 12)).all()
-        assert np.allclose(np.abs(plan.phasors), 1.0)
 
     def test_continuous_passthrough(self):
         plan = PhasePlan(np.array([0.1, 1.0]))
@@ -247,7 +246,7 @@ class TestPhaseModel:
             l_r = element_offset(m.irs_layout, r)
             d1 = np.linalg.norm(m.d_bi + l_r - m.v_bs * t)
             d2 = np.linalg.norm(m.d_iu - l_r + m.v_user * t)
-            assert m.element_phase_at(t, r) == pytest.approx(
+            assert m.applied_profile(t)[r - 1] == pytest.approx(
                 optimal_phase(d1, d2, WL), abs=1e-9)
 
     def test_quantized_within_cell_radius(self):

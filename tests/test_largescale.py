@@ -7,7 +7,6 @@ from irs_gbsm.largescale import (
     db_to_linear,
     path_loss_bu_db,
     sample_shadow_fading,
-    shadow_fading_pdf,
 )
 
 
@@ -40,12 +39,6 @@ class TestShadowFading:
         n = 200_000
         mean_db = np.mean(20.0 * np.log10(sample_shadow_fading(params, rng, size=n)))
         assert abs(mean_db - params.sf_mu_db) < 3 * params.sf_sigma_db / np.sqrt(n)
-
-    def test_pdf_integrates_to_one(self):
-        params = LargeScaleParams(sf_sigma_db=3.0, sf_mu_db=0.0)
-        x = np.geomspace(1e-3, 1e3, 200_001)
-        integral = np.trapezoid(shadow_fading_pdf(x, params), x)
-        assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):

@@ -12,22 +12,17 @@ from irs_gbsm.clusters import (
 from irs_gbsm.geometry import SPEED_OF_LIGHT, TerminalLayout, element_offset
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import (
-    RayTap,
+    CIR_HEADER,
     _side_norms,
-    compose_cir,
-    los_delay,
-    los_distance,
-    los_tap,
-    nlos_cir,
+    cir_columns,
     pair_field,
     ray_delays,
     ray_field,
     ray_path_lengths,
     ray_path_rates,
-    subchannel_cir,
-    transfer_function,
     transfer_values,
 )
+from tests.cir_oracle import transfer_function, weighted_taps
 from tests.conftest import make_config
 
 FC = 62e9
@@ -85,6 +80,25 @@ class TestRayDelays:
         assert np.ptp(tau) == 0.0
 
 
+def cir_table(real, times):
+    """:func:`cir_columns` by column name, plus each row's (t, tx, rx) group index."""
+    cols = dict(zip(CIR_HEADER, cir_columns(real, times)))
+    cols["group"] = np.cumsum(cols["is_los"]) - 1  # each group opens with its LoS row
+    return cols
+
+
+def two_ray_realization(**kwargs):
+    return toy_realization(scatter_a=[[60, 0, 0], [61, 5, 0]],
+                           scatter_z=[[70, 0, 0], [72, -3, 0]], **kwargs)
+
+
+def los_lengths(real, times, tx=1, rx=1):
+    """LoS path lengths c tau of the exported LoS rows of one pair, meters."""
+    cols = cir_table(real, times)
+    pick = cols["is_los"] & (cols["tx"] == tx) & (cols["rx"] == rx)
+    return cols["delay_s"][pick] * SPEED_OF_LIGHT
+
+
 class TestLosDelay:
     def test_reference_pair_distance(self):
         cfg = make_config(irs={"m_x": 3, "m_y": 3},
@@ -92,8 +106,7 @@ class TestLosDelay:
         real = realize_subchannel(cfg, "BI", rng_stream(1, "t"))
         center = 5  # (2,2) of a 3x3 panel has zero offset
         d_bi = np.linalg.norm(cfg.scene().d_bi)
-        assert los_delay(real, 1, center, 0.0) == pytest.approx(
-            d_bi / SPEED_OF_LIGHT, rel=1e-12)
+        assert los_lengths(real, [0.0], 1, center)[0] == pytest.approx(d_bi, rel=1e-12)
 
     def test_closing_speed_derivative(self):
         # BS moving straight at the receiver: d tau / dt = -v/c
@@ -101,125 +114,121 @@ class TestLosDelay:
         real = toy_realization(scatter_a=[100, 0, 0], scatter_z=[100, 0, 0],
                                v_tx=[v, 0.0, 0.0])
         h = 1e-5
-        d_plus = los_delay(real, 1, 1, h)
-        d_minus = los_delay(real, 1, 1, -h)
-        assert (d_plus - d_minus) / (2 * h) == pytest.approx(-v / SPEED_OF_LIGHT,
-                                                             rel=1e-9)
+        d_plus, d_minus = los_lengths(real, [h, -h])
+        assert (d_plus - d_minus) / (2 * h) == pytest.approx(-v, rel=1e-9)
 
     def test_collinear_bu_distances_add(self):
         cfg = make_config(bs={"speed_mps": 0.0}, user={"speed_mps": 0.0})
         scene = cfg.scene()
         bu = realize_subchannel(cfg, "BU", rng_stream(2, "t"))
         expect = (np.linalg.norm(scene.d_bi) + np.linalg.norm(scene.d_iu))
-        assert los_distance(bu, 1, 1, 0.0)[0] == pytest.approx(expect, rel=1e-12)
+        assert los_lengths(bu, [0.0])[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestNlosCir:
+    """The NLoS rows of the CIR export."""
+
     def test_single_unit_ray(self):
         real = toy_realization(scatter_a=[50, 0, 0], scatter_z=[70, 0, 0])
-        taps = nlos_cir(real, 0.0)
-        assert len(taps) == 1
-        assert taps[0].amplitude == pytest.approx(1.0, abs=1e-12)
-        assert not taps[0].is_los
+        cols = cir_table(real, [0.0])
+        assert cols["is_los"].tolist() == [True, False]
+        assert cols["amplitude"][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_tap_count_is_visible_rays(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 2})
         real = realize_subchannel(cfg, "BI", rng_stream(3, "t"))
+        cols = cir_table(real, [0.0])
         for r in range(1, 5):
-            taps = nlos_cir(real, 0.0, 1, r)
-            expect = int(real.visible_rays(1, r).sum())
-            assert len(taps) == expect
+            rows = ~cols["is_los"] & (cols["tx"] == 1) & (cols["rx"] == r)
+            assert rows.sum() == real.visible_rays(1, r).sum()
 
     def test_phase_difference_follows_delay_difference(self):
-        real = toy_realization(scatter_a=[[60, 0, 0], [61, 5, 0]],
-                               scatter_z=[[70, 0, 0], [72, -3, 0]])
-        taps = nlos_cir(real, 0.0)
-        dtau = taps[1].delay - taps[0].delay
+        real = two_ray_realization()
+        cols = cir_table(real, [0.0])
+        delay, phase = cols["delay_s"][1:], cols["phase_rad"][1:]
+        dtau = delay[1] - delay[0]
         expect = np.mod(2 * np.pi * FC * dtau, 2 * np.pi)
-        got = np.mod(taps[1].phase - taps[0].phase, 2 * np.pi)
+        got = np.mod(phase[1] - phase[0], 2 * np.pi)
         assert np.mod(got - expect + np.pi, 2 * np.pi) - np.pi == pytest.approx(
             0.0, abs=1e-9)
 
     def test_empty_visible_set(self):
         grid = np.zeros((1, 1, 1), dtype=bool)
         real = toy_realization(scatter_a=[50, 0, 0], scatter_z=[70, 0, 0], visible=grid)
-        assert nlos_cir(real, 0.0) == []
+        assert cir_table(real, [0.0])["is_los"].tolist() == [True]
 
 
 class TestCompose:
-    def unit_cir(self, k):
-        los = RayTap(1e-6, 1.0, 0.3, -1, -1, True)
-        nlos = [RayTap(1.1e-6, np.sqrt(0.6), 0.1, 0, 0),
-                RayTap(1.2e-6, np.sqrt(0.4), 2.0, 0, 1)]
-        return compose_cir(los, nlos, k, (1, 1), 0.0, FC)
+    """Rician weighting of the CIR export's amplitudes."""
+
+    @staticmethod
+    def two_ray_rows(k):
+        cols = cir_table(two_ray_realization(k_factor=k), [0.0, 0.5])
+        return cols["amplitude"] ** 2, cols["is_los"]
+
+    @staticmethod
+    def group_energy(cols):
+        """Sum of amplitude^2 per (t, tx, rx) group, and whether it has a ray row."""
+        energy = np.bincount(cols["group"], weights=cols["amplitude"] ** 2)
+        rays = np.bincount(cols["group"], weights=~cols["is_los"])
+        return energy, rays > 0
 
     def test_k_zero_drops_los(self):
-        cir = self.unit_cir(0.0)
-        assert cir.los_weight == 0.0
-        assert cir.nlos_weight == 1.0
+        power, is_los = self.two_ray_rows(0.0)
+        assert np.all(power[is_los] == 0.0)
+        assert power[~is_los].sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_k_large_suppresses_nlos(self):
-        cir = self.unit_cir(1e12)
-        weighted = cir.weighted_taps()
-        nlos_power = sum(t.amplitude**2 for t in weighted if not t.is_los)
-        total = sum(t.amplitude**2 for t in weighted)
-        assert nlos_power / total < 1e-6
+        power, is_los = self.two_ray_rows(1e12)
+        assert power[~is_los].sum() / power.sum() < 1e-6
 
     def test_k_one_equal_weights(self):
-        cir = self.unit_cir(1.0)
-        assert cir.los_weight == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert cir.nlos_weight == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            self.unit_cir(-0.1)
+        power, is_los = self.two_ray_rows(1.0)
+        assert np.allclose(power[is_los], 0.5, atol=1e-12)
+        assert power[~is_los].sum() == pytest.approx(1.0, abs=1e-12)  # 0.5 at each t
 
     def test_energy_normalized(self):
         for k in (0.0, 0.5, 1.0, 5.0):
-            cir = self.unit_cir(k)
-            total = sum(t.amplitude**2 for t in cir.weighted_taps())
-            assert total == pytest.approx(1.0, abs=1e-9)
+            energy, _ = self.group_energy(cir_table(two_ray_realization(k_factor=k), [0.0, 0.5]))
+            assert np.allclose(energy, 1.0, atol=1e-9)
 
-    def test_energy_normalized_on_generated_channel(self, small_cfg):
-        real = realize_subchannel(small_cfg, "IU", rng_stream(4, "t"))
-        cir = subchannel_cir(real, 0.3)
-        total = sum(t.amplitude**2 for t in cir.weighted_taps())
-        assert total == pytest.approx(1.0, abs=1e-9)
+    def test_energy_normalized_on_generated_channel(self):
+        cfg = make_config(irs={"m_x": 2, "m_y": 3}, user={"num_elements": 2},
+                          rician_k_db=5.0)
+        real = realize_subchannel(cfg, "IU", rng_stream(4, "t"))
+        energy, has_ray = self.group_energy(cir_table(real, [0.0, 0.3]))
+        assert has_ray.any()
+        assert np.allclose(energy[has_ray], 1.0, atol=1e-9)
 
 
 class TestTransferFunction:
     def test_single_unit_tap(self):
-        los = los_tap(toy_realization(scatter_a=[1, 0, 0], scatter_z=[1, 0, 0],
-                                      rx_ref=[200, 0, 0]), 0.0)
-        cir = compose_cir(los, [], 1e18, (1, 1), 0.0, FC)
-        got = transfer_function(cir, f=0.0)
-        assert got == pytest.approx(np.exp(1j * 2 * np.pi * FC * los.delay), abs=1e-6)
+        real = toy_realization(scatter_a=[1, 0, 0], scatter_z=[1, 0, 0],
+                               rx_ref=[200, 0, 0], k_factor=1e18)
+        got = transfer_values(real, 0.0)[0]
+        assert got == pytest.approx(np.exp(1j * 2 * np.pi * FC * 200.0 / SPEED_OF_LIGHT),
+                                    abs=1e-6)
 
     def test_linear_in_amplitudes(self):
-        los = RayTap(1e-6, 0.0, 0.0, -1, -1, True)
-        taps = [RayTap(1.2e-6, 0.5, 0.0, 0, 0), RayTap(1.5e-6, 0.25, 0.0, 0, 1)]
-        scaled = [RayTap(t.delay, 2 * t.amplitude, t.phase, 0, t.ray_id) for t in taps]
-        h1 = transfer_function(compose_cir(los, taps, 0.0, (1, 1), 0.0, FC), 1e6)
-        h2 = transfer_function(compose_cir(los, scaled, 0.0, (1, 1), 0.0, FC), 1e6)
-        assert h2 == pytest.approx(2 * h1, rel=1e-12)
+        real = two_ray_realization()
+        bundle = ray_field(real, np.array([0.0, 0.5]), f=1e6)
+        doubled = dataclasses.replace(bundle, g=2 * bundle.g)
+        assert np.allclose(doubled.transfer(), 2 * bundle.transfer(), rtol=1e-12)
 
     def test_three_tap_fourier_oracle(self):
-        delays = np.array([1.00e-6, 1.37e-6, 2.05e-6])
-        amps = np.array([0.5, 0.3, 0.2]) ** 0.5
+        # LoS plus two rays: H(f) is the Fourier sum of the exported taps
+        real = two_ray_realization(k_factor=1.0, tau_v=30e-9)
         f = 3.7e6
-        los = RayTap(delays[0], amps[0], 0.0, -1, -1, True)
-        nlos = [RayTap(d, a, 0.0, 0, i) for i, (d, a) in
-                enumerate(zip(delays[1:], amps[1:]))]
-        cir = compose_cir(los, nlos, 1.0, (1, 1), 0.0, FC)
-        oracle = (np.sqrt(0.5) * amps[0] * np.exp(1j * 2 * np.pi * (FC - f) * delays[0])
-                  + np.sqrt(0.5) * (amps[1] * np.exp(1j * 2 * np.pi * (FC - f) * delays[1])
-                                    + amps[2] * np.exp(1j * 2 * np.pi * (FC - f) * delays[2])))
-        assert transfer_function(cir, f) == pytest.approx(oracle, rel=1e-12)
+        cols = cir_table(real, [0.0])
+        assert cols["delay_s"].size == 3
+        oracle = np.sum(cols["amplitude"]
+                        * np.exp(1j * 2 * np.pi * (FC - f) * cols["delay_s"]))
+        assert transfer_values(real, 0.0, f)[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_matches_vectorized_path(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(5, "t"))
         for t in (0.0, 1.2):
-            slow = transfer_function(subchannel_cir(real, t), f=0.0)
+            slow = transfer_function(weighted_taps(real, t), real.fc_hz, f=0.0)
             fast = transfer_values(real, t)[0]
             assert slow == pytest.approx(fast, rel=1e-9)
 

@@ -7,8 +7,9 @@ from irs_gbsm.assembly import phase_model_for
 from irs_gbsm.clusters import ClusterSet, generate_cluster_pairs, realize_subchannel
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT
-from irs_gbsm.smallscale import los_distance, pair_field, ray_field, ray_path_lengths
+from irs_gbsm.smallscale import pair_field, ray_field, ray_path_lengths
 from irs_gbsm import stats
+from tests.cir_oracle import los_distance
 from tests.conftest import make_config
 
 TRIALS = 300
