@@ -91,10 +91,6 @@ class PhasePlan:
             return self.raw_phases
         return quantize_phase(self.raw_phases, self.bits)
 
-    @property
-    def resolution(self) -> str:
-        return resolution_label(self.bits)
-
     def rows(self):
         """CSV rows (r, x, y, phase_rad, quantized_phase_rad)."""
         m_y = self.m_y if self.m_y is not None else len(self.raw_phases)

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
-from irs_gbsm.smallscale import ray_delays, ray_powers_at
-
-TWO_PI = 2.0 * np.pi
+from irs_gbsm.smallscale import TWO_PI, ray_delays, ray_powers_at
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,8 @@ class TestRotation:
 
     def test_orthonormal_and_proper(self):
         r = rotations(np.random.default_rng(3).uniform(-np.pi, np.pi, (25, 3)))
-        assert np.allclose(r.transpose(0, 2, 1) @ r, np.eye(3), atol=1e-12)
-        assert np.allclose(np.linalg.det(r), 1.0, atol=1e-12)
+        assert np.allclose(r.transpose(0, 2, 1) @ r, np.eye(3), rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.det(r), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_three_factor_product(self):
         rng = np.random.default_rng(4)

@@ -91,7 +91,6 @@ class TestPhasePlan:
 
     def test_continuous_passthrough(self):
         plan = PhasePlan(np.array([0.1, 1.0]))
-        assert plan.resolution == "continuous"
         assert np.array_equal(plan.phases, plan.raw_phases)
 
     def test_rows_layout(self):
