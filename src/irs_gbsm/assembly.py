@@ -23,7 +23,6 @@ import numpy as np
 
 from .clusters import ClusterRealization
 from .config import ScenarioConfig
-from .geometry import element_offsets
 from .irs import IrsPhaseModel, SteeringVector, cascaded_path_loss, resolution_label
 from .largescale import db_to_linear, path_loss_bu_db, sample_shadow_fading
 from .smallscale import transfer_values
@@ -77,7 +76,7 @@ def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator,
     """
     scene = cfg.scene()
     irs_layout = cfg.irs.layout()
-    l_r = element_offsets(irs_layout)
+    l_r = irs_layout.offsets
     r_t = np.linalg.norm(scene.d_bi + l_r - cfg.bs.velocity() * t, axis=1)
     r_r = np.linalg.norm(scene.d_iu - l_r + cfg.user.velocity() * t, axis=1)
     pl_biu = cascaded_path_loss(irs_layout, r_t, r_r, cfg.wavelength)

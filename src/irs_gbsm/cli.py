@@ -26,7 +26,6 @@ from . import stats
 from .assembly import cascade, large_scale_factors, phase_model_for
 from .clusters import evolve_visibility, realize_subchannel
 from .config import ConfigError, ScenarioConfig, parse_config, serialize_config
-from .geometry import element_offsets
 from .irs import cascaded_path_loss, optimal_phase, quantize_phase, received_power
 from .largescale import db_to_linear, path_loss_bu_db
 from .output import curve_rows, stat_filename, write_csv, write_manifest
@@ -114,7 +113,7 @@ def _run_link_budget(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Pa
     del threads
     scene = cfg.scene()
     layout = cfg.irs.layout()
-    l_r = element_offsets(layout)
+    l_r = layout.offsets
     r_t = np.linalg.norm(scene.d_bi + l_r, axis=1)
     r_r = np.linalg.norm(scene.d_iu - l_r, axis=1)
     wl = cfg.wavelength

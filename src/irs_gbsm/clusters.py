@@ -48,7 +48,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     RotationAngles,
     TerminalLayout,
-    element_offsets,
     rotation_matrices,
 )
 
@@ -322,6 +321,17 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
     row state then evolves independently along Y.  Only the visible entries
     of each Y step are kept, so memory follows the visible count, not the
     m_x x m_y x n_clusters grid.
+
+    A Y step draws its (m_x, width) uniforms with ``rng.random(out=...)`` into
+    one float64 buffer and compares them with ``np.less(..., out=...)`` into
+    one bool buffer; every step reuses both.  The Y pass adds Poisson births
+    with mean m_x * mean * (1 - p) per step, so the buffers are first sized
+    for the expected final width plus four standard deviations of the
+    births: one allocation nearly always serves the whole pass, and a
+    process that runs many chains leaves no trail of growing buffers on the
+    heap.  Wider states grow them by half again.  The draws are those of
+    ``rng.random((m_x, width))`` in the same order, so the stream and the
+    result do not depend on the buffers.
     """
     mean_n = params.mean_count
     if layout.kind == "IRS":
@@ -358,14 +368,24 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
         # elements per row the call overhead is the cost, and a 1-D nonzero
         # is several times faster than a 2-D one.
         found, widths = [state.reshape(-1).nonzero()[0]], [state.shape[1]]
+        births_mean = (m_y - 1) * m_x * mean_n * (1.0 - p_y)
+        size = m_x * (state.shape[1] + int(births_mean + 4.0 * math.sqrt(births_mean)) + 1)
+        draws, keep = np.empty(size), np.empty(size, dtype=bool)
         for _ in range(1, m_y):
-            state &= rng.random(state.shape) < p_y
+            if state.size > draws.size:
+                draws = np.empty(max(state.size, draws.size + draws.size // 2))
+                keep = np.empty(draws.size, dtype=bool)
+            u = rng.random(out=draws[: state.size].reshape(state.shape))
+            state &= np.less(u, p_y, out=keep[: state.size].reshape(state.shape))
             births = rng.poisson(mean_n * (1.0 - p_y), size=m_x)
             if np.count_nonzero(births):
                 state = np.concatenate(
                     [state, np.eye(m_x, dtype=bool).repeat(births, axis=1)], axis=1)
             found.append(state.reshape(-1).nonzero()[0])
             widths.append(state.shape[1])
+        # freed before the entry arrays below are built, which then reuse the
+        # heap instead of growing it past the buffers
+        del draws, keep, u
         counts = [f.size for f in found]
         xs, cs = np.divmod(np.concatenate(found), np.repeat(widths, counts))
         flat = xs * m_y
@@ -461,12 +481,6 @@ class ClusterRealization:
     def visible_rays(self, tx_element: int, rx_element: int) -> np.ndarray:
         element = tx_element if self.evolved_side == "tx" else rx_element
         return self.ray_visibility(element)
-
-    def tx_offsets(self) -> np.ndarray:
-        return element_offsets(self.tx_layout)
-
-    def rx_offsets(self) -> np.ndarray:
-        return element_offsets(self.rx_layout)
 
 
 def realize_subchannels(cfg: ScenarioConfig, subchannel: str,

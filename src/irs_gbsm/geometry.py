@@ -151,11 +151,6 @@ def element_offset(layout: TerminalLayout, index: int) -> np.ndarray:
     return layout.offsets[index - 1]
 
 
-def element_offsets(layout: TerminalLayout) -> np.ndarray:
-    """Offsets of every element, shape (num_elements, 3), flat-index order."""
-    return layout.offsets
-
-
 @dataclass(frozen=True)
 class SceneGeometry:
     """Pointing vectors among the three terminals at the initial time.

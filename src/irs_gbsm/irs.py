@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TerminalLayout, element_offsets, unflatten_index
+from .geometry import TerminalLayout, unflatten_index
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,7 +164,7 @@ def steering_vector(layout: TerminalLayout, direction: tuple[float, float],
     """
     az, el = direction
     e = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
-    r_m = element_offsets(layout)
+    r_m = layout.offsets
     if reference is not None:
         r_m = r_m - np.asarray(reference, dtype=float)
     coeff = np.exp(1j * (TWO_PI / wavelength) * (r_m @ e) + 1j * TWO_PI * doppler * t)
@@ -192,7 +192,7 @@ class IrsPhaseModel:
     def profile(self, t) -> np.ndarray:
         """Continuous phases of all elements; shape (M_xy,) or (M_xy, nt)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        l_r = element_offsets(self.irs_layout)  # (M_xy, 3)
+        l_r = self.irs_layout.offsets  # (M_xy, 3)
         d1r = self.d_bi + l_r[:, None, :] - self.v_bs * t_arr[None, :, None]
         dr1 = self.d_iu - l_r[:, None, :] + self.v_user * t_arr[None, :, None]
         leg_in = np.linalg.norm(d1r, axis=-1)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterRealization
-from .geometry import SPEED_OF_LIGHT, element_offset, element_offsets
+from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,9 +177,9 @@ def _offsets(link, tx_element: int, rx_element: int, sweep: str | None):
     l_tx = element_offset(link.tx_layout, tx_element)[None]
     l_rx = element_offset(link.rx_layout, rx_element)[None]
     if sweep == "tx":
-        l_tx = element_offsets(link.tx_layout)
+        l_tx = link.tx_layout.offsets
     elif sweep == "rx":
-        l_rx = element_offsets(link.rx_layout)
+        l_rx = link.rx_layout.offsets
     elif sweep is not None:
         raise ValueError(f"sweep must be None, 'tx' or 'rx', got {sweep!r}")
     return l_tx, l_rx
@@ -297,7 +297,7 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
     n_rays = real.num_rays
     k = real.k_factor
     w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
-    l_tx, l_rx = real.tx_offsets(), real.rx_offsets()
+    l_tx, l_rx = real.tx_layout.offsets, real.rx_layout.offsets
     n_tx, n_rx = l_tx.shape[0], l_rx.shape[0]
     matrix, ids = real.visibility.matrix, rays["cluster_ids"]
     # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays

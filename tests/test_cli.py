@@ -13,7 +13,6 @@ from irs_gbsm import cli, stats
 from irs_gbsm.cli import main
 from irs_gbsm.clusters import realize_subchannel
 from irs_gbsm.config import parse_config
-from irs_gbsm.geometry import element_offsets
 from irs_gbsm.irs import cascaded_path_loss, optimal_phase, received_power
 from irs_gbsm.output import file_sha256
 from irs_gbsm.rng import rng_stream
@@ -107,15 +106,16 @@ class TestSubcommands:
         cfg = parse_config(SMALL)
         scene = cfg.scene()
         layout = cfg.irs.layout()
-        l_r = element_offsets(layout)
+        l_r = layout.offsets
         r_t = np.linalg.norm(scene.d_bi + l_r, axis=1)
         r_r = np.linalg.norm(scene.d_iu - l_r, axis=1)
         phases = optimal_phase(r_t, r_r, cfg.wavelength)
         expect_pr = received_power(1.0, layout, r_t, r_r, phases, cfg.wavelength)
         expect_pl = cascaded_path_loss(layout, r_t, r_r, cfg.wavelength)
         assert float(rows["received_power_w_continuous"]) == pytest.approx(
-            expect_pr, rel=1e-12)
-        assert float(rows["cascaded_path_gain"]) == pytest.approx(expect_pl, rel=1e-12)
+            expect_pr, rel=1e-12, abs=0)
+        assert float(rows["cascaded_path_gain"]) == pytest.approx(expect_pl, rel=1e-12,
+                                                                  abs=0)
         assert float(rows["received_power_w_2bit"]) <= expect_pr * (1 + 1e-9)
 
     def test_simulate(self, config_path, tmp_path):
@@ -357,7 +357,9 @@ class TestMemory:
                 f"subprocess.run({argv!r}, check=True)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
         peak_kb = int(fresh_interpreter(code).stdout)
-        assert (tmp_path / "cluster_visibility.csv").exists()
+        # pinned bytes of the 128 x 128 visibility file
+        assert file_sha256(tmp_path / "cluster_visibility.csv") == (
+            "6640d94a11256f89cccf0296c88fdcbf35084f00a5f6855ade4ff269d4d8ab33")
         assert peak_kb / 1024 < 150
 
 

@@ -249,6 +249,42 @@ class TestChainOracle:
         if layout.counts == (16, 9):
             assert grid.shape[2] > grid[:, 0, :].any(axis=0).sum()  # Y-pass births
 
+    @pytest.mark.parametrize("boost, grows", [(1.0, False), (8.0, True)],
+                             ids=["expected_births", "births_x8"])
+    def test_y_pass_draw_buffer(self, boost, grows):
+        # every Y step draws into one buffer sized for the expected births;
+        # births far above their mean (every Poisson mean scaled by 8) outgrow
+        # it, and the grown buffer must keep the stream
+        layout = TerminalLayout.planar(16, 9, 2.585e-3, 2.585e-3, 0.0, np.pi / 3,
+                                       np.pi / 2, np.pi / 6)
+        params = cluster_params(birth_rate=80.0, correlation_factor_m=0.05)
+        outs = []
+
+        class Boosted:
+            def __init__(self, rng, record):
+                self.rng, self.record = rng, record
+
+            def poisson(self, lam, size=None):
+                return self.rng.poisson(lam * boost, size)
+
+            def random(self, *args, out=None):
+                if self.record and out is not None:
+                    outs.append(out)
+                return self.rng.random(*args, out=out)
+
+        rng_new, rng_ref = rng_stream(6, "n0"), rng_stream(6, "n0")
+        tensor = evolve_visibility(layout, params, Boosted(rng_new, True))
+        grid, _ = reference_chain(layout, params, Boosted(rng_ref, False))
+        assert np.array_equal(tensor.flat, np.flatnonzero(grid))
+        assert rng_new.random() == rng_ref.random()
+        assert len(outs) == 8 and all(o.shape[0] == 16 for o in outs)  # one per Y step
+        assert all(o.size <= o.base.size and o.dtype == np.float64 for o in outs)
+        buffers = list({id(o.base): o.base for o in outs}.values())
+        if grows:
+            assert 1 < len(buffers) < len(outs)  # grown, and reused between growths
+            assert all(a.size < b.size for a, b in zip(buffers, buffers[1:]))
+        else:
+            assert len(buffers) == 1
 
 def corrcoef_lag1(grid):
     """Lag-1 correlation as np.corrcoef of the two shifted dense grids (oracle)."""

@@ -8,7 +8,6 @@ from irs_gbsm.geometry import (
     SceneGeometry,
     TerminalLayout,
     element_offset,
-    element_offsets,
     rotation_matrices,
     unflatten_index,
 )
@@ -101,8 +100,8 @@ class TestElementOffsets:
                        TerminalLayout.planar(3, 4, 0.02, 0.05, 0.1, -0.2, 1.4, 0.3),
                        TerminalLayout.planar(8, 5, 0.0024, 0.0024, 0.0, np.pi / 3,
                                              np.pi / 2, np.pi / 6)):
-            stacked = element_offsets(layout)
-            assert stacked is layout.offsets is element_offsets(layout)  # built once
+            stacked = layout.offsets
+            assert stacked is layout.offsets  # built once
             assert not stacked.flags.writeable
             for idx in range(1, layout.num_elements + 1):
                 assert np.array_equal(stacked[idx - 1], per_element(layout, idx))

@@ -112,7 +112,7 @@ class TestReceivedPower:
         phi = optimal_phase(d, d, WL)
         expect = 0.002 * 0.002 * WL**2 / (64 * np.pi**3 * d**4)
         assert received_power(1.0, layout, [d], [d], [phi], WL) == pytest.approx(
-            expect, rel=1e-12)
+            expect, rel=1e-12, abs=0)
 
     def test_any_plan_below_optimal(self):
         rng = np.random.default_rng(3)
@@ -135,8 +135,8 @@ class TestReceivedPower:
         terms = np.exp(-1j * (2 * np.pi * (r + r) - WL * phi) / WL) / (d * d)
         direct = 1.0 * 0.002 * 0.002 * WL**2 / (64 * np.pi**3) * np.abs(terms.sum()) ** 2
         quad = received_power(1.0, layout, r, r, phi, WL)
-        assert quad == pytest.approx(16 * single, rel=1e-12)
-        assert quad == pytest.approx(direct, rel=1e-12)
+        assert quad == pytest.approx(16 * single, rel=1e-12, abs=0)
+        assert quad == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_quantized_plan_positive_and_below_optimal(self):
         rng = np.random.default_rng(6)
@@ -156,7 +156,7 @@ class TestReceivedPower:
         phi = rng.uniform(0, 2 * np.pi, 4)
         base = received_power(1.0, layout, r_t, r_r, phi, WL)
         shifted = received_power(1.0, layout, r_t, r_r, phi + 1.234, WL)
-        assert shifted == pytest.approx(base, rel=1e-9)
+        assert shifted == pytest.approx(base, rel=1e-9, abs=0)
 
     def test_domain_errors(self):
         layout = self.layout(1)
@@ -174,7 +174,7 @@ class TestCascadedPathLoss:
     def test_unit_distances(self):
         expect = 0.002 * 0.002 * WL**2 / (64 * np.pi**3)
         assert cascaded_path_loss(self.layout(1), [1.0], [1.0], WL) == pytest.approx(
-            expect, rel=1e-12)
+            expect, rel=1e-12, abs=0)
 
     def test_matches_received_power_at_optimum(self):
         rng = np.random.default_rng(5)
@@ -183,14 +183,14 @@ class TestCascadedPathLoss:
         r_r = rng.uniform(5, 40, 4)
         pl = cascaded_path_loss(layout, r_t, r_r, WL)
         pr = received_power(1.0, layout, r_t, r_r, optimal_phase(r_t, r_r, WL), WL)
-        assert pl == pytest.approx(pr, rel=1e-12)
+        assert pl == pytest.approx(pr, rel=1e-12, abs=0)
 
     def test_distance_scaling(self):
         layout = self.layout(2)
         r = np.array([10.0, 12.0, 14.0, 16.0])
         near = cascaded_path_loss(layout, r, r, WL)
         far = cascaded_path_loss(layout, 2 * r, 2 * r, WL)
-        assert far == pytest.approx(near / 16.0, rel=1e-12)
+        assert far == pytest.approx(near / 16.0, rel=1e-12, abs=0)
 
 
 class TestSteeringVector:

@@ -63,3 +63,52 @@ def test_rejects_ragged_or_miscounted_columns(tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
     with pytest.raises(ValueError, match="header"):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(2)])
+
+
+def oracle_columns(n):
+    """Integer and boolean columns of ``n`` rows, one of each formatter path."""
+    rng = np.random.default_rng(n)
+    return {
+        "cluster": rng.integers(-1, 40, n),  # LoS rows hold -1
+        "u16": rng.integers(3, 900, n).astype(np.uint16),
+        "u64": (2**64 - 1 - rng.integers(0, 50, n, dtype=np.uint64)).astype(np.uint64),
+        "i8": rng.integers(-100, 121, n).astype(np.int8),  # value - min overflows int8
+        "flag": rng.random(n) < 0.3,
+        "on": np.ones(n, dtype=bool),
+        "constant": np.full(n, 7),
+        "wide": rng.integers(-(2**40), 2**40, n),  # span wider than the column
+        "f64": rng.random(n),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 2 * output._ROW_BLOCK + 5])
+def test_every_cell_is_fmt_of_its_value(tmp_path, monkeypatch, n):
+    columns = oracle_columns(n)
+    built = []
+    formatter = output._formatter
+    monkeypatch.setattr(output, "_formatter", lambda c: built.append(c) or formatter(c))
+    write_csv(tmp_path / "x.csv", list(columns), list(columns.values()))
+    assert len(built) == len(columns)  # one formatter per column, however many blocks
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    assert lines[0] == ",".join(columns) and len(lines) == 1 + n
+    cells = list(zip(*(line.split(",") for line in lines[1:]))) or [()] * len(columns)
+    for (name, column), got in zip(columns.items(), cells):
+        assert list(got) == [output.fmt(v) for v in column], name
+
+
+@pytest.mark.parametrize("span", [6000, 1_000_000])
+def test_no_whole_column_temporary(tmp_path, span):
+    # a 1M-row int64 column is 8 MB: its value - min, its tolist() or its
+    # strings built whole would each exceed the bound; a table over the whole
+    # of a 1M-wide span would too
+    import tracemalloc
+
+    column = np.random.default_rng(span).permutation(1_000_000) % span
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["id"], [column])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert (tmp_path / "big.csv").stat().st_size > 1e6

@@ -312,9 +312,9 @@ def reference_ray_field(real, times, f=0.0, tx_element=1, rx_element=1, sweep=No
     l_tx = element_offset(real.tx_layout, tx_element)[None, :]
     l_rx = element_offset(real.rx_layout, rx_element)[None, :]
     if sweep == "tx":
-        l_tx = real.tx_offsets()
+        l_tx = real.tx_layout.offsets
     elif sweep == "rx":
-        l_rx = real.rx_offsets()
+        l_rx = real.rx_layout.offsets
     n_elem = max(l_tx.shape[0], l_rx.shape[0])
     n_rays, n_t = real.num_rays, times.size
     if n_rays == 0:
