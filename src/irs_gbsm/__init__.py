@@ -54,9 +54,7 @@ from .rng import rng_stream
 from .smallscale import transfer_values
 from .stats import (
     CorrelationCurve,
-    acf_analytical_subchannel,
     acf_full_irs,
-    acf_single_irs_element,
     acf_subchannel,
     ccf_spatial,
     doppler_frequency,

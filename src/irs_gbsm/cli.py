@@ -46,16 +46,11 @@ def _curve_columns(curves):
 
 def _run_acf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     outputs = []
-    m_xy = cfg.irs.m_x * cfg.irs.m_y
+    # at one element |ACF| does not depend on the quantizer (criterion 04), so a
+    # 1x1 surface writes one file, at the configured resolution
+    single = cfg.irs.phase_bits is None or cfg.irs.m_x * cfg.irs.m_y == 1
+    variants = ("config",) if single else (None, "config")
     for t in cfg.acf["anchors_s"]:
-        if m_xy == 1:
-            curves = stats.acf_single_irs_element(cfg, t, threads=threads)
-            path = outdir / stat_filename("acf", t, cfg.fc_ghz)
-            outputs.append(write_csv(
-                path, ["dt_s", *_CURVE_HEADER],
-                _curve_columns([curves["sim"], curves["analytical"]])))
-            continue
-        variants = ("config",) if cfg.irs.phase_bits is None else (None, "config")
         results = stats.acf_full_irs(cfg, t, bits_variants=variants, threads=threads)
         multi = len(results) > 1
         for label, pair in results.items():

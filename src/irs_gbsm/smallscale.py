@@ -26,9 +26,10 @@ component at a time over (rays, elements, times) and adds the squares as
 LoS vector and per-(element, ray) differences enter the kernel as d0 with
 the origin as offset.  The summation order is part of the output: a
 last-ulp change in d becomes about 1e-11 rad once multiplied by kappa
-(about 1300 rad/m at 62 GHz), so the written CSV bytes move with it.  One
-order for every caller also makes the g, u and powers of :func:`pair_field`
-equal those of :func:`ray_field` on the same element pair bit for bit.
+(about 1300 rad/m at 62 GHz), so the written CSV bytes move with it.
+
+One field kernel, :func:`ray_field`, serves every statistic: a single
+element pair is its case with ``sweep=None`` and a singleton element axis.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def los_phasor(link, times, fc_hz: float, f: float = 0.0, tx_element: int = 1,
     ``link`` is a realization or the ``LinkEnds`` of its sub-channel: the LoS
     depends only on the link ends, the element offsets, the times and the
     frequency, never on a trial's draws, so an ensemble computes it once and
-    passes it to :func:`ray_field` or :func:`pair_field` as ``u``.
+    passes it to :func:`ray_field` as ``u``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     l_tx, l_rx = _offsets(link, tx_element, rx_element, sweep)
@@ -235,31 +236,6 @@ def transfer_values(real: ClusterRealization, times, f: float = 0.0,
     bundle = ray_field(real, times, f, tx_element, rx_element, sweep)
     h = bundle.transfer()
     return h[0] if sweep is None else h
-
-
-def pair_field(real: ClusterRealization, times, f: float = 0.0,
-               tx_element: int = 1, rx_element: int = 1,
-               u: np.ndarray | None = None) -> dict:
-    """Single-pair :func:`ray_field` without the element axis or the bundle.
-
-    Returns g (n_rays, T), u (T,), powers (n_rays, T), h (T,) where g and u
-    are the NLoS/LoS phasors used by the correlation statistics and h the
-    Rician-weighted transfer value; g, u and powers equal ``ray_field``'s at
-    element axis 0.  ``u`` is row 0 of the pair's :func:`los_phasor`,
-    computed here when not given.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    g, powers, vlink = _fields(
-        real, times, f, element_offset(real.tx_layout, tx_element)[None],
-        element_offset(real.rx_layout, rx_element)[None],
-        real.visible_rays(tx_element, rx_element)[:, None])
-    if u is None:
-        u = los_phasor(real, times, real.fc_hz, f, tx_element, rx_element)[0]
-    g, powers = g[:, 0], powers[:, 0]
-    k = real.k_factor
-    w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
-    h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
-    return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
 
 
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",

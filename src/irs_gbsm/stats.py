@@ -9,24 +9,34 @@ Expectations are Monte-Carlo averages over independent cluster/scatterer
 realizations; trial k of a run draws from the stream (seed, "trial", k, ...)
 so results are reproducible and extending the trial count never changes
 earlier trials.  "Analytical" curves evaluate the closed diagonal-ray
-expressions, conditioned on the same realizations and then averaged, e.g.
-for one sub-channel pair
+expressions, conditioned on the same realizations and then averaged.  They
+have one definition: the stacked phasors of a sub-channel (``_stacked``),
+
+    x[0, e, t] = sqrt(K/(K+1)) exp(j kappa D_e(t))
+    x[n, e, t] = sqrt(1/(K+1)) sqrt(P_n,e(t)) exp(j kappa d_n,e(t)),  n = 1..N
+
+with kappa = 2 pi (f_c - f)/c, and a correlation is sum_n x[n, r, t]
+conj(x[n, s, t + dt]).  For one element pair that is
 
     R(dt) = K/(K+1) * exp(j kappa (D(t) - D(t+dt)))
-          + 1/(K+1) * sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t) - d(t+dt)))
+          + 1/(K+1) * sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t) - d(t+dt))).
 
-with kappa = 2 pi (f_c - f)/c.  The full-IRS ACF combines the two
-sub-channels' spatial CCF tensors over IRS element pairs (r1, r2) with the
-reflection-phase factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so one
-ensemble serves any phase resolution.  Every correlation is normalized by
-sqrt(R0(anchor1) * R0(anchor2)), making the zero-lag value exactly 1.
+Two contractions of x serve every statistic.  ``_correlations`` forms the
+full E x E x T CCF and equal-time tensors that the full-IRS ACF combines
+over IRS element pairs (r1, r2) with the reflection-phase factor
+exp(-j(theta_r1(t) - theta_r2(t + dt))), so one ensemble serves any phase
+resolution; a 1 x 1 surface is its E = 1 case, R_BI R_IU exp(-j(theta(t) -
+theta(t + dt))).  ``_trial_sub`` forms only row 0, element 1 at t against
+every element and time, for the sub-channel ACF and the spatial CCF, so a
+CCF across a large array stays O(N E T).  The simulated curves use the same
+two contractions of the transfer values h.  Every correlation is normalized
+by sqrt(R0(anchor1) * R0(anchor2)), making the zero-lag value exactly 1.
 
-Per trial, the full-IRS CCF and equal-time tensors are sums over rays of
-outer products across element pairs; ``_correlations`` contracts them with
-BLAS (GEMM), O(N E^2 T) work for N rays, E elements and T lags, and the run
-holds 8 complex E x E x T accumulators (4 without the analytical tensors).
-``acf_full_irs`` refuses, before any trial, a surface whose tensors would not
-fit in physical RAM.
+Per trial, ``_correlations`` contracts with BLAS (GEMM), O(N E^2 T) work for
+N rays, E elements and T lags, and the full-IRS run holds 8 complex
+E x E x T accumulators (4 without the analytical tensors).  ``acf_full_irs``
+refuses, before any trial, a surface whose tensors would not fit in
+physical RAM.
 
 Trials are reduced in fixed blocks of 256, summed in block order, so that
 results are bit-identical whatever the worker-pool size.  Within a block,
@@ -60,7 +70,6 @@ from .irs import resolution_label
 from .rng import rng_stream
 from .smallscale import (
     los_phasor,
-    pair_field,
     ray_delays,
     ray_field,
     ray_path_rates,
@@ -114,34 +123,19 @@ def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ccf, gram
 
 
-def _sub_arrays(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None, u=None):
-    """Per-realization transfer values plus analytical CCF / zero-lag tensors.
+def _stacked(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None, u=None):
+    """Transfer values h (E, T) and stacked phasors x (1 + N, E, T) of one sub-channel.
 
-    Returns (h, ana, gram): h is (E, T); ana[r1, r2, dt] the analytical
-    cross-correlation anchored at t; gram[r1, r2, s] the equal-time tensor
-    used for normalization.  The LoS phasor ``u`` (see :func:`ray_field`)
-    enters the contraction as one extra ray weighted sqrt(K/(K+1)), the NLoS
-    rays are weighted sqrt(1/(K+1)).
+    x is the one definition behind every analytical correlation: its row 0
+    is the LoS phasor ``u`` (see :func:`ray_field`) weighted sqrt(K/(K+1)),
+    the other rows the NLoS rays g weighted sqrt(1/(K+1)).  A correlation is
+    a contraction of x with its conjugate over the first axis.
     """
     bundle = ray_field(real, _times(t, lags), f, tx_el, rx_el, sweep, u)
     k = real.k_factor
     x = np.concatenate([np.sqrt(k / (k + 1.0)) * bundle.u[None],
                         np.sqrt(1.0 / (k + 1.0)) * bundle.g])
-    return (bundle.transfer(), *_correlations(x))
-
-
-def _pair_analytical(field: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form single-pair correlation and its zero-lag anchors.
-
-    From a :func:`pair_field` result over times t + dt:
-    w_l2 u(t) u*(t+dt) + w_n2 sum_rays g(t) g*(t+dt) and, at each dt,
-    w_l2 + w_n2 sum_rays P(t+dt), where w_l2 = K/(K+1) and w_n2 = 1/(K+1).
-    """
-    g, u = field["g"], field["u"]
-    vals = (field["w_l2"] * u[0] * np.conj(u)
-            + field["w_n2"] * (g[:, 0][:, None] * np.conj(g)).sum(axis=0))
-    anchors = field["w_l2"] + field["w_n2"] * field["powers"].sum(axis=0)
-    return vals, anchors
+    return bundle.transfer(), x
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +156,26 @@ def _los(cfg: ScenarioConfig, kind: str, times, f: float, tx_el: int, rx_el: int
 
 def _setup_sub(cfg: ScenarioConfig, params: dict) -> dict:
     times = _times(params["t"], params["lags"])
-    kinds = params["kinds"]
-    return {**params, "times": times, "realize": tuple(dict.fromkeys(k for k, _, _ in kinds)),
-            "los": [_los(cfg, kind, times, params["f"], tx, rx)[0] for kind, tx, rx in kinds]}
+    return {**params, "realize": (params["kind"],),
+            "los": _los(cfg, params["kind"], times, params["f"], params["tx"], params["rx"],
+                        params["sweep"])}
 
 
 def _trial_sub(reals: dict, args: dict) -> dict:
-    """Sub-channel ACF contributions for each configured (kind, tx, rx)."""
-    out = {}
-    for (kind, tx_el, rx_el), u in zip(args["kinds"], args["los"]):
-        field = pair_field(reals[kind], args["times"], args["f"], tx_el, rx_el, u)
-        h = field["h"]
-        key = kind.lower()
-        out[f"{key}_prod"] = h[0] * np.conj(h)
-        out[f"{key}_pow"] = np.abs(h) ** 2
-        out[f"{key}_ana"], out[f"{key}_ana0"] = _pair_analytical(field)
-    return out
+    """Row-0 correlations of one sub-channel, each (E, T).
+
+    Element 1 at the anchor against every (swept) element and time: the
+    direct products ``prod`` and powers ``pow``, and the analytical ``ana``
+    and ``ana0`` from the stacked phasors.  Only row 0 of the E x E tensors
+    is formed, so the work and memory stay O(N E T).
+    """
+    h, x = _stacked(reals[args["kind"]], args["t"], args["lags"], args["f"],
+                    args["tx"], args["rx"], args["sweep"], args["los"])
+    n, e, t = x.shape
+    return {"prod": h[0, 0] * np.conj(h),
+            "pow": np.abs(h) ** 2,
+            "ana": (x[:, 0, 0] @ np.conj(x).reshape(n, e * t)).reshape(e, t),
+            "ana0": np.sum(np.abs(x) ** 2, axis=0)}
 
 
 def _setup_cascade(cfg: ScenarioConfig, params: dict) -> dict:
@@ -195,10 +193,10 @@ def _trial_cascade(reals: dict, args: dict) -> dict:
     bi, iu = reals["BI"], reals["IU"]
     out = {}
     if args.get("analytical", True):
-        h_bi, ana_bi, gram_bi = _sub_arrays(bi, t, lags, f, q, 1, "rx", args["los_bi"])
-        h_iu, ana_iu, gram_iu = _sub_arrays(iu, t, lags, f, 1, p, "tx", args["los_iu"])
-        out.update({"ana_ccf_bi": ana_bi, "ana_gram_bi": gram_bi,
-                    "ana_ccf_iu": ana_iu, "ana_gram_iu": gram_iu})
+        h_bi, x_bi = _stacked(bi, t, lags, f, q, 1, "rx", args["los_bi"])
+        h_iu, x_iu = _stacked(iu, t, lags, f, 1, p, "tx", args["los_iu"])
+        out["ana_ccf_bi"], out["ana_gram_bi"] = _correlations(x_bi)
+        out["ana_ccf_iu"], out["ana_gram_iu"] = _correlations(x_iu)
     else:
         times = args["times"]
         h_bi = ray_field(bi, times, f, q, 1, "rx", args["los_bi"]).transfer()
@@ -211,32 +209,6 @@ def _trial_cascade(reals: dict, args: dict) -> dict:
         out[f"trial_prod_{label}"] = h_part[0] * np.conj(h_part)
         out[f"trial_pow_{label}"] = np.abs(h_part) ** 2
     return out
-
-
-def _setup_ccf(cfg: ScenarioConfig, params: dict) -> dict:
-    kind, t = params["subchannel"], params["t"]
-    times = np.array([t, t + params["dt"]])
-    return {**params, "times": times, "realize": (kind,),
-            "los": _los(cfg, kind, times, params["f"], 1, 1, params["axis"])}
-
-
-def _trial_ccf(reals: dict, args: dict) -> dict:
-    """Spatial CCF contributions across one array axis of one sub-channel."""
-    real = reals[args["subchannel"]]
-    bundle = ray_field(real, args["times"], args["f"], 1, 1, args["axis"], args["los"])
-    w_l = real.k_factor / (real.k_factor + 1.0)
-    w_n = 1.0 / (real.k_factor + 1.0)
-    h = bundle.transfer()  # (E, 2)
-    ana = (w_l * bundle.u[0, 0] * np.conj(bundle.u[:, 1])
-           + w_n * np.einsum("n,ne->e", bundle.g[:, 0, 0], np.conj(bundle.g[:, :, 1])))
-    return {
-        "prod": h[0, 0] * np.conj(h[:, 1]),
-        "pow_ref": np.array([np.abs(h[0, 0]) ** 2]),
-        "pow": np.abs(h[:, 1]) ** 2,
-        "ana": ana,
-        "ana0_ref": np.array([w_l + w_n * bundle.powers[:, 0, 0].sum()]),
-        "ana0": w_l + w_n * bundle.powers[:, :, 1].sum(axis=0),
-    }
 
 
 def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float,
@@ -323,7 +295,6 @@ def _trial_ds(reals: dict, args: dict) -> dict:
 _STATS = {
     "sub": (_setup_sub, _trial_sub),
     "cascade": (_setup_cascade, _trial_cascade),
-    "ccf": (_setup_ccf, _trial_ccf),
     "doppler": (lambda cfg, params: {**params, "realize": ("BI", "IU")}, _trial_doppler),
     "ds": (lambda cfg, params: {**params, "realize": ("BI",)}, _trial_ds),
 }
@@ -410,22 +381,6 @@ def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public statistics
 
-def acf_analytical_subchannel(real: ClusterRealization, t: float, lags,
-                              f: float = 0.0, tx_element: int = 1,
-                              rx_element: int = 1) -> CorrelationCurve:
-    """Closed-form time ACF of one element pair, conditioned on a realization.
-
-    R(dt) = K/(K+1) exp(j kappa (D(t)-D(t+dt)))
-          + 1/(K+1) sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t)-d(t+dt))).
-    """
-    lags = np.asarray(lags, dtype=float)
-    vals, anchors = _pair_analytical(
-        pair_field(real, _times(t, lags), f, tx_element, rx_element))
-    return CorrelationCurve(t, f, (tx_element, rx_element), lags,
-                            _normalize(vals, anchors), "analytical", None,
-                            real.subchannel)
-
-
 def acf_subchannel(cfg: ScenarioConfig, subchannel: str, t: float,
                    lags: np.ndarray | None = None, f: float | None = None,
                    tx_element: int = 1, rx_element: int = 1,
@@ -434,51 +389,17 @@ def acf_subchannel(cfg: ScenarioConfig, subchannel: str, t: float,
     """Simulated and analytical time ACF of one sub-channel element pair."""
     lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
     f = cfg.eval_offset_hz if f is None else f
-    params = {"t": t, "lags": lags, "f": f,
-              "kinds": [(subchannel, tx_element, rx_element)]}
+    params = {"t": t, "lags": lags, "f": f, "kind": subchannel,
+              "tx": tx_element, "rx": rx_element, "sweep": None}
     acc, n = run_ensemble(cfg, "sub", params, trials, seed, threads)
-    key = subchannel.lower()
     elements = (tx_element, rx_element)
     sim = CorrelationCurve(t, f, elements, lags,
-                           _normalize(acc[f"{key}_prod"] / n, acc[f"{key}_pow"] / n),
+                           _normalize(acc["prod"][0] / n, acc["pow"][0] / n),
                            "sim", n, subchannel)
     ana = CorrelationCurve(t, f, elements, lags,
-                           _normalize(acc[f"{key}_ana"] / n, acc[f"{key}_ana0"] / n),
+                           _normalize(acc["ana"][0] / n, acc["ana0"][0] / n),
                            "analytical", n, subchannel)
     return {"sim": sim, "analytical": ana}
-
-
-def acf_single_irs_element(cfg: ScenarioConfig, t: float,
-                           lags: np.ndarray | None = None, f: float | None = None,
-                           q: int = 1, r: int = 1, p: int = 1,
-                           bits: int | None = "config",
-                           trials: int | None = None, seed: int | None = None,
-                           threads: int = 1) -> dict[str, CorrelationCurve]:
-    """Cascaded-channel ACF through a single IRS element r.
-
-    Product form: R = R_BI * R_IU * exp(-j(theta_r(t) - theta_r(t + dt))),
-    so the magnitude is exactly |R_BI| * |R_IU| for any phase plan.
-    """
-    lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
-    f = cfg.eval_offset_hz if f is None else f
-    params = {"t": t, "lags": lags, "f": f,
-              "kinds": [("BI", q, r), ("IU", r, p)]}
-    acc, n = run_ensemble(cfg, "sub", params, trials, seed, threads)
-    model = phase_model_for(cfg, bits=bits)
-    theta = model.applied_profile(_times(t, lags))[r - 1]
-    factor = np.exp(-1j * (theta[0] - theta))
-    out = {}
-    for kind_label in ("sim", "ana"):
-        suffix = "prod" if kind_label == "sim" else "ana"
-        norm_suffix = "pow" if kind_label == "sim" else "ana0"
-        r_bi = _normalize(acc[f"bi_{suffix}"] / n, acc[f"bi_{norm_suffix}"] / n)
-        r_iu = _normalize(acc[f"iu_{suffix}"] / n, acc[f"iu_{norm_suffix}"] / n)
-        label = "sim" if kind_label == "sim" else "analytical"
-        out[label] = CorrelationCurve(t, f, (q, r, p), lags, r_bi * r_iu * factor,
-                                      label, n, "cascade")
-        out[f"{label}_bi"] = CorrelationCurve(t, f, (q, r), lags, r_bi, label, n, "BI")
-        out[f"{label}_iu"] = CorrelationCurve(t, f, (r, p), lags, r_iu, label, n, "IU")
-    return out
 
 
 def _combine_full(ccf_bi, gram_bi, ccf_iu, gram_iu, theta) -> np.ndarray:
@@ -543,8 +464,10 @@ def acf_full_irs(cfg: ScenarioConfig, t: float,
     trials = cfg.trials if trials is None else trials
     _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
                             trials, threads)
-    params = {"t": t, "lags": lags, "f": f, "q": q, "p": p, "theta": thetas,
-              "analytical": analytical}
+    # the phasors serve only the per-trial products, which no curve reads, so
+    # they go to the trials only when keep_trials asks for those rows
+    params = {"t": t, "lags": lags, "f": f, "q": q, "p": p,
+              "theta": thetas if keep_trials else {}, "analytical": analytical}
     acc, n = run_ensemble(cfg, "cascade", params, trials, seed, threads)
 
     out: dict = {}
@@ -592,27 +515,30 @@ def ccf_spatial(cfg: ScenarioConfig, t: float | None = None,
                 axis: str | None = None, f: float | None = None,
                 trials: int | None = None, seed: int | None = None,
                 threads: int = 1) -> dict[str, CorrelationCurve]:
-    """Spatial CCF across one array axis, element 1 against every element."""
+    """Spatial CCF across one array axis, element 1 at t against every element at t + dt.
+
+    The grid is each element's distance |l_e - l_1| from element 1.
+    """
     ccf_cfg = cfg.ccf
     subchannel = ccf_cfg["subchannel"] if subchannel is None else subchannel
     axis = ccf_cfg["axis"] if axis is None else axis
     t = ccf_cfg["t_s"] if t is None else t
     dt = ccf_cfg["dt_s"] if dt is None else dt
     f = cfg.eval_offset_hz if f is None else f
-    params = {"subchannel": subchannel, "axis": axis, "t": t, "dt": dt, "f": f}
-    acc, n = run_ensemble(cfg, "ccf", params, trials, seed, threads)
-    side = {"BI": ("bs", "irs"), "IU": ("irs", "user"),
-            "BU": ("bs", "user")}[subchannel][axis == "rx"]
-    layout = {"bs": cfg.bs.layout("BS"), "user": cfg.user.layout("USER"),
-              "irs": cfg.irs.layout()}[side]
-    seps = layout.spacings[0] * np.arange(layout.num_elements)
+    params = {"t": t, "lags": np.array([0.0, dt]), "f": f, "kind": subchannel,
+              "tx": 1, "rx": 1, "sweep": axis}
+    acc, n = run_ensemble(cfg, "sub", params, trials, seed, threads)
+    link = cfg.links[subchannel]
+    offsets = (link.rx_layout if axis == "rx" else link.tx_layout).offsets
+    seps = np.linalg.norm(offsets - offsets[0], axis=1)
 
-    def norm(vals, ref, anchors):
-        denom = np.sqrt((ref[0] / n) * (anchors / n))
-        return np.divide(vals / n, denom, out=np.zeros_like(vals), where=denom > 0)
+    def norm(vals, power):
+        denom = np.sqrt((power[0, 0] / n) * (power[:, 1] / n))
+        return np.divide(vals[:, 1] / n, denom, out=np.zeros(vals.shape[0], dtype=vals.dtype),
+                         where=denom > 0)
 
-    sim_vals = norm(acc["prod"], acc["pow_ref"], acc["pow"])
-    ana_vals = norm(acc["ana"], acc["ana0_ref"], acc["ana0"])
+    sim_vals = norm(acc["prod"], acc["pow"])
+    ana_vals = norm(acc["ana"], acc["ana0"])
     return {
         "sim": CorrelationCurve(t, f, (subchannel, axis), seps, sim_vals, "sim", n),
         "analytical": CorrelationCurve(t, f, (subchannel, axis), seps, ana_vals,

@@ -85,12 +85,18 @@ def mono_config(m_xy: int, k_db: float):
 
 @pytest.fixture(scope="module")
 def baseline():
+    # the 1x1 cascade ACF, continuous and 2-bit, and on the same trial streams
+    # the two sub-channel ACFs of the product form R_BI R_IU
     cfg = parse_config(BASELINE)
     start = time.monotonic()
-    at_t0 = stats.acf_single_irs_element(cfg, 0.0)
+    at_t0 = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2))
     elapsed = time.monotonic() - start
-    at_t2 = stats.acf_single_irs_element(cfg, 2.0)
-    return {"cfg": cfg, "t0": at_t0, "t2": at_t2, "t0_seconds": elapsed}
+    at_t2 = stats.acf_full_irs(cfg, 2.0, bits_variants=(None, 2))
+    subchannels = {anchor: {kind: stats.acf_subchannel(cfg, kind, t) for kind in ("BI", "IU")}
+                   for anchor, t in (("t0", 0.0), ("t2", 2.0))}
+    return {"cfg": cfg, "t0": at_t0["continuous"], "t2": at_t2["continuous"],
+            "2bit": {"t0": at_t0["2bit"], "t2": at_t2["2bit"]},
+            "sub": subchannels, "t0_seconds": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -167,15 +173,9 @@ def test_criterion_03_zero_lag_normalization(baseline, quant, ccf):
 
 
 def test_criterion_04_single_element_quantization_invariance(baseline):
-    cfg = baseline["cfg"]
-    out = baseline["t0"]
-    times = 0.0 + out["sim"].lags
-    base = out["sim_bi"].values * out["sim_iu"].values
-    gaps = []
-    for bits in (None, 2):
-        theta = phase_model_for(cfg, bits=bits).applied_profile(times)[0]
-        gaps.append(np.abs(base * np.exp(-1j * (theta[0] - theta))))
-    gap = float(np.max(np.abs(gaps[0] - gaps[1])))
+    gap = max(float(np.max(np.abs(baseline[anchor][kind].magnitude
+                                  - baseline["2bit"][anchor][kind].magnitude)))
+              for anchor in ("t0", "t2") for kind in ("sim", "analytical"))
     report(4, gap <= 1e-12,
            f"continuous vs 2-bit |ACF| gap={gap:.2e} (<=1e-12) at M_xy=1")
 
@@ -191,10 +191,10 @@ def test_criterion_05_multi_element_quantization_effect(quant):
 def test_criterion_06_product_decomposition(baseline):
     worst = 0.0
     for anchor in ("t0", "t2"):
+        sub = baseline["sub"][anchor]
         for kind in ("sim", "analytical"):
             lhs = baseline[anchor][kind].magnitude
-            rhs = (baseline[anchor][f"{kind}_bi"].magnitude
-                   * baseline[anchor][f"{kind}_iu"].magnitude)
+            rhs = sub["BI"][kind].magnitude * sub["IU"][kind].magnitude
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(6, worst <= 1e-12,
            f"|R_cascade| vs |R_BI||R_IU| worst gap={worst:.2e} (<=1e-12)")

@@ -192,9 +192,11 @@ class TestExportColumns:
             "cluster_visibility.csv":
                 "90635cb5bfec3694afbcab864ad15df0b766ffe53171fd9f2f835f7a226ebad9",
         },
+        # the analytical CCF is row 0 of the stacked-phasor contraction, which
+        # moved its values by at most 8.8e-18; the direct sum wrote 503dbb0c...b8dda6ff
         "ccf": {
             "ccf_0s_62GHz.csv":
-                "503dbb0c497b7ca417869fa0bdf4444527265bef5f2415269cca48e4b8dda6ff",
+                "c85ab9d6650046be0d22ff8c8c66d39206f10e27b7d54fdfd8acbabd025a322e",
         },
         "doppler": {
             "doppler_0s_62GHz.csv":
@@ -216,15 +218,16 @@ class TestExportColumns:
         assert manifest(tmp_path / sub)["outputs"] == self.PINNED[sub]
 
     def test_single_element_acf_bytes_are_pinned(self, tmp_path):
-        # a 1x1 surface takes the single-pair path (pair_field), which SMALL's 2x2 does
-        # not.  Pinned with the path lengths summed in np.linalg.norm's order; the
-        # earlier (x0^2 + x2^2) + x1^2 order wrote 6c88b523...decd945
+        # a 1x1 surface runs the full-IRS ensemble at E = 1 and writes one file.
+        # Pinned at that path, which moved the values by at most 6.8e-16; the
+        # product of two single-pair ACFs wrote 1843f8d8...0c74618 and, before the
+        # path lengths were summed in np.linalg.norm's order, 6c88b523...decd945
         path = tmp_path / "element.json"
         path.write_text(json.dumps(dict(SMALL, irs=dict(SMALL["irs"], m_x=1, m_y=1))))
         assert run("acf", path, tmp_path / "acf") == 0
         assert manifest(tmp_path / "acf")["outputs"] == {
             "acf_0s_62GHz.csv":
-                "1843f8d8573a5bc0038ee0711ee2b66f6ab8d2fcc58d31b2df503ce9a0c74618"}
+                "dbc881fabda128334411df92184ae0a392c01dd99b81687f08dc7ec0b9b49882"}
 
     def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
         cfg = parse_config(SMALL)

@@ -15,7 +15,6 @@ from irs_gbsm.smallscale import (
     CIR_HEADER,
     _side_norms,
     cir_columns,
-    pair_field,
     ray_delays,
     ray_field,
     ray_path_lengths,
@@ -268,8 +267,8 @@ class TestNonStationarityHooks:
         assert np.allclose(dphi, -2 * np.pi * nu * dt, rtol=1e-6)
 
 
-def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
-    """pair_field with the norms taken by np.linalg.norm over (n, T, 3) differences."""
+def reference_single_pair(real, times, f=0.0, tx_element=1, rx_element=1):
+    """One element pair's g, u, powers and h, with np.linalg.norm over (n, T, 3) differences."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
     kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
@@ -282,8 +281,7 @@ def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
     u = np.exp(1j * kappa * np.linalg.norm(diff_los, axis=-1))
     if real.num_rays == 0:
         empty = np.zeros((0, times.size))
-        return {"g": empty.astype(complex), "u": u, "powers": empty,
-                "h": np.sqrt(w_l2) * u, "w_l2": w_l2, "w_n2": w_n2}
+        return {"g": empty.astype(complex), "u": u, "powers": empty, "h": np.sqrt(w_l2) * u}
     visible = real.visible_rays(tx_element, rx_element)
     diff_tx = (rays["d0_tx"] - l_tx)[:, None, :] - rays["v_rel_tx"][:, None, :] \
         * times[None, :, None]
@@ -297,7 +295,7 @@ def reference_pair_field(real, times, f=0.0, tx_element=1, rx_element=1):
     g = np.sqrt(powers) * np.exp(1j * kappa * d)
     vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
     h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
-    return {"g": g, "u": u, "powers": powers, "h": h, "w_l2": w_l2, "w_n2": w_n2}
+    return {"g": g, "u": u, "powers": powers, "h": h}
 
 
 def reference_ray_field(real, times, f=0.0, tx_element=1, rx_element=1, sweep=None):
@@ -434,34 +432,23 @@ class TestPairFieldOracle:
         ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), True),
     ], ids=["k0", "k5db", "f_offset", "elements_bi", "elements_iu", "zero_rays"])
     def test_equals_einsum_form(self, kind, over, f, elements, empty):
-        # the id predates the change of order; the oracle now sums as np.linalg.norm
+        # ray_field at one element pair (sweep None) against the per-pair oracle;
+        # the ids predate the change of order and the removal of the lean
+        # single-pair kernel that this class once tested
         cfg = make_config(**over)
         times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
         tx, rx = elements
         for real in _realizations(cfg, kind, 12, empty):
-            got = pair_field(real, times, f, tx, rx)
-            want = reference_pair_field(real, times, f, tx, rx)
-            assert got.keys() == want.keys()
-            for key in ("g", "u", "powers", "h"):
-                assert got[key].shape == want[key].shape, key
-                assert np.array_equal(got[key], want[key]), key
-            assert (got["w_l2"], got["w_n2"]) == (want["w_l2"], want["w_n2"])
+            bundle = ray_field(real, times, f, tx, rx)
+            got = {"g": bundle.g[:, 0], "u": bundle.u[0], "powers": bundle.powers[:, 0]}
+            want = reference_single_pair(real, times, f, tx, rx)
+            for key, value in got.items():
+                assert value.shape == want[key].shape, key
+                assert np.array_equal(value, want[key]), key
+            np.testing.assert_allclose(bundle.transfer()[0], want["h"], rtol=1e-12)
 
 
 class TestFieldKernels:
-    def test_pair_field_matches_ray_field(self):
-        # 200 realizations of the criterion-01 cluster density and lag grid
-        cfg = make_config(clusters={"birth_rate": 40.0}, acf={"num_lags": 41})
-        times = cfg.lag_grid()
-        for kind in ("BI", "IU"):
-            for real in _realizations(cfg, kind, 100):
-                lean = pair_field(real, times, f=1e5)
-                bundle = ray_field(real, times, f=1e5)
-                assert np.array_equal(lean["g"], bundle.g[:, 0, :])
-                assert np.array_equal(lean["u"], bundle.u[0])
-                assert np.array_equal(lean["powers"], bundle.powers[:, 0, :])
-                assert np.allclose(lean["h"], bundle.transfer()[0], rtol=1e-12)
-
     def test_sweep_columns_match_single_pairs(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 3})
         real = realize_subchannel(cfg, "BI", rng_stream(10, "t"))

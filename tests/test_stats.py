@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from irs_gbsm.assembly import phase_model_for
 from irs_gbsm.clusters import ClusterSet, generate_cluster_pairs, realize_subchannel
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.geometry import SPEED_OF_LIGHT
-from irs_gbsm.smallscale import pair_field, ray_field, ray_path_lengths
+from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
+from irs_gbsm.smallscale import ray_field, ray_path_lengths
 from irs_gbsm import stats
 from tests.cir_oracle import los_distance
 from tests.conftest import make_config
@@ -46,41 +47,59 @@ class TestAcfSubchannel:
                                  trials=4)
 
     def test_per_realization_analytical_matches_ensemble_kernel(self, small_cfg):
-        # the standalone closed form must agree with the fused trial kernel
+        # the closed form of one element pair, written out from the field
+        # factors, against the row-0 contraction of the trial kernel
         real = realize_subchannel(small_cfg, "BI",
                                   rng_stream(small_cfg.seed, "trial", 0, "BI"))
         lags = small_cfg.lag_grid()
-        curve = stats.acf_analytical_subchannel(real, 0.0, lags)
-        args = stats._setup_sub(small_cfg, {"t": 0.0, "lags": lags, "f": 0.0,
-                                            "kinds": [("BI", 1, 1)]})
+        bundle = ray_field(real, lags)
+        g, u, powers = bundle.g[:, 0], bundle.u[0], bundle.powers[:, 0]
+        w_l2, w_n2 = real.k_factor / (real.k_factor + 1.0), 1.0 / (real.k_factor + 1.0)
+        vals = w_l2 * u[0] * np.conj(u) + w_n2 * (g[:, 0][:, None] * np.conj(g)).sum(axis=0)
+        anchors = w_l2 + w_n2 * powers.sum(axis=0)
+        closed = vals / np.sqrt(anchors[0] * anchors)
+        args = stats._setup_sub(small_cfg, {"t": 0.0, "lags": lags, "f": 0.0, "kind": "BI",
+                                            "tx": 1, "rx": 1, "sweep": None})
         kernel = stats._trial_sub({"BI": real}, args)
-        expect = kernel["bi_ana"] / np.sqrt(kernel["bi_ana0"][0] * kernel["bi_ana0"])
-        assert np.allclose(curve.values, expect, atol=1e-12)
-        assert curve.values[0] == pytest.approx(1.0, abs=1e-9)
+        expect = kernel["ana"][0] / np.sqrt(kernel["ana0"][0, 0] * kernel["ana0"][0])
+        assert np.allclose(closed, expect, atol=1e-12)
+        assert expect[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def product_form(cfg, t, bits, trials):
+    """1x1 cascade ACF as R_BI R_IU exp(-j(theta(t) - theta(t + dt))) (the oracle).
+
+    Built from two sub-channel ensembles on the trial streams of the cascade.
+    Returns ({"sim": values, "analytical": values}, BI curves, IU curves).
+    """
+    bi = stats.acf_subchannel(cfg, "BI", t, trials=trials)
+    iu = stats.acf_subchannel(cfg, "IU", t, trials=trials)
+    theta = phase_model_for(cfg, bits=bits).applied_profile(t + bi["sim"].lags)[0]
+    factor = np.exp(-1j * (theta[0] - theta))
+    values = {kind: bi[kind].values * iu[kind].values * factor
+              for kind in ("sim", "analytical")}
+    return values, bi, iu
 
 
 class TestAcfSingleElement:
     def test_product_decomposition_exact(self, small_cfg):
-        out = stats.acf_single_irs_element(small_cfg, 0.0, trials=TRIALS)
+        full = stats.acf_full_irs(small_cfg, 0.0, trials=TRIALS)["continuous"]
+        oracle, bi, iu = product_form(small_cfg, 0.0, "config", TRIALS)
         for kind in ("sim", "analytical"):
-            lhs = out[kind].magnitude
-            rhs = out[f"{kind}_bi"].magnitude * out[f"{kind}_iu"].magnitude
-            assert np.allclose(lhs, rhs, atol=1e-12)
+            np.testing.assert_allclose(full[kind].values, oracle[kind], rtol=0, atol=1e-12)
+            rhs = bi[kind].magnitude * iu[kind].magnitude
+            assert np.allclose(full[kind].magnitude, rhs, atol=1e-12)
 
     def test_quantization_invariance(self, small_cfg):
-        out = stats.acf_single_irs_element(small_cfg, 0.0, trials=100, bits=None)
-        model_c = phase_model_for(small_cfg, bits=None)
-        model_q = phase_model_for(small_cfg, bits=2)
-        times = 0.0 + out["sim"].lags
-        th_c = model_c.applied_profile(times)[0]
-        th_q = model_q.applied_profile(times)[0]
-        base = out["sim_bi"].values * out["sim_iu"].values
-        cont = np.abs(base * np.exp(-1j * (th_c[0] - th_c)))
-        quant = np.abs(base * np.exp(-1j * (th_q[0] - th_q)))
-        assert np.allclose(cont, quant, atol=1e-12)
+        out = stats.acf_full_irs(small_cfg, 0.0, bits_variants=(None, 2), trials=100)
+        for kind in ("sim", "analytical"):
+            assert np.allclose(out["continuous"][kind].magnitude, out["2bit"][kind].magnitude,
+                               atol=1e-12)
+        assert not np.allclose(out["continuous"]["sim"].values, out["2bit"]["sim"].values,
+                               atol=1e-6)
 
     def test_zero_lag_and_bounds(self, small_cfg):
-        out = stats.acf_single_irs_element(small_cfg, 2.0, trials=100)
+        out = stats.acf_full_irs(small_cfg, 2.0, trials=100)["continuous"]
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=3 / np.sqrt(100))
         assert np.all(out["sim"].magnitude <= 1 + 1e-9)
@@ -89,11 +108,9 @@ class TestAcfSingleElement:
 class TestAcfFullIrs:
     def test_reduces_to_single_element(self, small_cfg):
         full = stats.acf_full_irs(small_cfg, 0.0, bits_variants=(None,), trials=60)
-        single = stats.acf_single_irs_element(small_cfg, 0.0, bits=None, trials=60)
-        assert np.allclose(full["continuous"]["sim"].values, single["sim"].values,
-                           atol=1e-12)
-        assert np.allclose(full["continuous"]["analytical"].values,
-                           single["analytical"].values, atol=1e-12)
+        oracle, _, _ = product_form(small_cfg, 0.0, None, 60)
+        for kind in ("sim", "analytical"):
+            assert np.allclose(full["continuous"][kind].values, oracle[kind], atol=1e-12)
 
     def test_zero_lag_normalization(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0)
@@ -110,6 +127,25 @@ class TestAcfFullIrs:
         r = np.abs(prod.mean(0)) / np.sqrt(power.mean(0)[0] * power.mean(0))
         assert r[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(r <= 1 + 1e-9)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_rows_per_trial_only_when_kept(self, monkeypatch, keep):
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, acf={"num_lags": 5})
+        seen = []
+        run = stats.run_ensemble
+
+        def spy(*args, **kwargs):
+            acc, n = run(*args, **kwargs)
+            seen.append(sorted(key for key in acc if key.startswith("trial_")))
+            return acc, n
+
+        monkeypatch.setattr(stats, "run_ensemble", spy)
+        out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2), trials=20,
+                                 keep_trials=keep)
+        want = ["trial_pow_2bit", "trial_pow_continuous", "trial_prod_2bit",
+                "trial_prod_continuous"]
+        assert seen == [want if keep else []]
+        assert ("trial_prod" in out["2bit"]) == keep
 
     def test_footprint_prediction(self, monkeypatch):
         # 2 x 8 tensors of E^2 T complex per process: 5.25 GiB at E=1024, T=21
@@ -160,13 +196,36 @@ class TestCorrelationTensors:
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
-        h, ana, gram = stats._sub_arrays(real, 0.0, lags, 0.0, 1, 1, sweep="rx")
+        h, x = stats._stacked(real, 0.0, lags, 0.0, 1, 1, sweep="rx")
+        ana, gram = stats._correlations(x)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, "rx")
         assert ana.shape == gram.shape == (h.shape[0], h.shape[0], lags.size)
         np.testing.assert_array_equal(h, h_ref)
         np.testing.assert_allclose(ana, ana_ref, rtol=1e-12)
         np.testing.assert_allclose(gram, gram_ref, rtol=1e-12)
         np.testing.assert_allclose(gram, np.conj(gram.transpose(1, 0, 2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("sweep", [None, "rx"])
+    @pytest.mark.parametrize("case", ["ordinary", "zero_rays"])
+    def test_trial_sub_is_row_0_of_the_oracle(self, case, sweep):
+        cfg, real = self._realization(3)
+        if case == "zero_rays":
+            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+                cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
+        lags = cfg.lag_grid()
+        args = stats._setup_sub(cfg, {"t": 0.0, "lags": lags, "f": 0.0, "kind": "BI",
+                                      "tx": 1, "rx": 1, "sweep": sweep})
+        out = stats._trial_sub({"BI": real}, args)
+        h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, sweep)
+        n_elem = 9 if sweep else 1
+        assert {key: v.shape for key, v in out.items()} == dict.fromkeys(
+            ("prod", "pow", "ana", "ana0"), (n_elem, lags.size))
+        np.testing.assert_array_equal(out["prod"], h_ref[0, 0] * np.conj(h_ref))
+        np.testing.assert_array_equal(out["pow"], np.abs(h_ref) ** 2)
+        np.testing.assert_allclose(out["ana"], ana_ref[0], rtol=1e-12)
+        assert out["ana0"].dtype == float
+        np.testing.assert_allclose(out["ana0"], np.einsum("eet->et", gram_ref).real,
+                                   rtol=1e-12)
 
     def test_sim_tensors_are_outer_products(self):
         cfg, real = self._realization(3)
@@ -209,10 +268,11 @@ class TestChunkedEnsemble:
         theta = phase_model_for(cfg, bits=2).applied_profile(times)
         cascade = stats._setup_cascade(cfg, {"t": t, "lags": lags, "f": f, "q": 2, "p": 1,
                                              "theta": {"2bit": theta}})
-        sub = stats._setup_sub(cfg, {"t": t, "lags": lags, "f": f,
-                                     "kinds": [("BI", 2, 3), ("IU", 3, 1)]})
-        ccf = stats._setup_ccf(cfg, {"subchannel": "IU", "axis": "tx", "t": t,
-                                     "dt": 0.01, "f": f})
+        sub = [stats._setup_sub(cfg, {"t": t, "lags": lags, "f": f, "kind": kind,
+                                      "tx": tx, "rx": rx, "sweep": None})
+               for kind, tx, rx in (("BI", 2, 3), ("IU", 3, 1))]
+        ccf = stats._setup_sub(cfg, {"t": t, "lags": np.array([0.0, 0.01]), "f": f,
+                                     "kind": "IU", "tx": 1, "rx": 1, "sweep": "tx"})
         for k in range(3):
             bi, iu = (realize_subchannel(cfg, kind, rng_stream(9, "trial", k, kind))
                       for kind in ("BI", "IU"))
@@ -227,14 +287,17 @@ class TestChunkedEnsemble:
             h_part = np.sum(f_bi.transfer() * f_iu.transfer() * np.exp(-1j * theta), axis=0)
             np.testing.assert_array_equal(out["trial_prod_2bit"], h_part[0] * np.conj(h_part))
             np.testing.assert_array_equal(out["trial_pow_2bit"], np.abs(h_part) ** 2)
-            for (kind, tx, rx), u in zip(sub["kinds"], sub["los"]):
-                real = bi if kind == "BI" else iu
-                np.testing.assert_array_equal(u, pair_field(real, times, f, tx, rx)["u"])
-                np.testing.assert_array_equal(u, _los_oracle(real, times, f, tx, rx, None)[0])
-            u_ccf = ray_field(iu, ccf["times"], f, 1, 1, sweep="tx").u
+            for args in sub:
+                real = bi if args["kind"] == "BI" else iu
+                tx, rx = args["tx"], args["rx"]
+                np.testing.assert_array_equal(args["los"], ray_field(real, times, f, tx, rx).u)
+                np.testing.assert_array_equal(args["los"],
+                                              _los_oracle(real, times, f, tx, rx, None))
+            u_ccf = ray_field(iu, t + ccf["lags"], f, 1, 1, sweep="tx").u
             np.testing.assert_array_equal(ccf["los"], u_ccf)
         assert not cascade["phasors"]["2bit"].flags.writeable
         assert not cascade["los_bi"].flags.writeable
+        assert not ccf["los"].flags.writeable
 
 
 class TestReduce:
@@ -258,10 +321,38 @@ class TestCcfSpatial:
         assert np.all(out["analytical"].magnitude <= 1 + 1e-9)
 
     def test_separation_grid_in_meters(self):
-        cfg = make_config(bs={"num_elements": 4}, ccf={"subchannel": "BU", "axis": "tx"})
+        # on a linear array at default angles the distance from element 1 is
+        # bit-equal to the spacing grid
+        cfg = make_config(bs={"num_elements": 32}, ccf={"subchannel": "BU", "axis": "tx"})
         out = stats.ccf_spatial(cfg, trials=20)
         spacing = cfg.bs.layout("BS").spacings[0]
-        assert np.allclose(out["sim"].lags, spacing * np.arange(4))
+        np.testing.assert_array_equal(out["sim"].lags, spacing * np.arange(32))
+
+    def test_separation_on_a_planar_irs_is_the_distance_from_element_1(self):
+        cfg = make_config(irs={"m_x": 3, "m_y": 3}, ccf={"subchannel": "BI", "axis": "rx"})
+        out = stats.ccf_spatial(cfg, trials=2)
+        layout = cfg.irs.layout()
+        want = [np.linalg.norm(element_offset(layout, e) - element_offset(layout, 1))
+                for e in range(1, 10)]
+        np.testing.assert_allclose(out["sim"].lags, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(out["analytical"].lags, out["sim"].lags)
+        # element 4 is (x, y) = (2, 1): one x spacing from element 1, not three
+        assert out["sim"].lags[3] == pytest.approx(cfg.irs.spacing_x_m, rel=1e-12)
+
+    def test_large_irs_allocates_no_element_pair_tensor(self):
+        # one ray per cluster keeps the N x E x T field arrays small, so the
+        # bound separates them from an E x E x T tensor (33.5 MB at E = 1024, T = 2)
+        cfg = make_config(irs={"m_x": 32, "m_y": 32}, clusters={"rays_per_cluster": 1},
+                          ccf={"subchannel": "BI", "axis": "rx"})
+        pair_tensor = 1024**2 * 2 * 16
+        tracemalloc.start()
+        try:
+            out = stats.ccf_spatial(cfg, trials=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["sim"].values.shape == (1024,)
+        assert peak < pair_tensor / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_sim_tracks_analytical(self):
         cfg = make_config(bs={"num_elements": 6}, ccf={"subchannel": "BU", "axis": "tx"})
