@@ -211,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = parse_config(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

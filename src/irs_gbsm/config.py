@@ -6,6 +6,13 @@ degrees and converted to radians internally; the Rician factor is accepted
 in dB (``null`` disables the LoS component entirely).  Unspecified keys fall
 back to the defaults below, so a minimal config only needs to override what
 an experiment changes.  ``parse_config(serialize_config(cfg)) == cfg``.
+
+``SCHEMA`` is JSON Schema data, read by a small validator here that knows
+the eleven keywords it uses: ``type``, ``properties``,
+``additionalProperties`` (``false`` only), ``minimum``, ``maximum``,
+``exclusiveMinimum``, ``items``, ``minItems``, ``maxItems``, ``enum`` and
+``anyOf``.  An ``integer`` is an ``int``, never a ``float`` such as ``4.0``;
+a ``number`` is an ``int`` or a ``float``; ``bool`` is neither.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, SceneGeometry, TerminalLayout
@@ -178,6 +184,63 @@ SCHEMA: dict[str, Any] = {
         },
     },
 }
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+# keyword -> test that the value breaks it; each applies to one JSON type only
+_LIMITS = {
+    "minimum": ("number", lambda v, a: v < a),
+    "maximum": ("number", lambda v, a: v > a),
+    "exclusiveMinimum": ("number", lambda v, a: v <= a),
+    "minItems": ("array", lambda v, a: len(v) < a),
+    "maxItems": ("array", lambda v, a: len(v) > a),
+}
+
+
+def _schema_errors(value: Any, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each keyword of ``schema`` that ``value`` breaks.
+
+    Errors come in schema order, children after their parent's own keywords,
+    as a JSON Schema validator reports them; an unknown keyword raises.
+    """
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key in _LIMITS:
+            kind, breaks = _LIMITS[key]
+            if _TYPES[kind](value) and breaks(value, arg):
+                yield path, f"{value!r} breaks {key} {arg!r}"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not in enum {arg!r}"
+        elif key == "anyOf":
+            if all(next(_schema_errors(value, s, path), None) for s in arg):
+                yield path, f"{value!r} matches no schema of anyOf"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, (*path, i))
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, (*path, name))
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extra = sorted(set(value) - set(schema.get("properties", ())), key=str)
+                if extra:
+                    yield path, f"unknown keys {extra} break additionalProperties false"
+        else:
+            raise KeyError(f"schema keyword {key!r}: {arg!r} is not supported")
+
 
 DEFAULTS: dict[str, Any] = {
     "seed": 1,
@@ -434,12 +497,10 @@ def parse_config(data: dict[str, Any] | str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     merged = _merge(DEFAULTS, data)
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(merged, SCHEMA), key=lambda e: e[0])
     if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(err.message, pointer)
+        path, message = errors[0]
+        raise ConfigError(message, "/" + "/".join(str(p) for p in path))
 
     merged = _resolved(merged)
     geom = merged["geometry"]

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,7 +367,10 @@ def run_ensemble(cfg: ScenarioConfig, stat: str, params: dict,
         return _reduce(parts, np.concatenate), trials
     payloads = [{"config": serialize_config(cfg), "stat": stat, "args": args,
                  "seed": seed, "lo": lo, "hi": hi} for lo, hi in blocks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # imported here, so a run that does not pool never loads multiprocessing;
+    # the executor forks all max_workers at once, so it gets no more than blocks
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
         return _reduce(pool.map(_block_worker, payloads), np.concatenate), trials
 
 

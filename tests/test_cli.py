@@ -316,6 +316,18 @@ class TestErrors:
         assert main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "/clusters/death_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "trials", "seed", "acf/num_lags", "irs/m_x", "irs/phase_bits",
+        "clusters/rays_per_cluster", "bs/num_elements", "time/num", "doppler/num"])
+    def test_integral_float_is_not_an_integer(self, tmp_path, capsys, key):
+        # 2.0 is an integer to JSON Schema, but not to range() or the seed
+        section, _, name = key.rpartition("/")
+        raw = {section: {name: 2.0}} if section else {name: 2.0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: /{key}: 2.0 " in capsys.readouterr().err
+
     def test_unwritable_output_dir(self, config_path, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -344,6 +356,13 @@ def fresh_interpreter(code, **env):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], env={**clean, **env},
                           capture_output=True, text=True, timeout=60, check=True)
+
+
+def test_cli_import_leaves_out_the_validator_library_and_the_pool():
+    # each costs every run start-up time: the pool is imported where a run pools
+    code = ("import sys, irs_gbsm.cli; print([m for m in ('jsonschema', "
+            "'concurrent.futures.process') if m in sys.modules])")
+    assert fresh_interpreter(code).stdout.strip() == "[]"
 
 
 class TestMemory:

@@ -1,12 +1,17 @@
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irs_gbsm.config import (
+    SCHEMA,
     ConfigError,
     DEFAULTS,
+    _merge,
+    _schema_errors,
     parse_config,
     serialize_config,
 )
@@ -84,6 +89,28 @@ class TestValidationErrors:
             parse_config({"irs": {"m_x": "four"}})
         assert "/irs/m_x" == err.value.pointer
 
+    @pytest.mark.parametrize("raw, pointer, keyword, shown", [
+        ({"seed": "x"}, "/seed", "type", "'x'"),
+        ({"clusters": {"birth_rate": 0}}, "/clusters/birth_rate", "exclusiveMinimum", "0"),
+        ({"clusters": {"center_distance_min_m": -1}}, "/clusters/center_distance_min_m",
+         "minimum", "-1"),
+        ({"clusters": {"center_elevation_max_deg": 91}},
+         "/clusters/center_elevation_max_deg", "maximum", "91"),
+        ({"acf": {"anchors_s": []}}, "/acf/anchors_s", "minItems", "[]"),
+        ({"clusters": {"sigma_xyz_m": [1, 1, 1, 1]}}, "/clusters/sigma_xyz_m",
+         "maxItems", "[1, 1, 1, 1]"),
+        ({"ds_cdf": {"sigma_scales": [1.0, -2.0]}}, "/ds_cdf/sigma_scales/1",
+         "exclusiveMinimum", "-2.0"),
+        ({"acf": {"grid": "cubic"}}, "/acf/grid", "enum", "'cubic'"),
+        ({"rician_k_db": "5"}, "/rician_k_db", "anyOf", "'5'"),
+        ({"bs": {"bogus": 1}}, "/bs", "additionalProperties", "'bogus'"),
+    ])
+    def test_message_names_value_and_keyword(self, raw, pointer, keyword, shown):
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.pointer == pointer
+        assert keyword in err.value.reason and shown in err.value.reason
+
     def test_geometry_needs_two_vectors(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"geometry": {"d_bi_m": [1.0, 0, 0], "d_iu_m": None,
@@ -97,6 +124,124 @@ class TestValidationErrors:
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def schema_leaves(schema, path=()):
+    """(path, schema) of every key SCHEMA names, sections included."""
+    for name, sub in schema.get("properties", {}).items():
+        yield (*path, name), sub
+        yield from schema_leaves(sub, (*path, name))
+
+
+def candidates(schema, rng):
+    """Values that probe each keyword of a key's schema, valid ones included."""
+    vals = ["x", True, False, None, math.nan, math.inf, -math.inf, [], {}, {"bogus": 1},
+            0, 1, -1, 0.5, 2.0, -3.0]
+    for key in ("minimum", "maximum", "exclusiveMinimum"):
+        if key in schema:
+            b = schema[key]
+            vals += [b - 1, b, b + 1, b - 0.5, b + 0.5, float(b)]
+    if schema.get("type") == "array":
+        item = candidates(schema["items"], rng)
+        vals += [[1.0] * 2, [1.0] * 3, [1.0] * 4, [2.0, -1.0, 0.0], [1.0, "a", None],
+                 [True, 1, 2], [math.nan] * 3, [rng.choice(item) for _ in range(3)]]
+    vals += schema.get("enum", []) + ["LOG"] * ("enum" in schema)
+    for sub in schema.get("anyOf", []):
+        vals += candidates(sub, rng)
+    return vals
+
+
+def set_at(raw, path, value):
+    for name in path[:-1]:
+        if not isinstance(raw.get(name), dict):
+            raw[name] = {}
+        raw = raw[name]
+    raw[path[-1]] = value
+
+
+def mutation_corpus(n, seed=20211019):
+    """``n`` seeded configs, each a base with one to three keys changed."""
+    rng = random.Random(seed)
+    leaves = list(schema_leaves(SCHEMA)) + [((), SCHEMA)]
+    bases = [json.loads(p.read_text()) for p in CONFIGS] + [{}]
+    for _ in range(n):
+        raw = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            path, schema = rng.choice(leaves)
+            if path:
+                set_at(raw, path, rng.choice(candidates(schema, rng)))
+            else:
+                raw["bogus"] = rng.choice(candidates({}, rng))
+        yield raw
+
+
+def path_of(pointer):
+    return [int(p) if p.isdigit() else p for p in pointer.strip("/").split("/")]
+
+
+def value_at(merged, pointer):
+    for name in path_of(pointer):
+        merged = merged[name]
+    return merged
+
+
+class TestSchemaOracle:
+    """The validator against jsonschema, which reads SCHEMA as the standard says."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+
+        def first_pointer(merged):
+            errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
+            return "/" + "/".join(map(str, errors[0].absolute_path)) if errors else None
+        return first_pointer
+
+    @staticmethod
+    def pointer(raw):
+        """First pointer parse_config reports for a schema error, or None."""
+        if not list(_schema_errors(_merge(DEFAULTS, raw), SCHEMA)):
+            return None
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        return err.value.pointer
+
+    def test_configs_and_defaults_are_accepted(self, oracle):
+        for raw in [json.loads(p.read_text()) for p in CONFIGS] + [{}]:
+            assert oracle(_merge(DEFAULTS, raw)) is None
+            assert self.pointer(raw) is None
+
+    def test_mutations_give_the_oracle_first_pointer(self, oracle):
+        same = rejected = floats = 0
+        for raw in mutation_corpus(3000):
+            merged = _merge(DEFAULTS, raw)
+            want, got = oracle(merged), self.pointer(raw)
+            rejected += got is not None
+            if got == want:
+                same += 1
+                continue
+            # the one allowed difference: an integral float where SCHEMA asks
+            # for an integer, which the oracle admits and this validator
+            # refuses, ahead of any error the oracle reports
+            value = value_at(merged, got)
+            assert isinstance(value, float) and value.is_integer(), (raw, want, got)
+            assert want is None or path_of(got) < path_of(want), (raw, want, got)
+            floats += 1
+        assert same > 2500 and floats > 20 and 1000 < rejected < 2900, (same, floats, rejected)
+
+    @pytest.mark.parametrize("key", [
+        "trials", "seed", "acf/num_lags", "irs/m_x", "irs/phase_bits",
+        "clusters/rays_per_cluster", "bs/num_elements", "time/num", "doppler/num"])
+    def test_integral_float_is_refused_where_the_oracle_admits_it(self, oracle, key):
+        for value, pointer in ((2.0, "/" + key), (2, None)):
+            raw = {}
+            set_at(raw, tuple(key.split("/")), value)
+            assert oracle(_merge(DEFAULTS, raw)) is None
+            assert self.pointer(raw) == pointer
 
 
 class TestRngStreams:

@@ -299,6 +299,37 @@ class TestChunkedEnsemble:
         assert not cascade["los_bi"].flags.writeable
         assert not ccf["los"].flags.writeable
 
+    @pytest.mark.parametrize("threads, trials, workers", [(32, 300, 2), (2, 600, 2)])
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, threads, trials,
+                                                  workers):
+        # the executor forks every max_workers process up front; this stand-in
+        # records the size and runs the blocks in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = make_config(acf={"num_lags": 5})
+        pooled = stats.acf_subchannel(cfg, "BI", 0.0, trials=trials, threads=threads)
+        assert sizes == [workers]
+        serial = stats.acf_subchannel(cfg, "BI", 0.0, trials=trials, threads=1)
+        assert sizes == [workers]
+        for kind in ("sim", "analytical"):
+            np.testing.assert_array_equal(pooled[kind].values, serial[kind].values)
+
 
 class TestReduce:
     def test_sums_in_order_without_writing_inputs(self):
