@@ -66,21 +66,17 @@ def phase_model_for(cfg: ScenarioConfig, bits: int | None = "config") -> IrsPhas
         bits=cfg.irs.phase_bits if bits == "config" else bits)
 
 
-def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator,
-                        t: float = 0.0) -> dict:
-    """Sampled shadow fading and deterministic path loss for both links.
+def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    """Sampled shadow fading and deterministic path loss for both links at t = 0.
 
     The cascaded path loss evaluates the optimal-phase expression with the
-    exact per-element distances at time t; the direct path loss uses the
-    QuaDRiGa-style formula on the BS-USER distance.
+    exact per-element distances (``IrsPhaseModel.legs``); the direct path
+    loss uses the QuaDRiGa-style formula on the BS-USER distance.
     """
-    scene = cfg.scene()
     irs_layout = cfg.irs.layout()
-    l_r = irs_layout.offsets
-    r_t = np.linalg.norm(scene.d_bi + l_r - cfg.bs.velocity() * t, axis=1)
-    r_r = np.linalg.norm(scene.d_iu - l_r + cfg.user.velocity() * t, axis=1)
+    r_t, r_r = phase_model_for(cfg).legs(0.0)
     pl_biu = cascaded_path_loss(irs_layout, r_t, r_r, cfg.wavelength)
-    d_bu_km = np.linalg.norm(scene.d_bu + (cfg.user.velocity() - cfg.bs.velocity()) * t) / 1e3
+    d_bu_km = np.linalg.norm(cfg.scene().d_bu) / 1e3
     ls = cfg.large_scale
     pl_bu_db = path_loss_bu_db(d_bu_km, cfg.fc_ghz, ls.params("bu"))
     sf = {k: float(sample_shadow_fading(ls.params(k), rng)) for k in ("bi", "iu", "bu")}

@@ -48,8 +48,9 @@ def _run_acf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     outputs = []
     # at one element |ACF| does not depend on the quantizer (criterion 04), so a
     # 1x1 surface writes one file, at the configured resolution
-    single = cfg.irs.phase_bits is None or cfg.irs.m_x * cfg.irs.m_y == 1
-    variants = ("config",) if single else (None, "config")
+    bits = cfg.irs.phase_bits
+    single = bits is None or cfg.irs.m_x * cfg.irs.m_y == 1
+    variants = (bits,) if single else (None, bits)
     for t in cfg.acf["anchors_s"]:
         results = stats.acf_full_irs(cfg, t, bits_variants=variants, threads=threads)
         multi = len(results) > 1
@@ -70,13 +71,12 @@ def _run_ccf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
 
 
 def _run_doppler(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
-    times, spread = stats.doppler_spread_series(cfg, threads=threads)
+    times, spread, counts = stats.doppler_spread_series(cfg, threads=threads)
     path = outdir / stat_filename("doppler", times[0], cfg.fc_ghz)
-    spread = np.asarray(spread, dtype=float)
     n = spread.size
+    # trials: per time, the count of trials the mean averages
     return [write_csv(path, ["t_s", *_CURVE_HEADER],
-                      [np.asarray(times, dtype=float), spread, np.zeros(n), spread,
-                       ["sim"] * n, np.full(n, cfg.trials)])]
+                      [times, spread, np.zeros(n), spread, ["sim"] * n, counts])]
 
 
 def _run_ds_cdf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
@@ -106,16 +106,13 @@ def _run_cluster_evolve(cfg: ScenarioConfig, outdir: Path, threads: int) -> list
 
 def _run_link_budget(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     del threads
-    scene = cfg.scene()
     layout = cfg.irs.layout()
-    l_r = layout.offsets
-    r_t = np.linalg.norm(scene.d_bi + l_r, axis=1)
-    r_r = np.linalg.norm(scene.d_iu - l_r, axis=1)
+    r_t, r_r = phase_model_for(cfg).legs(0.0)
     wl = cfg.wavelength
     phases = optimal_phase(r_t, r_r, wl)
     p_t = 1.0
     pl_biu = cascaded_path_loss(layout, r_t, r_r, wl)
-    pl_bu_db = path_loss_bu_db(float(np.linalg.norm(scene.d_bu)) / 1e3, cfg.fc_ghz,
+    pl_bu_db = path_loss_bu_db(float(np.linalg.norm(cfg.scene().d_bu)) / 1e3, cfg.fc_ghz,
                                cfg.large_scale.params("bu"))
     rows = [
         ("fc_ghz", cfg.fc_ghz),

@@ -12,7 +12,9 @@ the eleven keywords it uses: ``type``, ``properties``,
 ``additionalProperties`` (``false`` only), ``minimum``, ``maximum``,
 ``exclusiveMinimum``, ``items``, ``minItems``, ``maxItems``, ``enum`` and
 ``anyOf``.  An ``integer`` is an ``int``, never a ``float`` such as ``4.0``;
-a ``number`` is an ``int`` or a ``float``; ``bool`` is neither.
+a ``number`` is an ``int`` or a finite ``float``, never ``NaN`` or
+``Infinity`` (which ``json`` reads and no bound refuses); ``bool`` is
+neither.
 """
 
 from __future__ import annotations
@@ -192,7 +194,8 @@ _TYPES = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                         or isinstance(v, float) and math.isfinite(v)),
 }
 # keyword -> test that the value breaks it; each applies to one JSON type only
 _LIMITS = {

@@ -189,8 +189,8 @@ class IrsPhaseModel:
     v_user: np.ndarray = field(default_factory=lambda: np.zeros(3))
     bits: int | None = None
 
-    def profile(self, t) -> np.ndarray:
-        """Continuous phases of all elements; shape (M_xy,) or (M_xy, nt)."""
+    def legs(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """D_1r_BI(t) and D_r1_IU(t) of every element; each (M_xy,) or (M_xy, nt)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         l_r = self.irs_layout.offsets  # (M_xy, 3)
         d1r = self.d_bi + l_r[:, None, :] - self.v_bs * t_arr[None, :, None]
@@ -199,8 +199,14 @@ class IrsPhaseModel:
         leg_out = np.linalg.norm(dr1, axis=-1)
         if np.any(leg_in <= 0) or np.any(leg_out <= 0):
             raise ValueError("degenerate geometry: zero propagation distance")
-        phases = np.mod(TWO_PI * (leg_in + leg_out) / self.wavelength, TWO_PI)
-        return phases[:, 0] if np.asarray(t).ndim == 0 else phases
+        if np.asarray(t).ndim == 0:
+            return leg_in[:, 0], leg_out[:, 0]
+        return leg_in, leg_out
+
+    def profile(self, t) -> np.ndarray:
+        """Continuous phases of all elements; shape (M_xy,) or (M_xy, nt)."""
+        leg_in, leg_out = self.legs(t)
+        return np.mod(TWO_PI * (leg_in + leg_out) / self.wavelength, TWO_PI)
 
     def applied_profile(self, t) -> np.ndarray:
         """Phases after quantization (identity when the plan is continuous)."""

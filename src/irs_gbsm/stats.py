@@ -3,6 +3,16 @@
 Time ACF, spatial CCF, local Doppler spread, and RMS delay spread of the
 small-scale channel (large-scale factors never enter the statistics).
 
+Every statistic is a function of one config: the lags are
+``cfg.lag_grid()``, the frequency offset ``cfg.eval_offset_hz``, the trial
+count and seed ``cfg.trials`` and ``cfg.seed``, and the ``ccf``,
+``doppler`` and ``ds_cdf`` sections set those statistics.  Element 1 carries
+each fixed side of a link.  A caller varies only the sub-channel, the
+anchor time t, the phase resolutions of the full-IRS ACF, whether it forms
+the analytical tensors, and the worker count; anything else is a new config
+(``dataclasses.replace(cfg, trials=n)``), so a result is always the one its
+config describes.
+
 Estimators
 ----------
 Expectations are Monte-Carlo averages over independent cluster/scatterer
@@ -98,13 +108,6 @@ class CorrelationCurve:
         return np.abs(self.values)
 
 
-def _times(t: float, lags: np.ndarray) -> np.ndarray:
-    lags = np.asarray(lags, dtype=float)
-    if lags[0] != 0.0:
-        raise ValueError("lag grid must start at 0")
-    return t + lags
-
-
 def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CCF and equal-time tensors of stacked phasors x[n, r, t].
 
@@ -122,7 +125,7 @@ def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ccf, gram
 
 
-def _stacked(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None, u=None):
+def _stacked(real: ClusterRealization, times, f, sweep=None, u=None):
     """Transfer values h (E, T) and stacked phasors x (1 + N, E, T) of one sub-channel.
 
     x is the one definition behind every analytical correlation: its row 0
@@ -130,7 +133,7 @@ def _stacked(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None, u=N
     the other rows the NLoS rays g weighted sqrt(1/(K+1)).  A correlation is
     a contraction of x with its conjugate over the first axis.
     """
-    bundle = ray_field(real, _times(t, lags), f, tx_el, rx_el, sweep, u)
+    bundle = ray_field(real, times, f, sweep=sweep, u=u)
     k = real.k_factor
     x = np.concatenate([np.sqrt(k / (k + 1.0)) * bundle.u[None],
                         np.sqrt(1.0 / (k + 1.0)) * bundle.g])
@@ -140,24 +143,24 @@ def _stacked(real: ClusterRealization, t, lags, f, tx_el, rx_el, sweep=None, u=N
 # ---------------------------------------------------------------------------
 # per-trial kernels: each takes one trial's realizations {kind: realization}
 # and the run's arguments, which a setup function builds once per run from
-# the statistic's parameters.  ``realize`` names the sub-channels a trial
-# draws; ``los`` holds the draw-independent LoS phasors (see ``los_phasor``).
+# the statistic's parameters and the config.  ``realize`` names the
+# sub-channels a trial draws; ``los`` holds the draw-independent LoS phasors
+# (see ``los_phasor``).  Every kernel works on element 1 of each fixed side.
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False  # shared by every trial of the run
     return a
 
 
-def _los(cfg: ScenarioConfig, kind: str, times, f: float, tx_el: int, rx_el: int,
-         sweep: str | None = None) -> np.ndarray:
-    return _frozen(los_phasor(cfg.links[kind], times, cfg.fc_hz, f, tx_el, rx_el, sweep))
+def _los(cfg: ScenarioConfig, kind: str, times, sweep: str | None) -> np.ndarray:
+    return _frozen(los_phasor(cfg.links[kind], times, cfg.fc_hz, cfg.eval_offset_hz,
+                              sweep=sweep))
 
 
 def _setup_sub(cfg: ScenarioConfig, params: dict) -> dict:
-    times = _times(params["t"], params["lags"])
-    return {**params, "realize": (params["kind"],),
-            "los": _los(cfg, params["kind"], times, params["f"], params["tx"], params["rx"],
-                        params["sweep"])}
+    kind = params["kind"]
+    return {**params, "f": cfg.eval_offset_hz, "realize": (kind,),
+            "los": _los(cfg, kind, params["times"], params["sweep"])}
 
 
 def _trial_sub(reals: dict, args: dict) -> dict:
@@ -168,8 +171,8 @@ def _trial_sub(reals: dict, args: dict) -> dict:
     and ``ana0`` from the stacked phasors.  Only row 0 of the E x E tensors
     is formed, so the work and memory stay O(N E T).
     """
-    h, x = _stacked(reals[args["kind"]], args["t"], args["lags"], args["f"],
-                    args["tx"], args["rx"], args["sweep"], args["los"])
+    h, x = _stacked(reals[args["kind"]], args["times"], args["f"], args["sweep"],
+                    args["los"])
     n, e, t = x.shape
     return {"prod": h[0, 0] * np.conj(h),
             "pow": np.abs(h) ** 2,
@@ -178,58 +181,70 @@ def _trial_sub(reals: dict, args: dict) -> dict:
 
 
 def _setup_cascade(cfg: ScenarioConfig, params: dict) -> dict:
-    times, f = _times(params["t"], params["lags"]), params["f"]
-    phasors = {label: _frozen(np.exp(-1j * theta)) for label, theta in params["theta"].items()}
-    return {**params, "times": times, "realize": ("BI", "IU"), "phasors": phasors,
-            "los_bi": _los(cfg, "BI", times, f, params["q"], 1, "rx"),
-            "los_iu": _los(cfg, "IU", times, f, 1, params["p"], "tx")}
+    times = params["times"]
+    return {**params, "f": cfg.eval_offset_hz, "realize": ("BI", "IU"),
+            "los_bi": _los(cfg, "BI", times, "rx"),
+            "los_iu": _los(cfg, "IU", times, "tx")}
+
+
+def _setup_products(cfg: ScenarioConfig, params: dict) -> dict:
+    theta = phase_model_for(cfg).applied_profile(params["times"])
+    return {**_setup_cascade(cfg, params), "phasor": _frozen(np.exp(-1j * theta))}
+
+
+def _cascade_transfers(reals: dict, args: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer values (E, T) of BI to every IRS element and of IU from it."""
+    times, f = args["times"], args["f"]
+    return (ray_field(reals["BI"], times, f, sweep="rx", u=args["los_bi"]).transfer(),
+            ray_field(reals["IU"], times, f, sweep="tx", u=args["los_iu"]).transfer())
 
 
 def _trial_cascade(reals: dict, args: dict) -> dict:
-    """Full-IRS contributions: CCF tensors plus direct cascade products."""
-    t, lags, f = args["t"], args["lags"], args["f"]
-    q, p = args["q"], args["p"]
-    bi, iu = reals["BI"], reals["IU"]
+    """Full-IRS CCF and equal-time tensors of both sub-channels, each (E, E, T).
+
+    The sim tensors contract the transfer values; with ``analytical`` the
+    stacked phasors give the analytical tensors as well.
+    """
     out = {}
-    if args.get("analytical", True):
-        h_bi, x_bi = _stacked(bi, t, lags, f, q, 1, "rx", args["los_bi"])
-        h_iu, x_iu = _stacked(iu, t, lags, f, 1, p, "tx", args["los_iu"])
+    if args["analytical"]:
+        times, f = args["times"], args["f"]
+        h_bi, x_bi = _stacked(reals["BI"], times, f, "rx", args["los_bi"])
+        h_iu, x_iu = _stacked(reals["IU"], times, f, "tx", args["los_iu"])
         out["ana_ccf_bi"], out["ana_gram_bi"] = _correlations(x_bi)
         out["ana_ccf_iu"], out["ana_gram_iu"] = _correlations(x_iu)
     else:
-        times = args["times"]
-        h_bi = ray_field(bi, times, f, q, 1, "rx", args["los_bi"]).transfer()
-        h_iu = ray_field(iu, times, f, 1, p, "tx", args["los_iu"]).transfer()
-    if args.get("tensors", True):
-        out["sim_ccf_bi"], out["sim_gram_bi"] = _correlations(h_bi[None])
-        out["sim_ccf_iu"], out["sim_gram_iu"] = _correlations(h_iu[None])
-    for label, phasor in args["phasors"].items():
-        h_part = np.sum(h_bi * h_iu * phasor, axis=0)  # (T,)
-        out[f"trial_prod_{label}"] = h_part[0] * np.conj(h_part)
-        out[f"trial_pow_{label}"] = np.abs(h_part) ** 2
+        h_bi, h_iu = _cascade_transfers(reals, args)
+    out["sim_ccf_bi"], out["sim_gram_bi"] = _correlations(h_bi[None])
+    out["sim_ccf_iu"], out["sim_gram_iu"] = _correlations(h_iu[None])
     return out
 
 
-def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float,
-                      q: int = 1, r: int = 1, p: int = 1):
-    """Instantaneous per-ray Doppler of the cascaded link, Hz.
+def _trial_products(reals: dict, args: dict) -> dict:
+    """Direct cascade product h(t) h*(t + dt) and power |h(t + dt)|^2, each (T,)."""
+    h_bi, h_iu = _cascade_transfers(reals, args)
+    h = np.sum(h_bi * h_iu * args["phasor"], axis=0)
+    return {"trial_prod": h[0] * np.conj(h), "trial_pow": np.abs(h) ** 2}
+
+
+def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float):
+    """Instantaneous per-ray Doppler of the cascaded link through element 1, Hz.
 
     nu = -(1/lambda) d/dt [d_B_BI + d_I_BI + d_I_IU + d_U_IU], so motion that
-    shortens the total path gives a positive shift.  Rays of the two
-    sub-channels are paired index-wise up to the smaller visible count;
-    returns (nu, power_weights).
+    shortens the total path gives a positive shift.  BS, IRS and USER element
+    1 carry the link.  Rays of the two sub-channels are paired index-wise up
+    to the smaller visible count; returns (nu, power_weights).
     """
-    vis_bi = np.nonzero(bi.visible_rays(q, r))[0]
-    vis_iu = np.nonzero(iu.visible_rays(r, p))[0]
+    seen_bi, seen_iu = bi.visible_rays(1, 1), iu.visible_rays(1, 1)
+    vis_bi, vis_iu = np.nonzero(seen_bi)[0], np.nonzero(seen_iu)[0]
     m = min(vis_bi.size, vis_iu.size)
     if m == 0:
         return np.zeros(0), np.zeros(0)
     vis_bi, vis_iu = vis_bi[:m], vis_iu[:m]
-    rate = (ray_path_rates(bi, q, r, t)[vis_bi]
-            + ray_path_rates(iu, r, p, t)[vis_iu])
+    rate = (ray_path_rates(bi, 1, 1, t)[vis_bi]
+            + ray_path_rates(iu, 1, 1, t)[vis_iu])
     nu = -rate / bi.wavelength
-    p_bi = ray_powers_at(bi, ray_delays(bi, q, r, t), bi.visible_rays(q, r))[vis_bi, 0]
-    p_iu = ray_powers_at(iu, ray_delays(iu, r, p, t), iu.visible_rays(r, p))[vis_iu, 0]
+    p_bi = ray_powers_at(bi, ray_delays(bi, 1, 1, t), seen_bi)[vis_bi, 0]
+    p_iu = ray_powers_at(iu, ray_delays(iu, 1, 1, t), seen_iu)[vis_iu, 0]
     weights = p_bi * p_iu
     weights = weights / weights.sum()
     return nu, weights
@@ -253,12 +268,10 @@ def local_doppler_spread(nu: np.ndarray, weights: np.ndarray | None = None) -> f
 
 
 def _trial_doppler(reals: dict, args: dict) -> dict:
-    bi, iu = reals["BI"], reals["IU"]
-    q, r, p = args["q"], args["r"], args["p"]
     spread = np.zeros(len(args["times"]))
     valid = np.zeros(len(args["times"]))
     for i, s in enumerate(args["times"]):
-        nu, weights = doppler_frequency(bi, iu, s, q, r, p)
+        nu, weights = doppler_frequency(reals["BI"], reals["IU"], s)
         if nu.size:  # trials whose visible ray set is empty carry no spread
             spread[i] = local_doppler_spread(nu, weights)
             valid[i] = 1.0
@@ -294,6 +307,7 @@ def _trial_ds(reals: dict, args: dict) -> dict:
 _STATS = {
     "sub": (_setup_sub, _trial_sub),
     "cascade": (_setup_cascade, _trial_cascade),
+    "products": (_setup_products, _trial_products),
     "doppler": (lambda cfg, params: {**params, "realize": ("BI", "IU")}, _trial_doppler),
     "ds": (lambda cfg, params: {**params, "realize": ("BI",)}, _trial_ds),
 }
@@ -322,27 +336,25 @@ def _reduce(parts, join) -> dict:
     return acc
 
 
-def _trials(cfg: ScenarioConfig, stat: str, args: dict, seed: int, lo: int, hi: int):
+def _trials(cfg: ScenarioConfig, stat: str, args: dict, lo: int, hi: int):
     """Per-trial outputs of trials lo..hi-1, realized _CHUNK trials at a time."""
     kernel = _STATS[stat][1]
     for start in range(lo, hi, _CHUNK):
         ks = range(start, min(start + _CHUNK, hi))
         chunk = {kind: realize_subchannels(cfg, kind,
-                                           [rng_stream(seed, "trial", k, kind) for k in ks])
+                                           [rng_stream(cfg.seed, "trial", k, kind) for k in ks])
                  for kind in args["realize"]}
         for i in range(len(ks)):
             yield kernel({kind: reals[i] for kind, reals in chunk.items()}, args)
 
 
-def _block_sums(cfg: ScenarioConfig, stat: str, args: dict, seed: int,
-                lo: int, hi: int) -> dict:
-    return _reduce(_trials(cfg, stat, args, seed, lo, hi), np.stack)
+def _block_sums(cfg: ScenarioConfig, stat: str, args: dict, lo: int, hi: int) -> dict:
+    return _reduce(_trials(cfg, stat, args, lo, hi), np.stack)
 
 
 def _block_worker(payload: dict) -> dict:
-    cfg = parse_config(payload["config"])
-    return _block_sums(cfg, payload["stat"], payload["args"], payload["seed"],
-                       payload["lo"], payload["hi"])
+    cfg = parse_config(payload["cfg"])
+    return _block_sums(cfg, payload["stat"], payload["args"], payload["lo"], payload["hi"])
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -350,28 +362,26 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
 
 
 def run_ensemble(cfg: ScenarioConfig, stat: str, params: dict,
-                 trials: int | None = None, seed: int | None = None,
                  threads: int = 1) -> tuple[dict, int]:
-    """Accumulate per-trial outputs over the run; returns (reduced, trials).
+    """Accumulate per-trial outputs of cfg.trials trials; returns (reduced, trials).
 
-    Keys starting with ``trial_`` stack one row per trial; all other keys sum.
+    Trial k draws from the streams (cfg.seed, "trial", k, kind).  Keys
+    starting with ``trial_`` stack one row per trial; all other keys sum.
     Block partials are folded in block order as they arrive, so results are
     independent of ``threads``.
     """
-    trials = cfg.trials if trials is None else trials
-    seed = cfg.seed if seed is None else seed
     args = _STATS[stat][0](cfg, params)
-    blocks = _blocks(trials)
+    blocks = _blocks(cfg.trials)
     if threads <= 1 or len(blocks) == 1:
-        parts = (_block_sums(cfg, stat, args, seed, lo, hi) for lo, hi in blocks)
-        return _reduce(parts, np.concatenate), trials
-    payloads = [{"config": serialize_config(cfg), "stat": stat, "args": args,
-                 "seed": seed, "lo": lo, "hi": hi} for lo, hi in blocks]
+        parts = (_block_sums(cfg, stat, args, lo, hi) for lo, hi in blocks)
+        return _reduce(parts, np.concatenate), cfg.trials
+    payloads = [{"cfg": serialize_config(cfg), "stat": stat, "args": args,
+                 "lo": lo, "hi": hi} for lo, hi in blocks]
     # imported here, so a run that does not pool never loads multiprocessing;
     # the executor forks all max_workers at once, so it gets no more than blocks
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        return _reduce(pool.map(_block_worker, payloads), np.concatenate), trials
+        return _reduce(pool.map(_block_worker, payloads), np.concatenate), cfg.trials
 
 
 def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -381,24 +391,22 @@ def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public statistics
+# public statistics: each reads its scenario, lags, frequency offset, trial
+# count and seed from the config; callers vary only what is listed
 
 def acf_subchannel(cfg: ScenarioConfig, subchannel: str, t: float,
-                   lags: np.ndarray | None = None, f: float | None = None,
-                   tx_element: int = 1, rx_element: int = 1,
-                   trials: int | None = None, seed: int | None = None,
                    threads: int = 1) -> dict[str, CorrelationCurve]:
-    """Simulated and analytical time ACF of one sub-channel element pair."""
-    lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
-    f = cfg.eval_offset_hz if f is None else f
-    params = {"t": t, "lags": lags, "f": f, "kind": subchannel,
-              "tx": tx_element, "rx": rx_element, "sweep": None}
-    acc, n = run_ensemble(cfg, "sub", params, trials, seed, threads)
-    elements = (tx_element, rx_element)
-    sim = CorrelationCurve(t, f, elements, lags,
+    """Simulated and analytical time ACF of element pair (1, 1) of one sub-channel.
+
+    Lags ``cfg.lag_grid()``, frequency offset ``cfg.eval_offset_hz``.
+    """
+    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
+    params = {"times": t + lags, "kind": subchannel, "sweep": None}
+    acc, n = run_ensemble(cfg, "sub", params, threads)
+    sim = CorrelationCurve(t, f, (1, 1), lags,
                            _normalize(acc["prod"][0] / n, acc["pow"][0] / n),
                            "sim", n, subchannel)
-    ana = CorrelationCurve(t, f, elements, lags,
+    ana = CorrelationCurve(t, f, (1, 1), lags,
                            _normalize(acc["ana"][0] / n, acc["ana0"][0] / n),
                            "analytical", n, subchannel)
     return {"sim": sim, "analytical": ana}
@@ -437,99 +445,70 @@ def _check_tensor_footprint(n_elements: int, n_lags: int, analytical: bool,
             f"elements, fewer lags, analytical=False, or cascade_trial_products")
 
 
-def acf_full_irs(cfg: ScenarioConfig, t: float,
-                 lags: np.ndarray | None = None, f: float | None = None,
-                 q: int = 1, p: int = 1,
-                 bits_variants: tuple = ("config",),
-                 trials: int | None = None, seed: int | None = None,
-                 threads: int = 1, keep_trials: bool = False,
-                 analytical: bool = True) -> dict:
+def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = None,
+                 threads: int = 1, analytical: bool = True) -> dict:
     """Time ACF of the cascade over every IRS element, per phase resolution.
 
-    One ensemble estimates the sub-channel spatial CCF tensors; each entry of
-    ``bits_variants`` (None = continuous, int = quantizer bits, "config" =
-    scenario setting) is then combined with its own phase factors.  Returns
-    {variant_label: {"sim": curve, "analytical": curve}} plus, when
-    ``keep_trials`` is set, per-trial direct products for bootstrap use.
+    One ensemble estimates the sub-channel spatial CCF tensors of BS and
+    USER element 1 on ``cfg.lag_grid()``; each entry of ``bits_variants``
+    (None = continuous, int = quantizer bits) is then combined with its own
+    phase factors.  ``bits_variants=None`` runs the configured resolution
+    only.  Returns {variant_label: {"sim": curve, "analytical": curve}}.
     ``analytical=False`` skips the per-ray analytical tensors: their GEMMs,
     O(N E^2 T) per trial for N rays, are most of a large surface's cost and
     they double the accumulators.  Raises MemoryError before any trial when
     the predicted tensors exceed physical RAM.
     """
-    lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
-    f = cfg.eval_offset_hz if f is None else f
-    times = _times(t, lags)
-    thetas = {}
-    for variant in bits_variants:
-        bits = cfg.irs.phase_bits if variant == "config" else variant
-        thetas[resolution_label(bits)] = phase_model_for(cfg, bits=bits).applied_profile(times)
-    trials = cfg.trials if trials is None else trials
+    if bits_variants is None:
+        bits_variants = (cfg.irs.phase_bits,)
+    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
+    times = t + lags
+    thetas = {resolution_label(bits): phase_model_for(cfg, bits=bits).applied_profile(times)
+              for bits in bits_variants}
     _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
-                            trials, threads)
-    # the phasors serve only the per-trial products, which no curve reads, so
-    # they go to the trials only when keep_trials asks for those rows
-    params = {"t": t, "lags": lags, "f": f, "q": q, "p": p,
-              "theta": thetas if keep_trials else {}, "analytical": analytical}
-    acc, n = run_ensemble(cfg, "cascade", params, trials, seed, threads)
+                            cfg.trials, threads)
+    params = {"times": times, "analytical": analytical}
+    acc, n = run_ensemble(cfg, "cascade", params, threads)
 
     out: dict = {}
     for label, theta in thetas.items():
         sim_vals = _combine_full(acc["sim_ccf_bi"] / n, acc["sim_gram_bi"] / n,
                                  acc["sim_ccf_iu"] / n, acc["sim_gram_iu"] / n, theta)
         out[label] = {
-            "sim": CorrelationCurve(t, f, (q, p), lags, sim_vals, "sim", n, label),
+            "sim": CorrelationCurve(t, f, (1, 1), lags, sim_vals, "sim", n, label),
         }
         if analytical:
             ana_vals = _combine_full(acc["ana_ccf_bi"] / n, acc["ana_gram_bi"] / n,
                                      acc["ana_ccf_iu"] / n, acc["ana_gram_iu"] / n,
                                      theta)
             out[label]["analytical"] = CorrelationCurve(
-                t, f, (q, p), lags, ana_vals, "analytical", n, label)
-        if keep_trials:
-            out[label]["trial_prod"] = acc[f"trial_prod_{label}"]
-            out[label]["trial_pow"] = acc[f"trial_pow_{label}"]
+                t, f, (1, 1), lags, ana_vals, "analytical", n, label)
     return out
 
 
 def cascade_trial_products(cfg: ScenarioConfig, t: float,
-                           lags: np.ndarray | None = None, f: float | None = None,
-                           q: int = 1, p: int = 1, bits: int | None = "config",
-                           trials: int | None = None, seed: int | None = None,
                            threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial direct cascade products h(t) h*(t+dt) and powers |h|^2.
 
     Lean path for bootstrap probes on large surfaces: skips every CCF tensor.
-    Returns (trial_prod, trial_pow) with one row per trial.
+    The cascade runs from BS element 1 to USER element 1 at the configured
+    phase resolution, on ``cfg.lag_grid()``.  Returns (trial_prod,
+    trial_pow) with one row per trial, in trial order.
     """
-    lags = cfg.lag_grid() if lags is None else np.asarray(lags, dtype=float)
-    f = cfg.eval_offset_hz if f is None else f
-    use_bits = cfg.irs.phase_bits if bits == "config" else bits
-    label = resolution_label(use_bits)
-    theta = phase_model_for(cfg, bits=use_bits).applied_profile(_times(t, lags))
-    params = {"t": t, "lags": lags, "f": f, "q": q, "p": p,
-              "theta": {label: theta}, "analytical": False, "tensors": False}
-    acc, _ = run_ensemble(cfg, "cascade", params, trials, seed, threads)
-    return acc[f"trial_prod_{label}"], acc[f"trial_pow_{label}"]
+    acc, _ = run_ensemble(cfg, "products", {"times": t + cfg.lag_grid()}, threads)
+    return acc["trial_prod"], acc["trial_pow"]
 
 
-def ccf_spatial(cfg: ScenarioConfig, t: float | None = None,
-                dt: float | None = None, subchannel: str | None = None,
-                axis: str | None = None, f: float | None = None,
-                trials: int | None = None, seed: int | None = None,
-                threads: int = 1) -> dict[str, CorrelationCurve]:
+def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationCurve]:
     """Spatial CCF across one array axis, element 1 at t against every element at t + dt.
 
-    The grid is each element's distance |l_e - l_1| from element 1.
+    The ``ccf`` section of the config names the sub-channel, the swept axis,
+    t and dt.  The grid is each element's distance |l_e - l_1| from element 1.
     """
-    ccf_cfg = cfg.ccf
-    subchannel = ccf_cfg["subchannel"] if subchannel is None else subchannel
-    axis = ccf_cfg["axis"] if axis is None else axis
-    t = ccf_cfg["t_s"] if t is None else t
-    dt = ccf_cfg["dt_s"] if dt is None else dt
-    f = cfg.eval_offset_hz if f is None else f
-    params = {"t": t, "lags": np.array([0.0, dt]), "f": f, "kind": subchannel,
-              "tx": 1, "rx": 1, "sweep": axis}
-    acc, n = run_ensemble(cfg, "sub", params, trials, seed, threads)
+    c = cfg.ccf
+    subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
+    params = {"times": t + np.array([0.0, c["dt_s"]]), "kind": subchannel, "sweep": axis}
+    acc, n = run_ensemble(cfg, "sub", params, threads)
     link = cfg.links[subchannel]
     offsets = (link.rx_layout if axis == "rx" else link.tx_layout).offsets
     seps = np.linalg.norm(offsets - offsets[0], axis=1)
@@ -548,38 +527,34 @@ def ccf_spatial(cfg: ScenarioConfig, t: float | None = None,
     }
 
 
-def doppler_spread_series(cfg: ScenarioConfig, times: np.ndarray | None = None,
-                          q: int = 1, r: int = 1, p: int = 1,
-                          trials: int | None = None, seed: int | None = None,
-                          threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble-mean local Doppler spread over a time grid."""
-    if times is None:
-        d = cfg.doppler
-        times = np.linspace(d["start_s"], d["stop_s"], d["num"])
-    params = {"times": np.asarray(times, dtype=float), "q": q, "r": r, "p": p}
-    acc, _ = run_ensemble(cfg, "doppler", params, trials, seed, threads)
-    valid = np.maximum(acc["valid"], 1.0)
-    return np.asarray(times, dtype=float), acc["spread"] / valid
+def doppler_spread_series(cfg: ScenarioConfig, threads: int = 1
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ensemble-mean local Doppler spread over the ``doppler`` time grid.
+
+    Returns (times, spread, counts): counts[i] is the number of trials with
+    a visible ray pair at times[i], the trials that spread[i] averages (0
+    where none has, and the spread is 0).
+    """
+    d = cfg.doppler
+    times = np.linspace(d["start_s"], d["stop_s"], d["num"])
+    acc, _ = run_ensemble(cfg, "doppler", {"times": times}, threads)
+    return times, acc["spread"] / np.maximum(acc["valid"], 1.0), acc["valid"].astype(int)
 
 
-def ds_cdf(cfg: ScenarioConfig, sigma_scales: list[float] | None = None,
-           t: float | None = None, trials: int | None = None,
-           seed: int | None = None, threads: int = 1) -> dict[float, np.ndarray]:
+def ds_cdf(cfg: ScenarioConfig, threads: int = 1) -> dict[float, np.ndarray]:
     """Empirical RMS delay-spread samples (sorted) per scatterer-sigma scale.
 
+    The ``ds_cdf`` section of the config lists the scales and the time.
     Scaling multiplies the configured sigma triple; trials reuse the same
     random streams across scales so the sweeps are paired.
     """
-    if sigma_scales is None:
-        sigma_scales = cfg.ds_cdf["sigma_scales"]
-    t = cfg.ds_cdf["t_s"] if t is None else t
     out = {}
-    for scale in sigma_scales:
+    for scale in cfg.ds_cdf["sigma_scales"]:
         scaled = dataclasses.replace(
             cfg, clusters=dataclasses.replace(
                 cfg.clusters,
                 sigma_xyz_m=tuple(scale * s for s in cfg.clusters.sigma_xyz_m)))
-        acc, _ = run_ensemble(scaled, "ds", {"t": t}, trials, seed, threads)
+        acc, _ = run_ensemble(scaled, "ds", {"t": cfg.ds_cdf["t_s"]}, threads)
         samples = acc["trial_ds"][:, 0]
         out[scale] = np.sort(samples[~np.isnan(samples)])
     return out
@@ -592,16 +567,13 @@ def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bootstrap_mean_abs(trial_prod: np.ndarray, trial_pow: np.ndarray,
-                       rng: np.random.Generator, n_boot: int = 400,
-                       lag_mask: np.ndarray | None = None) -> np.ndarray:
-    """Bootstrap samples of mean |ACF| over a lag subset, resampling trials."""
+                       rng: np.random.Generator, n_boot: int = 400) -> np.ndarray:
+    """Bootstrap samples of mean |ACF| over all lags, resampling trials."""
     n = trial_prod.shape[0]
-    if lag_mask is None:
-        lag_mask = np.ones(trial_prod.shape[1], dtype=bool)
     out = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, n, n)
         prod = trial_prod[idx].mean(axis=0)
         power = trial_pow[idx].mean(axis=0)
-        out[b] = np.abs(_normalize(prod, power))[lag_mask].mean()
+        out[b] = np.abs(_normalize(prod, power)).mean()
     return out

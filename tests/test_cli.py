@@ -83,6 +83,10 @@ class TestSubcommands:
         assert run("doppler", config_path, out) == 0
         lines = (out / "doppler_0s_62GHz.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+        # each row counts the trials its mean averages, not the configured 40
+        _, _, counts = stats.doppler_spread_series(parse_config(SMALL))
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == counts.tolist()
+        assert counts.tolist() == [36, 36, 36]
 
     def test_ds_cdf(self, config_path, tmp_path):
         out = tmp_path / "ds"
@@ -198,9 +202,11 @@ class TestExportColumns:
             "ccf_0s_62GHz.csv":
                 "c85ab9d6650046be0d22ff8c8c66d39206f10e27b7d54fdfd8acbabd025a322e",
         },
+        # the trials column counts the trials with a visible ray pair (36 of
+        # 40 at each time); writing cfg.trials there gave bc83e117...c42a96da
         "doppler": {
             "doppler_0s_62GHz.csv":
-                "bc83e1173274d5d2d2d3ac63ca0c09f8d563c4af9b3e1ae1b9a4da3ac42a96da",
+                "9ac9bba8063bae6224f71d59b78421c499176d368b7e5c8330495ca8d08e8a05",
         },
         "ds-cdf": {
             "ds_cdf_sigma1_0s_62GHz.csv":
@@ -327,6 +333,21 @@ class TestErrors:
         bad.write_text(json.dumps(raw))
         assert main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: /{key}: 2.0 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, pointer", [
+        ('{"bs": {"speed_mps": NaN}}', "/bs/speed_mps"),
+        ('{"acf": {"lag_max_s": Infinity}}', "/acf/lag_max_s"),
+        ('{"fc_ghz": NaN}', "/fc_ghz"),
+        ('{"clusters": {"birth_rate": NaN}}', "/clusters/birth_rate"),
+    ])
+    def test_non_finite_number_is_refused(self, tmp_path, capsys, text, pointer):
+        # json reads NaN and Infinity, and NaN breaks no bound: a NaN speed
+        # once ran to exit 0 and wrote an all-zero ACF
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {pointer}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_dir(self, config_path, tmp_path):
         blocker = tmp_path / "blocked"

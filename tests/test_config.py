@@ -178,6 +178,12 @@ def mutation_corpus(n, seed=20211019):
         yield raw
 
 
+def holds_non_finite(value):
+    if isinstance(value, list):
+        return any(map(holds_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def path_of(pointer):
     return [int(p) if p.isdigit() else p for p in pointer.strip("/").split("/")]
 
@@ -216,7 +222,7 @@ class TestSchemaOracle:
             assert self.pointer(raw) is None
 
     def test_mutations_give_the_oracle_first_pointer(self, oracle):
-        same = rejected = floats = 0
+        same = rejected = floats = nonfinite = 0
         for raw in mutation_corpus(3000):
             merged = _merge(DEFAULTS, raw)
             want, got = oracle(merged), self.pointer(raw)
@@ -224,14 +230,19 @@ class TestSchemaOracle:
             if got == want:
                 same += 1
                 continue
-            # the one allowed difference: an integral float where SCHEMA asks
-            # for an integer, which the oracle admits and this validator
-            # refuses, ahead of any error the oracle reports
+            # the two allowed differences, values the oracle admits and this
+            # validator refuses, ahead of any error the oracle reports: an
+            # integral float where SCHEMA asks for an integer, and a
+            # non-finite number (inside an anyOf array, the array is reported)
             value = value_at(merged, got)
-            assert isinstance(value, float) and value.is_integer(), (raw, want, got)
+            if holds_non_finite(value):
+                nonfinite += 1
+            else:
+                assert isinstance(value, float) and value.is_integer(), (raw, want, got)
+                floats += 1
             assert want is None or path_of(got) < path_of(want), (raw, want, got)
-            floats += 1
-        assert same > 2500 and floats > 20 and 1000 < rejected < 2900, (same, floats, rejected)
+        assert same > 2500 and floats > 20 and nonfinite > 20, (same, floats, nonfinite)
+        assert 1000 < rejected < 2900, rejected
 
     @pytest.mark.parametrize("key", [
         "trials", "seed", "acf/num_lags", "irs/m_x", "irs/phase_bits",
@@ -242,6 +253,19 @@ class TestSchemaOracle:
             set_at(raw, tuple(key.split("/")), value)
             assert oracle(_merge(DEFAULTS, raw)) is None
             assert self.pointer(raw) == pointer
+
+    @pytest.mark.parametrize("key, value", [
+        ("bs/speed_mps", math.nan), ("acf/lag_max_s", math.inf), ("fc_ghz", math.nan),
+        ("clusters/birth_rate", math.nan), ("rician_k_db", -math.inf),
+        ("ds_cdf/sigma_scales", [1.0, math.inf])])
+    def test_non_finite_number_is_refused_where_the_oracle_admits_it(self, oracle, key,
+                                                                    value):
+        # NaN breaks no bound, and Infinity none of these
+        raw = {}
+        set_at(raw, tuple(key.split("/")), value)
+        assert oracle(_merge(DEFAULTS, raw)) is None
+        pointer = "/" + key + ("/1" if isinstance(value, list) else "")
+        assert self.pointer(raw) == pointer
 
 
 class TestRngStreams:

@@ -38,3 +38,52 @@ def test_detects_an_unused_import():
     source = "import os\nimport sys as _sys\nfrom math import pi, tau\nprint(pi, os.sep)\n"
     assert unused_imports(source, exported=False) == ["line 2: _sys", "line 3: tau"]
     assert unused_imports(source, exported=True) == ["line 2: _sys"]
+
+
+def unset_defaults(module: str, callers: list[str]) -> list[str]:
+    """Defaulted parameters of ``module``'s public functions that no call sets.
+
+    A call sets a parameter by keyword or by position; calls are matched by
+    the function's name, whether called bare or as an attribute.  A
+    parameter no caller sets is a setting the code only appears to have.
+    """
+    defaults = {}
+    for node in ast.parse(module).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            defaults[node.name] = {a.arg: i for i, a in enumerate(args) if i >= first}
+            defaults[node.name].update(
+                (a.arg, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None)
+    found = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in defaults:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for param, index in defaults[name].items():
+                if param in keywords or index is not None and (
+                        starred or index < len(node.args)):
+                    found.add((name, param))
+    return [f"{name}({param})" for name, params in defaults.items() for param in params
+            if (name, param) not in found]
+
+
+def test_every_default_of_a_statistic_is_set_somewhere():
+    sources = [p.read_text() for root in (SRC, SRC.parents[1] / "tests")
+               for p in sorted(root.glob("*.py"))]
+    assert unset_defaults((SRC / "stats.py").read_text(), sources) == []
+
+
+def test_detects_a_default_nobody_sets():
+    module = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "def g(x=0):\n    pass\n"
+              "def _h(y=0):\n    pass\n")
+    callers = ["f(0, 5)\nm.f(0, d=4)\n", "g(*xs)\n"]
+    assert unset_defaults(module, callers) == ["f(c)"]
+    assert unset_defaults(module, []) == ["f(b)", "f(c)", "f(d)", "g(x)"]

@@ -16,35 +16,34 @@ from tests.conftest import make_config
 TRIALS = 300
 
 
+def with_trials(cfg, n):
+    return dataclasses.replace(cfg, trials=n)
+
+
 class TestAcfSubchannel:
     def test_zero_lag_is_one(self, small_cfg):
-        out = stats.acf_subchannel(small_cfg, "BI", 0.0, trials=TRIALS)
+        out = stats.acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=3 / np.sqrt(TRIALS))
 
     def test_static_channel_fully_correlated(self, static_cfg):
-        out = stats.acf_subchannel(static_cfg, "IU", 0.0, trials=50)
+        out = stats.acf_subchannel(with_trials(static_cfg, 50), "IU", 0.0)
         assert np.allclose(out["sim"].magnitude, 1.0, atol=1e-12)
         assert np.allclose(out["analytical"].magnitude, 1.0, atol=1e-12)
 
     def test_magnitude_bounded(self, small_cfg):
         for kind in ("BI", "IU", "BU"):
-            out = stats.acf_subchannel(small_cfg, kind, 0.0, trials=100)
+            out = stats.acf_subchannel(with_trials(small_cfg, 100), kind, 0.0)
             assert np.all(out["sim"].magnitude <= 1 + 1e-9)
             assert np.all(out["analytical"].magnitude <= 1 + 1e-9)
 
     def test_sim_approaches_analytical(self, small_cfg):
         # the direct estimator carries a ~1/sqrt(N) noise floor at fully
         # decorrelated lags, so bound the typical and the worst-case gap
-        out = stats.acf_subchannel(small_cfg, "BI", 0.0, trials=TRIALS)
+        out = stats.acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
         gap = np.abs(out["sim"].magnitude - out["analytical"].magnitude)
         assert gap.mean() < 0.05
         assert gap.max() < 6.0 / np.sqrt(TRIALS)
-
-    def test_lag_grid_must_start_at_zero(self, small_cfg):
-        with pytest.raises(ValueError):
-            stats.acf_subchannel(small_cfg, "BI", 0.0, lags=np.array([0.01, 0.02]),
-                                 trials=4)
 
     def test_per_realization_analytical_matches_ensemble_kernel(self, small_cfg):
         # the closed form of one element pair, written out from the field
@@ -58,22 +57,21 @@ class TestAcfSubchannel:
         vals = w_l2 * u[0] * np.conj(u) + w_n2 * (g[:, 0][:, None] * np.conj(g)).sum(axis=0)
         anchors = w_l2 + w_n2 * powers.sum(axis=0)
         closed = vals / np.sqrt(anchors[0] * anchors)
-        args = stats._setup_sub(small_cfg, {"t": 0.0, "lags": lags, "f": 0.0, "kind": "BI",
-                                            "tx": 1, "rx": 1, "sweep": None})
+        args = stats._setup_sub(small_cfg, {"times": lags, "kind": "BI", "sweep": None})
         kernel = stats._trial_sub({"BI": real}, args)
         expect = kernel["ana"][0] / np.sqrt(kernel["ana0"][0, 0] * kernel["ana0"][0])
         assert np.allclose(closed, expect, atol=1e-12)
         assert expect[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def product_form(cfg, t, bits, trials):
+def product_form(cfg, t, bits):
     """1x1 cascade ACF as R_BI R_IU exp(-j(theta(t) - theta(t + dt))) (the oracle).
 
     Built from two sub-channel ensembles on the trial streams of the cascade.
     Returns ({"sim": values, "analytical": values}, BI curves, IU curves).
     """
-    bi = stats.acf_subchannel(cfg, "BI", t, trials=trials)
-    iu = stats.acf_subchannel(cfg, "IU", t, trials=trials)
+    bi = stats.acf_subchannel(cfg, "BI", t)
+    iu = stats.acf_subchannel(cfg, "IU", t)
     theta = phase_model_for(cfg, bits=bits).applied_profile(t + bi["sim"].lags)[0]
     factor = np.exp(-1j * (theta[0] - theta))
     values = {kind: bi[kind].values * iu[kind].values * factor
@@ -83,15 +81,16 @@ def product_form(cfg, t, bits, trials):
 
 class TestAcfSingleElement:
     def test_product_decomposition_exact(self, small_cfg):
-        full = stats.acf_full_irs(small_cfg, 0.0, trials=TRIALS)["continuous"]
-        oracle, bi, iu = product_form(small_cfg, 0.0, "config", TRIALS)
+        cfg = with_trials(small_cfg, TRIALS)
+        full = stats.acf_full_irs(cfg, 0.0)["continuous"]
+        oracle, bi, iu = product_form(cfg, 0.0, cfg.irs.phase_bits)
         for kind in ("sim", "analytical"):
             np.testing.assert_allclose(full[kind].values, oracle[kind], rtol=0, atol=1e-12)
             rhs = bi[kind].magnitude * iu[kind].magnitude
             assert np.allclose(full[kind].magnitude, rhs, atol=1e-12)
 
     def test_quantization_invariance(self, small_cfg):
-        out = stats.acf_full_irs(small_cfg, 0.0, bits_variants=(None, 2), trials=100)
+        out = stats.acf_full_irs(with_trials(small_cfg, 100), 0.0, bits_variants=(None, 2))
         for kind in ("sim", "analytical"):
             assert np.allclose(out["continuous"][kind].magnitude, out["2bit"][kind].magnitude,
                                atol=1e-12)
@@ -99,7 +98,7 @@ class TestAcfSingleElement:
                                atol=1e-6)
 
     def test_zero_lag_and_bounds(self, small_cfg):
-        out = stats.acf_full_irs(small_cfg, 2.0, trials=100)["continuous"]
+        out = stats.acf_full_irs(with_trials(small_cfg, 100), 2.0)["continuous"]
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=3 / np.sqrt(100))
         assert np.all(out["sim"].magnitude <= 1 + 1e-9)
@@ -107,30 +106,30 @@ class TestAcfSingleElement:
 
 class TestAcfFullIrs:
     def test_reduces_to_single_element(self, small_cfg):
-        full = stats.acf_full_irs(small_cfg, 0.0, bits_variants=(None,), trials=60)
-        oracle, _, _ = product_form(small_cfg, 0.0, None, 60)
+        cfg = with_trials(small_cfg, 60)
+        full = stats.acf_full_irs(cfg, 0.0, bits_variants=(None,))
+        oracle, _, _ = product_form(cfg, 0.0, None)
         for kind in ("sim", "analytical"):
             assert np.allclose(full["continuous"][kind].values, oracle[kind], atol=1e-12)
 
     def test_zero_lag_normalization(self):
-        cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0)
-        out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2), trials=80)
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0, trials=80)
+        out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2))
         for label in ("continuous", "2bit"):
             assert out[label]["sim"].values[0] == pytest.approx(1.0, abs=1e-9)
             assert out[label]["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
             assert np.all(out[label]["sim"].magnitude <= 1 + 1e-9)
 
     def test_trial_products_match_combined_estimator_scale(self):
-        cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0)
-        prod, power = stats.cascade_trial_products(cfg, 0.0, trials=64)
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0, trials=64)
+        prod, power = stats.cascade_trial_products(cfg, 0.0)
         assert prod.shape == power.shape == (64, cfg.lag_grid().size)
         r = np.abs(prod.mean(0)) / np.sqrt(power.mean(0)[0] * power.mean(0))
         assert r[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(r <= 1 + 1e-9)
 
-    @pytest.mark.parametrize("keep", [False, True])
-    def test_rows_per_trial_only_when_kept(self, monkeypatch, keep):
-        cfg = make_config(irs={"m_x": 2, "m_y": 2}, acf={"num_lags": 5})
+    def test_builds_no_trial_rows(self, monkeypatch):
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, acf={"num_lags": 5}, trials=20)
         seen = []
         run = stats.run_ensemble
 
@@ -140,12 +139,9 @@ class TestAcfFullIrs:
             return acc, n
 
         monkeypatch.setattr(stats, "run_ensemble", spy)
-        out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2), trials=20,
-                                 keep_trials=keep)
-        want = ["trial_pow_2bit", "trial_pow_continuous", "trial_prod_2bit",
-                "trial_prod_continuous"]
-        assert seen == [want if keep else []]
-        assert ("trial_prod" in out["2bit"]) == keep
+        out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2))
+        assert seen == [[]]
+        assert sorted(out["2bit"]) == ["analytical", "sim"]
 
     def test_footprint_prediction(self, monkeypatch):
         # 2 x 8 tensors of E^2 T complex per process: 5.25 GiB at E=1024, T=21
@@ -157,7 +153,7 @@ class TestAcfFullIrs:
         stats._check_tensor_footprint(1024, 21, False, trials=512, threads=2)
 
     def test_too_large_surface_fails_before_any_trial(self, monkeypatch):
-        cfg = make_config(irs={"m_x": 2, "m_y": 2})
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, trials=10)
         monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
 
         def no_trials(*args, **kwargs):
@@ -165,7 +161,7 @@ class TestAcfFullIrs:
 
         monkeypatch.setattr(stats, "run_ensemble", no_trials)
         with pytest.raises(MemoryError, match="fewer IRS elements"):
-            stats.acf_full_irs(cfg, 0.0, trials=10)
+            stats.acf_full_irs(cfg, 0.0)
 
 
 def _reference_sub_arrays(real, t, lags, sweep):
@@ -196,7 +192,7 @@ class TestCorrelationTensors:
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
-        h, x = stats._stacked(real, 0.0, lags, 0.0, 1, 1, sweep="rx")
+        h, x = stats._stacked(real, lags, 0.0, sweep="rx")
         ana, gram = stats._correlations(x)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, "rx")
         assert ana.shape == gram.shape == (h.shape[0], h.shape[0], lags.size)
@@ -213,8 +209,7 @@ class TestCorrelationTensors:
             real = dataclasses.replace(real, clusters=ClusterSet.empty(
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         lags = cfg.lag_grid()
-        args = stats._setup_sub(cfg, {"t": 0.0, "lags": lags, "f": 0.0, "kind": "BI",
-                                      "tx": 1, "rx": 1, "sweep": sweep})
+        args = stats._setup_sub(cfg, {"times": lags, "kind": "BI", "sweep": sweep})
         out = stats._trial_sub({"BI": real}, args)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, sweep)
         n_elem = 9 if sweep else 1
@@ -246,6 +241,34 @@ def _los_oracle(real, times, f, tx_el, rx_el, sweep):
         for e in elements]))
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Pool sizes asked for; the blocks run in this process, so no process starts.
+
+    The executor forks every max_workers process up front; this stand-in
+    records the size and maps the blocks in order.
+    """
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
 class TestChunkedEnsemble:
     CFG = {"irs": {"m_x": 2, "m_y": 3}, "bs": {"num_elements": 2}, "rician_k_db": 5.0,
            "acf": {"num_lags": 7}}
@@ -254,7 +277,7 @@ class TestChunkedEnsemble:
         cfg = make_config(**self.CFG)
         n = stats._CHUNK
         counts = (7, 8, 9, n - 1, n, n + 1, 300)
-        rows = {c: stats.cascade_trial_products(cfg, 0.0, trials=c) for c in counts}
+        rows = {c: stats.cascade_trial_products(with_trials(cfg, c), 0.0) for c in counts}
         prod_all, pow_all = rows[300]
         for c, (prod, power) in rows.items():
             assert prod.shape[0] == power.shape[0] == c
@@ -262,73 +285,61 @@ class TestChunkedEnsemble:
             np.testing.assert_array_equal(power, pow_all[:c])
 
     def test_hoisted_phasors_equal_per_trial_ones(self):
-        cfg = make_config(**self.CFG)
+        cfg = make_config(**{**self.CFG, "irs": {"m_x": 2, "m_y": 3, "phase_bits": 2}},
+                          eval_offset_hz=2e6)
         t, f, lags = 0.5, 2e6, cfg.lag_grid()
-        times = stats._times(t, lags)
+        times = t + lags
         theta = phase_model_for(cfg, bits=2).applied_profile(times)
-        cascade = stats._setup_cascade(cfg, {"t": t, "lags": lags, "f": f, "q": 2, "p": 1,
-                                             "theta": {"2bit": theta}})
-        sub = [stats._setup_sub(cfg, {"t": t, "lags": lags, "f": f, "kind": kind,
-                                      "tx": tx, "rx": rx, "sweep": None})
-               for kind, tx, rx in (("BI", 2, 3), ("IU", 3, 1))]
-        ccf = stats._setup_sub(cfg, {"t": t, "lags": np.array([0.0, 0.01]), "f": f,
-                                     "kind": "IU", "tx": 1, "rx": 1, "sweep": "tx"})
+        products = stats._setup_products(cfg, {"times": times})
+        sub = [stats._setup_sub(cfg, {"times": times, "kind": kind, "sweep": None})
+               for kind in ("BI", "IU")]
+        ccf = stats._setup_sub(cfg, {"times": t + np.array([0.0, 0.01]), "kind": "IU",
+                                     "sweep": "tx"})
         for k in range(3):
             bi, iu = (realize_subchannel(cfg, kind, rng_stream(9, "trial", k, kind))
                       for kind in ("BI", "IU"))
-            f_bi = ray_field(bi, times, f, 2, 1, sweep="rx")
+            f_bi = ray_field(bi, times, f, 1, 1, sweep="rx")
             f_iu = ray_field(iu, times, f, 1, 1, sweep="tx")
-            np.testing.assert_array_equal(cascade["los_bi"], f_bi.u)
-            np.testing.assert_array_equal(cascade["los_iu"], f_iu.u)
-            np.testing.assert_array_equal(f_bi.u, _los_oracle(bi, times, f, 2, 1, "rx"))
+            np.testing.assert_array_equal(products["los_bi"], f_bi.u)
+            np.testing.assert_array_equal(products["los_iu"], f_iu.u)
+            np.testing.assert_array_equal(f_bi.u, _los_oracle(bi, times, f, 1, 1, "rx"))
             np.testing.assert_array_equal(f_iu.u, _los_oracle(iu, times, f, 1, 1, "tx"))
-            # the cascade products with the run's phasors equal the per-trial form
-            out = stats._trial_cascade({"BI": bi, "IU": iu}, {**cascade, "analytical": False})
+            # the cascade products with the run's phasor equal the per-trial form
+            out = stats._trial_products({"BI": bi, "IU": iu}, products)
             h_part = np.sum(f_bi.transfer() * f_iu.transfer() * np.exp(-1j * theta), axis=0)
-            np.testing.assert_array_equal(out["trial_prod_2bit"], h_part[0] * np.conj(h_part))
-            np.testing.assert_array_equal(out["trial_pow_2bit"], np.abs(h_part) ** 2)
+            np.testing.assert_array_equal(out["trial_prod"], h_part[0] * np.conj(h_part))
+            np.testing.assert_array_equal(out["trial_pow"], np.abs(h_part) ** 2)
             for args in sub:
                 real = bi if args["kind"] == "BI" else iu
-                tx, rx = args["tx"], args["rx"]
-                np.testing.assert_array_equal(args["los"], ray_field(real, times, f, tx, rx).u)
+                np.testing.assert_array_equal(args["los"], ray_field(real, times, f).u)
                 np.testing.assert_array_equal(args["los"],
-                                              _los_oracle(real, times, f, tx, rx, None))
-            u_ccf = ray_field(iu, t + ccf["lags"], f, 1, 1, sweep="tx").u
+                                              _los_oracle(real, times, f, 1, 1, None))
+            u_ccf = ray_field(iu, ccf["times"], f, 1, 1, sweep="tx").u
             np.testing.assert_array_equal(ccf["los"], u_ccf)
-        assert not cascade["phasors"]["2bit"].flags.writeable
-        assert not cascade["los_bi"].flags.writeable
+        assert not products["phasor"].flags.writeable
+        assert not products["los_bi"].flags.writeable
         assert not ccf["los"].flags.writeable
 
     @pytest.mark.parametrize("threads, trials, workers", [(32, 300, 2), (2, 600, 2)])
-    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, threads, trials,
+    def test_pool_has_no_more_workers_than_blocks(self, in_process_pool, threads, trials,
                                                   workers):
-        # the executor forks every max_workers process up front; this stand-in
-        # records the size and runs the blocks in this process
-        import concurrent.futures
-
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        cfg = make_config(acf={"num_lags": 5})
-        pooled = stats.acf_subchannel(cfg, "BI", 0.0, trials=trials, threads=threads)
-        assert sizes == [workers]
-        serial = stats.acf_subchannel(cfg, "BI", 0.0, trials=trials, threads=1)
-        assert sizes == [workers]
+        cfg = make_config(acf={"num_lags": 5}, trials=trials)
+        pooled = stats.acf_subchannel(cfg, "BI", 0.0, threads=threads)
+        assert in_process_pool == [workers]
+        serial = stats.acf_subchannel(cfg, "BI", 0.0, threads=1)
+        assert in_process_pool == [workers]
         for kind in ("sim", "analytical"):
             np.testing.assert_array_equal(pooled[kind].values, serial[kind].values)
+
+    def test_pooled_trial_rows_follow_block_order(self, in_process_pool):
+        # 300 trials are two blocks; their rows are joined in block order
+        cfg = make_config(**self.CFG, trials=300)
+        pooled = stats.cascade_trial_products(cfg, 0.0, threads=2)
+        assert in_process_pool == [2]
+        serial = stats.cascade_trial_products(cfg, 0.0, threads=1)
+        for rows, want in zip(pooled, serial):
+            assert rows.shape[0] == 300
+            np.testing.assert_array_equal(rows, want)
 
 
 class TestReduce:
@@ -344,8 +355,8 @@ class TestReduce:
 class TestCcfSpatial:
     def test_zero_separation_unity_and_bounds(self):
         cfg = make_config(bs={"num_elements": 6, "speed_mps": 10.0},
-                          ccf={"subchannel": "BU", "axis": "tx"})
-        out = stats.ccf_spatial(cfg, trials=150)
+                          ccf={"subchannel": "BU", "axis": "tx"}, trials=150)
+        out = stats.ccf_spatial(cfg)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert np.all(out["sim"].magnitude <= 1 + 1e-9)
@@ -354,14 +365,16 @@ class TestCcfSpatial:
     def test_separation_grid_in_meters(self):
         # on a linear array at default angles the distance from element 1 is
         # bit-equal to the spacing grid
-        cfg = make_config(bs={"num_elements": 32}, ccf={"subchannel": "BU", "axis": "tx"})
-        out = stats.ccf_spatial(cfg, trials=20)
+        cfg = make_config(bs={"num_elements": 32}, ccf={"subchannel": "BU", "axis": "tx"},
+                          trials=20)
+        out = stats.ccf_spatial(cfg)
         spacing = cfg.bs.layout("BS").spacings[0]
         np.testing.assert_array_equal(out["sim"].lags, spacing * np.arange(32))
 
     def test_separation_on_a_planar_irs_is_the_distance_from_element_1(self):
-        cfg = make_config(irs={"m_x": 3, "m_y": 3}, ccf={"subchannel": "BI", "axis": "rx"})
-        out = stats.ccf_spatial(cfg, trials=2)
+        cfg = make_config(irs={"m_x": 3, "m_y": 3}, ccf={"subchannel": "BI", "axis": "rx"},
+                          trials=2)
+        out = stats.ccf_spatial(cfg)
         layout = cfg.irs.layout()
         want = [np.linalg.norm(element_offset(layout, e) - element_offset(layout, 1))
                 for e in range(1, 10)]
@@ -374,11 +387,11 @@ class TestCcfSpatial:
         # one ray per cluster keeps the N x E x T field arrays small, so the
         # bound separates them from an E x E x T tensor (33.5 MB at E = 1024, T = 2)
         cfg = make_config(irs={"m_x": 32, "m_y": 32}, clusters={"rays_per_cluster": 1},
-                          ccf={"subchannel": "BI", "axis": "rx"})
+                          ccf={"subchannel": "BI", "axis": "rx"}, trials=4)
         pair_tensor = 1024**2 * 2 * 16
         tracemalloc.start()
         try:
-            out = stats.ccf_spatial(cfg, trials=4)
+            out = stats.ccf_spatial(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,8 +399,9 @@ class TestCcfSpatial:
         assert peak < pair_tensor / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_sim_tracks_analytical(self):
-        cfg = make_config(bs={"num_elements": 6}, ccf={"subchannel": "BU", "axis": "tx"})
-        out = stats.ccf_spatial(cfg, trials=400)
+        cfg = make_config(bs={"num_elements": 6}, ccf={"subchannel": "BU", "axis": "tx"},
+                          trials=400)
+        out = stats.ccf_spatial(cfg)
         gap = np.max(np.abs(out["sim"].magnitude - out["analytical"].magnitude))
         assert gap < 0.2
 
@@ -431,7 +445,9 @@ class TestDsCdf:
         assert stats.rms_delay_spread(tau, p) < 1e-12
 
     def test_cdf_monotone_and_bounded(self, small_cfg):
-        out = stats.ds_cdf(small_cfg, sigma_scales=[1.0], trials=60)
+        cfg = dataclasses.replace(small_cfg, trials=60,
+                                  ds_cdf={**small_cfg.ds_cdf, "sigma_scales": [1.0]})
+        out = stats.ds_cdf(cfg)
         xs, levels = stats.empirical_cdf(out[1.0])
         assert np.all(np.diff(xs) >= 0)
         assert np.all(np.diff(levels) > 0)
@@ -441,8 +457,9 @@ class TestDsCdf:
         cfg = make_config(clusters={
             "birth_rate": 8.0, "death_rate": 4.0, "rays_per_cluster": 20,
             "sigma_xyz_m": [5.0, 5.0, 2.0], "virtual_delay_mean_ns": 20.0,
-            "center_distance_mean_m": 10.0, "power_decay_ns": 2000.0})
-        out = stats.ds_cdf(cfg, sigma_scales=[1.0, 3.0], trials=250)
+            "center_distance_mean_m": 10.0, "power_decay_ns": 2000.0},
+            ds_cdf={"sigma_scales": [1.0, 3.0]}, trials=250)
+        out = stats.ds_cdf(cfg)
         assert np.median(out[3.0]) / np.median(out[1.0]) > 1.0
 
 
@@ -491,10 +508,35 @@ class TestDoppler:
                 bs={"speed_mps": 0.0},
                 user={"speed_mps": vu, "velocity_azimuth_deg": 90.0},
                 clusters={"speed_a_mps": 0.0, "speed_z_mps": 5.0},
-                doppler={"start_s": 0.0, "stop_s": 2.0, "num": 3})
-            _, spread = stats.doppler_spread_series(cfg, trials=60)
+                doppler={"start_s": 0.0, "stop_s": 2.0, "num": 3}, trials=60)
+            _, spread, _ = stats.doppler_spread_series(cfg)
             means.append(spread.mean())
         assert means[0] < means[1] < means[2]
+
+
+    def test_counts_are_the_trials_each_mean_averages(self, small_cfg):
+        cfg = dataclasses.replace(small_cfg, trials=24,
+                                  doppler={"start_s": 0.0, "stop_s": 2.0, "num": 3})
+        times, spread, counts = stats.doppler_spread_series(cfg)
+        sums, want = np.zeros(3), np.zeros(3, dtype=int)
+        for k in range(cfg.trials):
+            bi, iu = (realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", k, kind))
+                      for kind in ("BI", "IU"))
+            for i, t in enumerate(times):
+                nu, w = stats.doppler_frequency(bi, iu, t)
+                if nu.size:
+                    sums[i] += stats.local_doppler_spread(nu, w)
+                    want[i] += 1
+        assert counts.tolist() == want.tolist()
+        assert 0 < want.min() and want.max() <= cfg.trials
+        np.testing.assert_allclose(spread, sums / want, rtol=1e-12)
+
+    def test_time_without_a_visible_ray_pair_counts_zero(self, small_cfg):
+        cfg = dataclasses.replace(small_cfg, trials=5, clusters=dataclasses.replace(
+            small_cfg.clusters, birth_rate=1e-9))
+        _, spread, counts = stats.doppler_spread_series(cfg)
+        assert counts.tolist() == [0] * counts.size
+        assert spread.tolist() == [0.0] * spread.size
 
 
 class TestEstimatorConsistency:
@@ -505,7 +547,7 @@ class TestEstimatorConsistency:
         cfg = make_config(acf={"num_lags": 16})
         gaps = []
         for n in (100, 1000, 10000):
-            out = stats.acf_subchannel(cfg, "BI", 0.0, trials=n)
+            out = stats.acf_subchannel(with_trials(cfg, n), "BI", 0.0)
             gaps.append(np.mean(np.abs(out["sim"].magnitude
                                        - out["analytical"].magnitude)))
         assert gaps[2] < gaps[1] < gaps[0]
@@ -515,8 +557,8 @@ class TestEstimatorConsistency:
 class TestBootstrap:
     def test_deterministic_given_stream(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0,
-                          acf={"num_lags": 8})
-        prod, power = stats.cascade_trial_products(cfg, 0.0, trials=64)
+                          acf={"num_lags": 8}, trials=64)
+        prod, power = stats.cascade_trial_products(cfg, 0.0)
         a = stats.bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
         b = stats.bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
         assert np.array_equal(a, b)
