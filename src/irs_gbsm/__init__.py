@@ -20,7 +20,7 @@ _os.environ.setdefault("MKL_NUM_THREADS", "1")
 # defined before the submodules are imported: the run manifest records it
 __version__ = "0.1.0"
 
-from .assembly import EndToEndChannel, apply_steering, cascade, phase_model_for
+from .assembly import apply_steering, cascade, phase_model_for
 from .clusters import (
     ClusterPair,
     ClusterRealization,
@@ -51,7 +51,6 @@ from .irs import (
 )
 from .largescale import LargeScaleParams, path_loss_bu_db, sample_shadow_fading
 from .rng import rng_stream
-from .smallscale import transfer_values
 from .stats import (
     CorrelationCurve,
     acf_full_irs,

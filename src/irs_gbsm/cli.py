@@ -26,7 +26,8 @@ from . import stats
 from .assembly import cascade, large_scale_factors, phase_model_for
 from .clusters import evolve_visibility, realize_subchannel
 from .config import ConfigError, ScenarioConfig, parse_config, serialize_config
-from .irs import cascaded_path_loss, optimal_phase, quantize_phase, received_power
+from .irs import (cascaded_path_loss, optimal_phase, quantize_phase, received_power,
+                  resolution_label)
 from .largescale import db_to_linear, path_loss_bu_db
 from .output import curve_rows, stat_filename, write_csv, write_manifest
 from .rng import rng_stream
@@ -156,14 +157,13 @@ def _run_simulate(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]
     ls = None
     if cfg.large_scale.enabled:
         ls = large_scale_factors(cfg, rng_stream(cfg.seed, "large_scale"))
-    matrix_rows = []
-    for t in times:
-        channel = cascade(float(t), cfg.eval_offset_hz, reals, model,
-                          include_direct=True, large_scale=ls)
-        matrix_rows.extend(channel.rows())
+    h = cascade(times, cfg.eval_offset_hz, reals, model, large_scale=ls)   # (T, M_U, M_B)
+    i_t, p, q = (index.ravel() for index in np.indices(h.shape))   # rows in C order
+    h, n = h.ravel(), h.size
     outputs.append(write_csv(
-        outdir / "channel_matrix.csv",
-        ["t", "f", "q", "p", "re", "im", "phase_resolution"], list(zip(*matrix_rows))))
+        outdir / "channel_matrix.csv", ["t", "f", "q", "p", "re", "im", "phase_resolution"],
+        [times[i_t], [cfg.eval_offset_hz] * n, q + 1, p + 1, h.real, h.imag,
+         [resolution_label(model.bits)] * n]))
     outputs.append(write_csv(
         outdir / "phase_plan.csv",
         ["r", "x", "y", "phase_rad", "quantized_phase_rad"],

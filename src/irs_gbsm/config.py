@@ -12,15 +12,17 @@ the eleven keywords it uses: ``type``, ``properties``,
 ``additionalProperties`` (``false`` only), ``minimum``, ``maximum``,
 ``exclusiveMinimum``, ``items``, ``minItems``, ``maxItems``, ``enum`` and
 ``anyOf``.  An ``integer`` is an ``int``, never a ``float`` such as ``4.0``;
-a ``number`` is an ``int`` or a finite ``float``, never ``NaN`` or
-``Infinity`` (which ``json`` reads and no bound refuses); ``bool`` is
-neither.
+a ``number`` is a finite ``float`` or an ``int`` no larger in magnitude
+than the largest float, never ``NaN`` or ``Infinity`` (which ``json`` reads
+and no bound refuses) nor an integer such as ``10**400`` that no float can
+hold; ``bool`` is neither.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any
@@ -195,6 +197,7 @@ _TYPES = {
     "null": lambda v: v is None,
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max
                          or isinstance(v, float) and math.isfinite(v)),
 }
 # keyword -> test that the value breaks it; each applies to one JSON type only

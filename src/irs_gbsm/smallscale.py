@@ -30,6 +30,9 @@ last-ulp change in d becomes about 1e-11 rad once multiplied by kappa
 
 One field kernel, :func:`ray_field`, serves every statistic: a single
 element pair is its case with ``sweep=None`` and a singleton element axis.
+One generator of visible taps, :func:`_visible_taps`, serves ``simulate``:
+:func:`cir_columns` writes its taps and :func:`subchannel_matrix` sums their
+frequency response, the sub-channel matrices of ``assembly.cascade``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
-# cap on the float64 count of the largest temp of a cir_columns block
-_BLOCK_FLOATS = 12_000_000
+# cap on the float64 count of a _visible_taps block's (pair, ray) normalizer; at
+# 12M a 32 x 32 surface of 8600 rays peaked at 158 MB (tracemalloc), at 2M 54 MB
+_BLOCK_FLOATS = 2_000_000
 # the element offset of a difference already formed per row (a LoS vector or a
 # gathered (element, ray) pair); subtracting it is exact
 _ORIGIN = np.zeros((1, 3))
@@ -229,15 +233,6 @@ def ray_field(real: ClusterRealization, times, f: float = 0.0,
                        k_factor=real.k_factor)
 
 
-def transfer_values(real: ClusterRealization, times, f: float = 0.0,
-                    tx_element: int = 1, rx_element: int = 1,
-                    sweep: str | None = None) -> np.ndarray:
-    """Rician-weighted H(t, f); shape (n_times,) or (n_elements, n_times)."""
-    bundle = ray_field(real, times, f, tx_element, rx_element, sweep)
-    h = bundle.transfer()
-    return h[0] if sweep is None else h
-
-
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
               "phase_rad", "is_los"]
 
@@ -256,29 +251,21 @@ def cir_row_count(real: ClusterRealization, n_times: int) -> int:
     return n_times * other.num_elements * taps
 
 
-def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
-    """Weighted taps of every (time, tx, rx) as columns in :data:`CIR_HEADER` order.
+def _visible_taps(real: ClusterRealization, times: np.ndarray):
+    """The visible taps of every (time, tx, rx), a block of element pairs at a time.
 
-    Rows run in C order over (t, tx, rx, [LoS, visible rays...]) and hold
-    exactly the values of the per-tap test oracle ``tests/cir_oracle.py``,
-    ``weighted_taps(real, t, tx, rx)``, which builds one tap per ray.
-    The path length is separable, d = |d_tx| + |d_rx|, so each side's norms
-    are computed per element and time, not per element pair, and on the
-    evolved side only for visible rays.  The evolved element axis runs in
-    blocks, so no n_rays x E x T temporary is formed; the columns are
-    allocated once, at :func:`cir_row_count` rows.
+    Yields ``(it, i_tx, i_rx, slot, d, power)`` per tap: time index, 0-based
+    tx and rx elements, slot (0 the LoS tap, 1 + n ray n), path length (|D|
+    for the LoS tap) and normalized power (1 for the LoS tap), in C order over
+    (t, tx, rx, slot); a block's pairs are contiguous.  d = |d_tx| + |d_rx|
+    is separable, so each side's norms are computed per element and time, on
+    the evolved side only for visible rays, and no n_rays x E temporary forms.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
     n_rays = real.num_rays
-    k = real.k_factor
-    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
     l_tx, l_rx = real.tx_layout.offsets, real.rx_layout.offsets
     n_tx, n_rx = l_tx.shape[0], l_rx.shape[0]
     matrix, ids = real.visibility.matrix, rays["cluster_ids"]
-    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays
-    cluster = np.concatenate([[-1], ids])
-    ray = np.concatenate([[-1], rays["ray_ids"]])
     d0_los = real.rx_ref - real.tx_ref
 
     evolved_tx = real.evolved_side == "tx"
@@ -295,12 +282,8 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
         diff = rays[f"d0_{side}"][r] - (l_tx if side == "tx" else l_rx)[elements]
         return _side_norms(diff, rays[f"v_rel_{side}"][r], _ORIGIN, t)[:, 0, 0]
 
-    n_rows = cir_row_count(real, times.size)
-    out = tuple(np.empty(n_rows, dtype=dt) for dt in (float, int, int, int, int, float,
-                                                       float, float, bool))
-    pos = 0
     fixed_side = "rx" if evolved_tx else "tx"
-    for t in times[:, None]:
+    for it, t in enumerate(times[:, None]):
         # the fixed side's norms for every ray, (n_rays, other); the evolved
         # side's only where visible
         fixed = _side_norms(rays[f"d0_{fixed_side}"], rays[f"v_rel_{fixed_side}"],
@@ -312,32 +295,85 @@ def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
                               else matrix[None, rx0:rx1, ids])
             i_tx, i_rx, slot = np.nonzero(mask)
             is_los = slot == 0
-            delay = np.empty(slot.size)
-            amplitude = np.empty(slot.size)
+            d = np.empty(slot.size)
+            power = np.ones(slot.size)
             los = _los_norms(real, (d0_los - l_tx[tx0:tx1, None, :]
                                     + l_rx[None, rx0:rx1, :]).reshape(-1, 3), t)
-            delay[is_los] = los[:, 0] / SPEED_OF_LIGHT
-            amplitude[is_los] = w_los
+            d[is_los] = los[:, 0]
             i, j, r = i_tx[~is_los], i_rx[~is_los], slot[~is_los] - 1
             if evolved_tx:
-                d = pair_norms("tx", i + tx0, r, t) + fixed[r, j + rx0]
+                d_ray = pair_norms("tx", i + tx0, r, t) + fixed[r, j + rx0]
             else:
-                d = fixed[r, i + tx0] + pair_norms("rx", j + rx0, r, t)
-            tau = d / SPEED_OF_LIGHT + rays["tau_v"][r]
-            w = np.exp(-tau / real.gamma_ds)
+                d_ray = fixed[r, i + tx0] + pair_norms("rx", j + rx0, r, t)
+            w = np.exp(-(d_ray / SPEED_OF_LIGHT + rays["tau_v"][r]) / real.gamma_ds)
             # the normalizer sums the full ray axis, invisible rays as zeros, so
             # its rounding equals the per-pair sum of ray_powers_at
             full = np.zeros(shape[:2] + (n_rays,))
             full[i, j, r] = w
             total = full.sum(axis=-1)[i, j]
-            powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-            delay[~is_los] = tau
-            amplitude[~is_los] = w_nlos * np.sqrt(powers)
-            end = pos + slot.size
-            for col, values in zip(out, (
-                    t, i_tx + (tx0 + 1), i_rx + (rx0 + 1), cluster[slot], ray[slot],
-                    delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI),
-                    is_los)):
-                col[pos:end] = values
-            pos = end
+            power[~is_los] = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+            d[~is_los] = d_ray
+            yield it, i_tx + tx0, i_rx + rx0, slot, d, power
+
+
+def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
+    """Weighted taps of every (time, tx, rx) as columns in :data:`CIR_HEADER` order.
+
+    Rows run in C order over (t, tx, rx, [LoS, visible rays...]) and hold
+    exactly the values of the per-tap test oracle ``tests/cir_oracle.py``,
+    ``weighted_taps(real, t, tx, rx)``.  The columns are allocated once, at
+    :func:`cir_row_count` rows.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rays = real.rays
+    k = real.k_factor
+    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays; adding
+    # the LoS tap's zero virtual delay is exact
+    cluster = np.concatenate([[-1], rays["cluster_ids"]])
+    ray = np.concatenate([[-1], rays["ray_ids"]])
+    tau_v = np.concatenate([[0.0], rays["tau_v"]])
+
+    n_rows = cir_row_count(real, times.size)
+    out = tuple(np.empty(n_rows, dtype=dt) for dt in (float, int, int, int, int, float,
+                                                       float, float, bool))
+    pos = 0
+    for it, i_tx, i_rx, slot, d, power in _visible_taps(real, times):
+        is_los = slot == 0
+        delay = d / SPEED_OF_LIGHT + tau_v[slot]
+        amplitude = np.where(is_los, w_los, w_nlos * np.sqrt(power))
+        end = pos + slot.size
+        for col, values in zip(out, (
+                times[it], i_tx + 1, i_rx + 1, cluster[slot], ray[slot], delay, amplitude,
+                np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
+            col[pos:end] = values
+        pos = end
     return out
+
+
+def subchannel_matrix(real: ClusterRealization, times, f: float = 0.0) -> np.ndarray:
+    """Rician-weighted transfer matrix of every time, shape (T, n_rx, n_tx).
+
+    The Fourier sum of the taps :func:`cir_columns` writes, per element pair
+    w_los e^{j kappa |D|} + w_nlos sum_n sqrt(P_n) e^{j kappa d_n} vlink_n over
+    the visible rays in :meth:`FieldBundle.transfer`'s order of operations;
+    it equals ``ray_field(...).transfer()`` to rounding.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
+    k = real.k_factor
+    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
+    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * real.rays["tau_v"])
+    h = np.empty(times.size * n_tx * n_rx, dtype=complex)
+    for it, i_tx, i_rx, slot, d, power in _visible_taps(real, times):
+        pair = (it * n_tx + i_tx) * n_rx + i_rx
+        lo, n = pair[0], pair[-1] + 1 - pair[0]
+        g = np.exp(1j * kappa * d)
+        is_ray = slot > 0
+        g_ray = g[is_ray] * np.sqrt(power[is_ray])
+        g_ray *= vlink[slot[is_ray] - 1]
+        h_nlos = np.zeros(n, dtype=complex)
+        np.add.at(h_nlos, pair[is_ray] - lo, g_ray)   # a pair's rays add in ray order
+        h[lo:lo + n] = w_los * g[~is_ray] + w_nlos * h_nlos
+    return h.reshape(times.size, n_tx, n_rx).transpose(0, 2, 1)

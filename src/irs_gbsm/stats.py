@@ -441,8 +441,11 @@ def _check_tensor_footprint(n_elements: int, n_lags: int, analytical: bool,
         raise MemoryError(
             f"full-IRS ACF tensors need about {need / 2**30:.1f} GiB "
             f"(E={n_elements} elements, T={n_lags} lags, {processes} process(es)), "
-            f"more than the {ram / 2**30:.1f} GiB of physical RAM; use fewer IRS "
-            f"elements, fewer lags, analytical=False, or cascade_trial_products")
+            f"more than the {ram / 2**30:.1f} GiB of physical RAM; in the config, "
+            f"lower irs.m_x and irs.m_y or acf.num_lags, or run with a smaller "
+            f"--threads (each worker process holds its own tensors); in the library, "
+            f"use fewer IRS elements, fewer lags, analytical=False, or "
+            f"cascade_trial_products")
 
 
 def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = None,
@@ -463,8 +466,9 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
         bits_variants = (cfg.irs.phase_bits,)
     lags, f = cfg.lag_grid(), cfg.eval_offset_hz
     times = t + lags
-    thetas = {resolution_label(bits): phase_model_for(cfg, bits=bits).applied_profile(times)
-              for bits in bits_variants}
+    model = phase_model_for(cfg)
+    thetas = {resolution_label(bits): dataclasses.replace(model, bits=bits)
+              .applied_profile(times) for bits in bits_variants}
     _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
                             cfg.trials, threads)
     params = {"times": times, "analytical": analytical}

@@ -4,7 +4,8 @@ One ``RayTap`` per tap, built pair by pair and time by time: the LoS tap
 from ``np.linalg.norm`` of the LoS vector, then one tap per visible ray from
 ``ray_delays`` and ``ray_powers_at``, with the Rician weights folded into
 the amplitudes.  ``smallscale.cir_columns`` must reproduce these taps bit
-for bit and ``smallscale.transfer_values`` their Fourier sum.
+for bit, and ``smallscale.subchannel_matrix`` and ``ray_field(...).transfer()``
+their Fourier sum.
 """
 
 from dataclasses import dataclass

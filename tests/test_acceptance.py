@@ -23,7 +23,7 @@ from irs_gbsm.clusters import (
 from irs_gbsm.config import parse_config
 from irs_gbsm.geometry import TerminalLayout
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_path_lengths, ray_path_rates, transfer_values
+from irs_gbsm.smallscale import ray_field, ray_path_lengths, ray_path_rates
 
 TRIALS = 10_000
 
@@ -313,16 +313,19 @@ def test_criterion_11_oracle_equivalence():
              for k in ("BI", "IU", "BU")}
     model = phase_model_for(cfg)
     t, f = 0.7, 1e6
-    channel = cascade(t, f, reals, model, include_direct=True)
+    # the tap sum of the CIR kernel against the field kernel, pair by pair
+    matrix = cascade(t, f, reals, model)[0]
     theta = model.applied_profile(t)
+
+    def transfer(kind, tx, rx):
+        return ray_field(reals[kind], t, f, tx, rx).transfer()[0, 0]
+
     worst = 0.0
     for q in (1, 2):
-        oracle = transfer_values(reals["BU"], t, f, tx_element=q)[0]
+        oracle = transfer("BU", q, 1)
         for r in range(1, 5):
-            oracle += (transfer_values(reals["BI"], t, f, tx_element=q, rx_element=r)[0]
-                       * transfer_values(reals["IU"], t, f, tx_element=r, rx_element=1)[0]
-                       * np.exp(-1j * theta[r - 1]))
-        worst = max(worst, abs(channel.matrix[0, q - 1] - oracle))
+            oracle += transfer("BI", q, r) * transfer("IU", r, 1) * np.exp(-1j * theta[r - 1])
+        worst = max(worst, abs(matrix[0, q - 1] - oracle))
 
     los_cfg = parse_config({
         "seed": 32, "fc_ghz": 28.0, "trials": 10, "rician_k_db": 120.0,
@@ -332,10 +335,10 @@ def test_criterion_11_oracle_equivalence():
     })
     los_reals = {k: realize_subchannel(los_cfg, k, rng_stream(32, "trial", 0, k))
                  for k in ("BI", "IU")}
-    los_model = phase_model_for(los_cfg, bits=None)
-    h_bi = np.array([transfer_values(los_reals["BI"], 0.0, rx_element=r)[0]
+    los_model = phase_model_for(los_cfg)
+    h_bi = np.array([ray_field(los_reals["BI"], 0.0, rx_element=r).transfer()[0, 0]
                      for r in range(1, 10)])
-    h_iu = np.array([transfer_values(los_reals["IU"], 0.0, tx_element=r)[0]
+    h_iu = np.array([ray_field(los_reals["IU"], 0.0, tx_element=r).transfer()[0, 0]
                      for r in range(1, 10)])
     terms = h_iu * np.exp(-1j * los_model.applied_profile(0.0)) * h_bi
     combine_rel = abs(np.abs(terms.sum()) - np.abs(terms).sum()) / np.abs(terms).sum()

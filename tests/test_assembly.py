@@ -1,3 +1,8 @@
+import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,17 +13,28 @@ from irs_gbsm.assembly import (
     phase_model_for,
     subchannel_matrix,
 )
+from irs_gbsm.cli import main as cli_main
 from irs_gbsm.clusters import realize_subchannel
+from irs_gbsm.config import parse_config
 from irs_gbsm.irs import SteeringVector, steering_vector
 from irs_gbsm.largescale import db_to_linear, path_loss_bu_db
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import transfer_values
+from irs_gbsm.smallscale import ray_field
 from tests.conftest import make_config
+
+CONFIG_128 = Path(__file__).resolve().parents[1] / "configs" / "cluster_evolution_128.json"
+# large-scale amplitudes that keep the cascade and drop the direct term exactly
+CASCADE_ONLY = {"cascade_amp": 1.0, "direct_amp": 0.0}
 
 
 def realize_all(cfg, seed=0):
     return {k: realize_subchannel(cfg, k, rng_stream(seed, "trial", 0, k))
             for k in ("BI", "IU", "BU")}
+
+
+def transfer(real, t, f=0.0, tx_element=1, rx_element=1):
+    """H of one element pair at one time, from the field kernel."""
+    return ray_field(real, t, f, tx_element, rx_element).transfer()[0, 0]
 
 
 class TestCascade:
@@ -27,19 +43,19 @@ class TestCascade:
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
         t = 0.4
-        channel = cascade(t, 0.0, reals, model, include_direct=False)
-        h_bi = transfer_values(reals["BI"], t)[0]
-        h_iu = transfer_values(reals["IU"], t)[0]
+        matrix = cascade(t, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        h_bi = transfer(reals["BI"], t)
+        h_iu = transfer(reals["IU"], t)
         theta = model.applied_profile(t)[0]
         expect = h_bi * h_iu * np.exp(-1j * theta)
-        assert channel.matrix[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert matrix[0, 0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_global_phase_shift_leaves_magnitude(self):
         cfg = make_config(irs={"m_x": 1, "m_y": 1})
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
-        h_bi = subchannel_matrix(reals["BI"], 0.0)
-        h_iu = subchannel_matrix(reals["IU"], 0.0)
+        h_bi = subchannel_matrix(reals["BI"], 0.0)[0]
+        h_iu = subchannel_matrix(reals["IU"], 0.0)[0]
         theta = model.applied_profile(0.0)
         base = (h_iu * np.exp(-1j * theta)[None, :]) @ h_bi
         shifted = (h_iu * np.exp(-1j * (theta + 1.234))[None, :]) @ h_bi
@@ -50,26 +66,26 @@ class TestCascade:
                           user={"num_elements": 1}, rician_k_db=3.0)
         reals = realize_all(cfg, seed=5)
         model = phase_model_for(cfg)
-        t, f = 0.8, 2e6
-        channel = cascade(t, f, reals, model, include_direct=True)
-        theta = model.applied_profile(t)
-        for q in range(1, 3):
-            for p in range(1, 2):
-                total = transfer_values(reals["BU"], t, f, tx_element=q, rx_element=p)[0]
-                for r in range(1, 5):
-                    h_bi = transfer_values(reals["BI"], t, f, tx_element=q,
-                                           rx_element=r)[0]
-                    h_iu = transfer_values(reals["IU"], t, f, tx_element=r,
-                                           rx_element=p)[0]
-                    total += h_bi * h_iu * np.exp(-1j * theta[r - 1])
-                assert channel.matrix[p - 1, q - 1] == pytest.approx(total, rel=1e-12)
+        times, f = np.array([0.0, 0.8]), 2e6
+        matrix = cascade(times, f, reals, model)
+        assert matrix.shape == (2, 1, 2)
+        for i, t in enumerate(times):
+            theta = model.applied_profile(t)
+            for q in range(1, 3):
+                for p in range(1, 2):
+                    total = transfer(reals["BU"], t, f, q, p)
+                    for r in range(1, 5):
+                        total += (transfer(reals["BI"], t, f, q, r)
+                                  * transfer(reals["IU"], t, f, r, p)
+                                  * np.exp(-1j * theta[r - 1]))
+                    assert matrix[i, p - 1, q - 1] == pytest.approx(total, rel=1e-12)
 
     def test_linearity_in_subchannel_scaling(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 1})
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
-        h_bi = subchannel_matrix(reals["BI"], 0.0)
-        h_iu = subchannel_matrix(reals["IU"], 0.0)
+        h_bi = subchannel_matrix(reals["BI"], 0.0)[0]
+        h_iu = subchannel_matrix(reals["IU"], 0.0)[0]
         phases = np.exp(-1j * model.applied_profile(0.0))
         base = (h_iu * phases[None, :]) @ h_bi
         scaled = ((3.0 * h_iu) * phases[None, :]) @ h_bi
@@ -80,9 +96,10 @@ class TestCascade:
                           geometry={"d_bi_m": [40.0, 5.0, 2.0],
                                     "d_iu_m": [30.0, -12.0, -2.0]})
         reals = realize_all(cfg, seed=7)
-        model = phase_model_for(cfg, bits=None)
-        h_bi = subchannel_matrix(reals["BI"], 0.0)
-        h_iu = subchannel_matrix(reals["IU"], 0.0)
+        model = phase_model_for(cfg)
+        assert model.bits is None
+        h_bi = subchannel_matrix(reals["BI"], 0.0)[0]
+        h_iu = subchannel_matrix(reals["IU"], 0.0)[0]
         terms = h_iu[0, :] * np.exp(-1j * model.applied_profile(0.0)) * h_bi[:, 0]
         assert np.abs(terms.sum()) == pytest.approx(np.abs(terms).sum(), rel=1e-6)
 
@@ -91,22 +108,20 @@ class TestCascade:
                           geometry={"d_bi_m": [40.0, 5.0, 2.0],
                                     "d_iu_m": [30.0, -12.0, -2.0]})
         reals = realize_all(cfg, seed=8)
-        cont = cascade(0.0, 0.0, reals, phase_model_for(cfg, bits=None),
-                       include_direct=False)
-        disc = cascade(0.0, 0.0, reals, phase_model_for(cfg, bits=2),
-                       include_direct=False)
-        assert np.abs(disc.matrix[0, 0]) <= np.abs(cont.matrix[0, 0]) * (1 + 1e-12)
+        model = phase_model_for(cfg)
+        cont = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        disc = cascade(0.0, 0.0, reals, dataclasses.replace(model, bits=2),
+                       large_scale=CASCADE_ONLY)
+        assert np.abs(disc[0, 0, 0]) <= np.abs(cont[0, 0, 0]) * (1 + 1e-12)
 
     def test_direct_term_toggle(self):
         cfg = make_config()
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
-        with_direct = cascade(0.0, 0.0, reals, model, include_direct=True)
-        without = cascade(0.0, 0.0, reals, model, include_direct=False)
-        h_bu = transfer_values(reals["BU"], 0.0)[0]
-        assert with_direct.matrix[0, 0] - without.matrix[0, 0] == pytest.approx(
-            h_bu, rel=1e-12)
-        assert np.all(without.direct_term == 0)
+        with_direct = cascade(0.0, 0.0, reals, model)
+        without = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        assert with_direct[0, 0, 0] - without[0, 0, 0] == pytest.approx(
+            transfer(reals["BU"], 0.0), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 2})
@@ -116,13 +131,64 @@ class TestCascade:
         with pytest.raises(ValueError):
             cascade(0.0, 0.0, reals, wrong_model)
 
-    def test_rows_carry_resolution(self):
-        cfg = make_config(irs={"m_x": 1, "m_y": 1, "phase_bits": 2})
-        reals = realize_all(cfg)
-        channel = cascade(0.0, 0.0, reals, phase_model_for(cfg))
-        rows = list(channel.rows())
-        assert rows[0][:4] == (0.0, 0.0, 1, 1)
-        assert rows[0][6] == "2bit"
+    def test_rows_carry_resolution(self, tmp_path):
+        # simulate writes one row per (t, p, q), in C order of cascade's (T, M_U, M_B)
+        raw = {"seed": 3, "irs": {"m_x": 1, "m_y": 1, "phase_bits": 2},
+               "bs": {"num_elements": 2}, "time": {"start_s": 0.0, "stop_s": 0.5, "num": 2}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--threads", "1"]) == 0
+        rows = (tmp_path / "out" / "channel_matrix.csv").read_text().splitlines()[1:]
+        cfg = parse_config(raw)
+        times = cfg.time_grid()
+        matrix = cascade(times, 0.0, realize_all(cfg, seed=cfg.seed), phase_model_for(cfg))
+        assert rows == [f"{t!r},0.0,{q},1,{v.real!r},{v.imag!r},2bit"
+                        for t, h in zip(times.tolist(), matrix.tolist()) for q, v in zip((1, 2), h[0])]
+
+
+class TestSubchannelMatrix:
+    """The tap sum of the CIR taps against the field kernel."""
+
+    @pytest.mark.parametrize("kind", ["BI", "IU", "BU"])
+    def test_equals_field_transfer(self, kind):
+        cfg = make_config(bs={"num_elements": 2}, irs={"m_x": 3, "m_y": 2},
+                          user={"num_elements": 3}, rician_k_db=3.0)
+        real = realize_all(cfg, seed=11)[kind]
+        times, f = np.array([0.0, 0.3, 1.1]), 2e6
+        got = subchannel_matrix(real, times, f)
+        n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
+        assert got.shape == (3, n_rx, n_tx)
+        for q in range(1, n_tx + 1):
+            expect = ray_field(real, times, f, tx_element=q, sweep="rx").transfer()
+            np.testing.assert_allclose(got[:, :, q - 1], expect.T, rtol=1e-12, atol=0)
+
+    def test_no_visible_ray_leaves_the_los(self):
+        cfg = make_config(rician_k_db=3.0, clusters={"birth_rate": 0.01})
+        real = realize_all(cfg)["BI"]
+        assert real.num_rays == 0
+        k = real.k_factor
+        expect = np.sqrt(k / (k + 1.0)) * ray_field(real, 0.2).u[0, 0]
+        assert subchannel_matrix(real, 0.2)[0, 0, 0] == expect
+
+    def test_large_irs_allocates_no_ray_element_field(self):
+        # the cluster parameters of the 128 x 128 config on a 32 x 32 surface:
+        # about 8600 BI and 7900 IU rays.  A per-tx ray_field call forms
+        # n_rays x E arrays, 49 B per (ray, element): 432 MB for BI.  The tap
+        # sum's blocks peak at about 55 MB
+        raw = json.loads(CONFIG_128.read_text())
+        raw["irs"].update(m_x=32, m_y=32)
+        cfg = parse_config(raw)
+        reals = realize_all(cfg, seed=cfg.seed)
+        for kind in ("BI", "IU"):
+            tracemalloc.start()
+            try:
+                h = subchannel_matrix(reals[kind], 0.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.shape[1] * h.shape[2] == 1024
+            assert peak < 100e6, f"{kind} peak {peak / 1e6:.1f} MB"
 
 
 class TestSteering:
@@ -175,7 +241,7 @@ class TestLargeScale:
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
         ls = large_scale_factors(cfg, rng_stream(2, "ls"))
-        plain = cascade(0.0, 0.0, reals, model, include_direct=False)
-        scaled = cascade(0.0, 0.0, reals, model, include_direct=False, large_scale=ls)
-        assert scaled.matrix[0, 0] == pytest.approx(
-            ls["cascade_amp"] * plain.matrix[0, 0], rel=1e-12)
+        plain = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        scaled = cascade(0.0, 0.0, reals, model, large_scale=dict(ls, direct_amp=0.0))
+        assert scaled[0, 0, 0] == pytest.approx(
+            ls["cascade_amp"] * plain[0, 0, 0], rel=1e-12)

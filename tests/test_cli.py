@@ -183,9 +183,11 @@ class TestExportColumns:
             "acf_continuous_0s_62GHz.csv":
                 "323fc6f3fea33fea0139a38bdc410b7d2cf25906644ec03db70998b72c5f07c6",
         },
+        # H is the tap sum of the CIR taps, which moved its entries by at most
+        # 2.8e-16 relative; one ray_field call per (time, tx) wrote e1c184f6...2928da52
         "simulate": {
             "channel_matrix.csv":
-                "e1c184f6825894e674dbee91b724453408ad3fb258f63f256e9ccba32928da52",
+                "2fc1fa82b80e61ab174457d90f9110fb7c778c9e423f4a20cbdcaa603da22324",
             "cir_bi.csv": "a52beee6ae9c97efc6e2ddc233a1a3ff0e46fe3a79e877201eb4ad77e520bf94",
             "cir_bu.csv": "f01ac555f998cc588b90526662d070069885b5217fae740b58f6d2dab7f65ff2",
             "cir_iu.csv": "7d0702e8ee866a00bb0232b22126b80ead5a3ba21e99d67b2182d70a220e5619",
@@ -339,10 +341,12 @@ class TestErrors:
         ('{"acf": {"lag_max_s": Infinity}}', "/acf/lag_max_s"),
         ('{"fc_ghz": NaN}', "/fc_ghz"),
         ('{"clusters": {"birth_rate": NaN}}', "/clusters/birth_rate"),
+        pytest.param('{"fc_ghz": 1' + "0" * 400 + "}", "/fc_ghz", id="400-digit fc_ghz"),
     ])
     def test_non_finite_number_is_refused(self, tmp_path, capsys, text, pointer):
         # json reads NaN and Infinity, and NaN breaks no bound: a NaN speed
-        # once ran to exit 0 and wrote an all-zero ACF
+        # once ran to exit 0 and wrote an all-zero ACF.  A 400-digit integer
+        # once exited 1 with an OverflowError traceback
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -360,7 +364,8 @@ class TestErrors:
         assert run("acf", config_path, tmp_path / "big") == 3
         err = capsys.readouterr().err
         for remedy in ("fewer IRS elements", "fewer lags", "analytical=False",
-                       "cascade_trial_products"):
+                       "cascade_trial_products", "irs.m_x", "irs.m_y", "acf.num_lags",
+                       "--threads"):
             assert remedy in err
 
     def test_log_env_smoke(self, config_path, tmp_path, monkeypatch):

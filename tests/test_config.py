@@ -257,10 +257,12 @@ class TestSchemaOracle:
     @pytest.mark.parametrize("key, value", [
         ("bs/speed_mps", math.nan), ("acf/lag_max_s", math.inf), ("fc_ghz", math.nan),
         ("clusters/birth_rate", math.nan), ("rician_k_db", -math.inf),
-        ("ds_cdf/sigma_scales", [1.0, math.inf])])
+        ("ds_cdf/sigma_scales", [1.0, math.inf]),
+        pytest.param("fc_ghz", 10**400, id="fc_ghz-10**400")])
     def test_non_finite_number_is_refused_where_the_oracle_admits_it(self, oracle, key,
                                                                     value):
-        # NaN breaks no bound, and Infinity none of these
+        # NaN breaks no bound, and Infinity none of these; an integer past the
+        # largest float breaks none either, but no float can hold it
         raw = {}
         set_at(raw, tuple(key.split("/")), value)
         assert oracle(_merge(DEFAULTS, raw)) is None

@@ -74,10 +74,11 @@ def unset_defaults(module: str, callers: list[str]) -> list[str]:
             if (name, param) not in found]
 
 
-def test_every_default_of_a_statistic_is_set_somewhere():
+@pytest.mark.parametrize("module", ["stats.py", "assembly.py", "smallscale.py"])
+def test_every_default_of_a_statistic_is_set_somewhere(module):
     sources = [p.read_text() for root in (SRC, SRC.parents[1] / "tests")
                for p in sorted(root.glob("*.py"))]
-    assert unset_defaults((SRC / "stats.py").read_text(), sources) == []
+    assert unset_defaults((SRC / module).read_text(), sources) == []
 
 
 def test_detects_a_default_nobody_sets():

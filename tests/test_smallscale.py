@@ -19,7 +19,7 @@ from irs_gbsm.smallscale import (
     ray_field,
     ray_path_lengths,
     ray_path_rates,
-    transfer_values,
+    subchannel_matrix,
 )
 from tests.cir_oracle import transfer_function, weighted_taps
 from tests.conftest import make_config
@@ -204,7 +204,7 @@ class TestTransferFunction:
     def test_single_unit_tap(self):
         real = toy_realization(scatter_a=[1, 0, 0], scatter_z=[1, 0, 0],
                                rx_ref=[200, 0, 0], k_factor=1e18)
-        got = transfer_values(real, 0.0)[0]
+        got = ray_field(real, 0.0).transfer()[0, 0]
         assert got == pytest.approx(np.exp(1j * 2 * np.pi * FC * 200.0 / SPEED_OF_LIGHT),
                                     abs=1e-6)
 
@@ -224,14 +224,16 @@ class TestTransferFunction:
                         * np.exp(1j * 2 * np.pi * (FC - f) * cols["delay_s"]))
         # the two sides reach carrier phases of ~3.9e5 rad by different float64
         # roundings (path length * kappa vs exported delay), ~7e-11 apart
-        assert transfer_values(real, 0.0, f)[0] == pytest.approx(oracle, rel=1e-10)
+        assert ray_field(real, 0.0, f).transfer()[0, 0] == pytest.approx(oracle, rel=1e-10)
+        assert subchannel_matrix(real, 0.0, f)[0, 0, 0] == pytest.approx(oracle, rel=1e-10)
 
     def test_matches_vectorized_path(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(5, "t"))
         for t in (0.0, 1.2):
             slow = transfer_function(weighted_taps(real, t), real.fc_hz, f=0.0)
-            fast = transfer_values(real, t)[0]
+            fast = ray_field(real, t).transfer()[0, 0]
             assert slow == pytest.approx(fast, rel=1e-9)
+            assert slow == pytest.approx(subchannel_matrix(real, t)[0, 0, 0], rel=1e-9)
 
 
 class TestNonStationarityHooks:
@@ -453,9 +455,9 @@ class TestFieldKernels:
         cfg = make_config(irs={"m_x": 2, "m_y": 3})
         real = realize_subchannel(cfg, "BI", rng_stream(10, "t"))
         times = np.array([0.0, 0.7])
-        swept = transfer_values(real, times, sweep="rx")
+        swept = ray_field(real, times, sweep="rx").transfer()
         for r in range(1, 7):
-            single = transfer_values(real, times, rx_element=r)
+            single = ray_field(real, times, rx_element=r).transfer()[0]
             assert np.allclose(swept[r - 1], single, rtol=1e-12)
 
     def test_power_columns_normalized(self, small_cfg):
@@ -468,6 +470,6 @@ class TestFieldKernels:
         grid = np.zeros((1, 1, 1), dtype=bool)
         real = toy_realization(scatter_a=[50, 0, 0], scatter_z=[70, 0, 0],
                                visible=grid, k_factor=2.0)
-        h = transfer_values(real, 0.0)[0]
+        h = ray_field(real, 0.0).transfer()[0, 0]
         w_los = np.sqrt(2.0 / 3.0)
         assert abs(h) == pytest.approx(w_los, abs=1e-12)

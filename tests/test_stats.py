@@ -72,7 +72,8 @@ def product_form(cfg, t, bits):
     """
     bi = stats.acf_subchannel(cfg, "BI", t)
     iu = stats.acf_subchannel(cfg, "IU", t)
-    theta = phase_model_for(cfg, bits=bits).applied_profile(t + bi["sim"].lags)[0]
+    theta = dataclasses.replace(phase_model_for(cfg), bits=bits).applied_profile(
+        t + bi["sim"].lags)[0]
     factor = np.exp(-1j * (theta[0] - theta))
     values = {kind: bi[kind].values * iu[kind].values * factor
               for kind in ("sim", "analytical")}
@@ -289,7 +290,7 @@ class TestChunkedEnsemble:
                           eval_offset_hz=2e6)
         t, f, lags = 0.5, 2e6, cfg.lag_grid()
         times = t + lags
-        theta = phase_model_for(cfg, bits=2).applied_profile(times)
+        theta = phase_model_for(cfg).applied_profile(times)
         products = stats._setup_products(cfg, {"times": times})
         sub = [stats._setup_sub(cfg, {"times": times, "kind": kind, "sweep": None})
                for kind in ("BI", "IU")]
