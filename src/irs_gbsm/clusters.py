@@ -16,9 +16,9 @@ single realization is the chunk of one).  The random draws stay on each
 trial's own generator, in the order a realization built alone makes them, so
 trial k's realization does not depend on which trials share its chunk.  What
 follows the draws is elementwise or per cluster (center and scatterer
-geometry, velocities, reference powers, ray arrays) and runs once over every
-cluster of the chunk: at about ten clusters per realization that work is set
-by numpy's per-call overhead, not by arithmetic.  Each realization's arrays
+geometry, velocities, ray arrays) and runs once over every cluster of the
+chunk: at about ten clusters per realization that work is set by numpy's
+per-call overhead, not by arithmetic.  Each realization's arrays
 are views into the chunk's.  The ensemble keeps chunks small (16 trials),
 because all of a chunk's realizations are alive at once.
 
@@ -70,7 +70,6 @@ class ClusterPair:
     virtual_delay: float          # seconds, >= 0
     vel_a: np.ndarray             # (3,) m/s, zero vertical component
     vel_z: np.ndarray
-    ray_powers: np.ndarray        # (M_n,) reference normalized powers at t=0
 
     @property
     def num_rays(self) -> int:
@@ -95,7 +94,6 @@ class ClusterSet:
     virtual_delay: np.ndarray     # (C,) seconds, >= 0
     vel_a: np.ndarray             # (C, 3) m/s, zero vertical component
     vel_z: np.ndarray             # (C, 3)
-    ray_powers: np.ndarray        # (C, M_n) reference normalized powers at t=0
 
     @classmethod
     def empty(cls, rays_per_cluster: int, sigma) -> ClusterSet:
@@ -104,8 +102,7 @@ class ClusterSet:
         rays3 = np.zeros((0, rays_per_cluster, 3))
         return cls(center_a=none3, center_z=none3, angles_a=none3, angles_z=none3,
                    sigma=tuple(sigma), scatter_a=rays3, scatter_z=rays3,
-                   virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3,
-                   ray_powers=np.zeros((0, rays_per_cluster)))
+                   virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3)
 
     def __len__(self) -> int:
         return self.virtual_delay.size
@@ -119,8 +116,7 @@ class ClusterSet:
                 sigma=self.sigma, scatter_a=self.scatter_a[cid],
                 scatter_z=self.scatter_z[cid],
                 virtual_delay=float(self.virtual_delay[cid]),
-                vel_a=self.vel_a[cid], vel_z=self.vel_z[cid],
-                ray_powers=self.ray_powers[cid])
+                vel_a=self.vel_a[cid], vel_z=self.vel_z[cid])
 
 
 def _unit_rows(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
@@ -158,14 +154,13 @@ def _draw(params: ClusterParams, rng: np.random.Generator, count: int) -> dict:
     return out
 
 
-def _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds) -> tuple[np.ndarray, list]:
+def _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds) -> list[dict]:
     """Per-ray arrays of stacked cluster sets, in (cluster, ray) order.
 
     ``refs`` and ``velocities`` are the (2, 3) tx/rx link ends, ``scatter``
     (2, C, M, 3), ``vel`` (2, C, 3) and ``tau_v`` (C,) the stacked clusters,
-    and set i owns clusters bounds[i]:bounds[i + 1].  Returns the
-    reference-to-scatterer vectors d0, (2, C * M, 3), and one dict of ray
-    arrays per set, each a view into the stacked ones.
+    and set i owns clusters bounds[i]:bounds[i + 1].  Returns one dict of
+    ray arrays per set, each a view into arrays over every set's rays.
     """
     m_n = scatter.shape[2]
     n = tau_v.size
@@ -181,7 +176,7 @@ def _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds) -> tuple[np.ndarr
                      "v_rel_tx": v_rel[0, lo:hi], "v_rel_rx": v_rel[1, lo:hi],
                      "tau_v": tau_rays[lo:hi], "cluster_ids": cluster_ids[lo:hi],
                      "ray_ids": ray_ids[lo:hi]})
-    return d0, sets
+    return sets
 
 
 def _build(params: ClusterParams, refs: np.ndarray, velocities: np.ndarray,
@@ -191,7 +186,7 @@ def _build(params: ClusterParams, refs: np.ndarray, velocities: np.ndarray,
     ``refs`` and ``velocities`` are the (2, 3) tx/rx link ends.  Each set's
     arrays are views into arrays over the clusters of every set; every step
     is elementwise or per cluster, so a set equals the one built alone bit
-    for bit.  Reference powers are normalized over each set's own slice.
+    for bit.
     """
     sigma = np.asarray(params.sigma_xyz_m, dtype=float)
     if np.any(sigma < 0):
@@ -216,21 +211,15 @@ def _build(params: ClusterParams, refs: np.ndarray, velocities: np.ndarray,
     tau_v = stacked("tau_v")
     vel = _planar_velocity(np.array([params.speed_a_mps, params.speed_z_mps])[:, None, None],
                            alpha)
-    d0, rays = _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds)
-    d_ref = np.linalg.norm(d0, axis=-1)
-    tau_ref = (d_ref[0] + d_ref[1]).reshape(n, m_n) / SPEED_OF_LIGHT + tau_v[:, None]
-    weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
+    rays = _ray_arrays(refs, velocities, scatter, vel, tau_v, bounds)
     angles = angles.reshape(2, n, 3)
     out = []
     for lo, hi, set_rays in zip(bounds[:-1], bounds[1:], rays):
-        w = weights[lo:hi]
-        w /= w.sum()
         clusters = ClusterSet(
             center_a=centers[0, lo:hi], center_z=centers[1, lo:hi],
             angles_a=angles[0, lo:hi], angles_z=angles[1, lo:hi], sigma=tuple(sigma),
             scatter_a=scatter[0, lo:hi], scatter_z=scatter[1, lo:hi],
-            virtual_delay=tau_v[lo:hi], vel_a=vel[0, lo:hi], vel_z=vel[1, lo:hi],
-            ray_powers=w)
+            virtual_delay=tau_v[lo:hi], vel_a=vel[0, lo:hi], vel_z=vel[1, lo:hi])
         out.append((clusters, set_rays))
     return out
 
@@ -243,8 +232,6 @@ def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
     Cluster centers use the configured priors (uniform azimuth, bounded
     uniform elevation, floored exponential distance).  Per-ray angles and
     distances are derived from the scatterer positions, never sampled.
-    ``ray_powers`` hold the exponential power-delay-profile weights of the
-    reference element pair at t = 0, normalized over the whole realization.
     Zero clusters draw nothing further and give an empty set.
     """
     if count is None:
@@ -310,6 +297,26 @@ def _survival_probability(params: ClusterParams, spacing: float, elevation: floa
                     / params.correlation_factor_m)
 
 
+def _chain(layout: TerminalLayout, params: ClusterParams) -> tuple[int, int, float, float]:
+    """(m_x, m_y, p_x, p_y) of the chain over an array; a linear one is one X column."""
+    p = [_survival_probability(params, s, e) for s, e in zip(layout.spacings, layout.elevations)]
+    if layout.kind == "IRS":
+        return (*layout.counts, *p)
+    return layout.counts[0], 1, p[0], 1.0
+
+
+def expected_cluster_count(layout: TerminalLayout, params: ClusterParams) -> float:
+    """Mean cluster count (``n_clusters``) of the chain over an array.
+
+    The first element sees lambda = lambda_B / lambda_D clusters on average;
+    each X step adds lambda (1 - p_x) births and each Y step m_x lambda
+    (1 - p_y), one per row: lambda + (m_x - 1) lambda (1 - p_x) + m_x (m_y -
+    1) lambda (1 - p_y).  A linear array keeps the first two terms.
+    """
+    m_x, m_y, p_x, p_y = _chain(layout, params)
+    return params.mean_count * (1.0 + (m_x - 1) * (1.0 - p_x) + m_x * (m_y - 1) * (1.0 - p_y))
+
+
 def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
                       rng: np.random.Generator) -> VisibilityTensor:
     """Run the birth-death chain over an array and return the visibility tensor.
@@ -334,14 +341,7 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
     result do not depend on the buffers.
     """
     mean_n = params.mean_count
-    if layout.kind == "IRS":
-        m_x, m_y = layout.counts
-        p_x = _survival_probability(params, layout.spacings[0], layout.elevations[0])
-        p_y = _survival_probability(params, layout.spacings[1], layout.elevations[1])
-    else:
-        m_x, m_y = layout.counts[0], 1
-        p_x = _survival_probability(params, layout.spacings[0], layout.elevations[0])
-        p_y = 1.0
+    m_x, m_y, p_x, p_y = _chain(layout, params)
 
     n0 = int(rng.poisson(mean_n))
 
@@ -467,7 +467,7 @@ class ClusterRealization:
         return _ray_arrays(np.stack([self.tx_ref, self.rx_ref]),
                            np.stack([self.v_tx, self.v_rx]),
                            np.stack([c.scatter_a, c.scatter_z]), np.stack([c.vel_a, c.vel_z]),
-                           c.virtual_delay, np.array([0, len(c)]))[1][0]
+                           c.virtual_delay, np.array([0, len(c)]))[0]
 
     @property
     def num_rays(self) -> int:
@@ -491,8 +491,8 @@ def realize_subchannels(cfg: ScenarioConfig, subchannel: str,
     draws, exactly as a realization built alone would: the draws stay on
     the trial's own stream, so a trial's realization never depends on the
     others built with it.  The geometry of every drawn cluster (frames,
-    scatterers, velocities, reference powers, ray arrays) is then computed
-    in one pass, and each realization's arrays are views into it.
+    scatterers, velocities, ray arrays) is then computed in one pass, and
+    each realization's arrays are views into it.
 
     The birth-death chain runs over the sub-channel's large-array side (the
     IRS for BI/IU, the BS for BU); the opposite side sees every cluster.

@@ -4,8 +4,10 @@ Configs are plain JSON with explicit unit suffixes in the key names
 (``fc_ghz``, ``spacing_m``, ``azimuth_deg``, ...).  Angles are accepted in
 degrees and converted to radians internally; the Rician factor is accepted
 in dB (``null`` disables the LoS component entirely).  Unspecified keys fall
-back to the defaults below, so a minimal config only needs to override what
-an experiment changes.  ``parse_config(serialize_config(cfg)) == cfg``.
+back to ``DEFAULTS``, so a minimal config only needs to override what an
+experiment changes.  ``parse_config(serialize_config(cfg)) == cfg``.
+``SCHEMA`` and ``DEFAULTS`` are built from one table, ``_KEYS``, that states
+each key once; a new key is one line there plus its dataclass field.
 
 ``SCHEMA`` is JSON Schema data, read by a small validator here that knows
 the eleven keywords it uses: ``type``, ``properties``,
@@ -46,148 +48,103 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _INT1 = {"type": "integer", "minimum": 1}
-_DEG = {"type": "number"}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 _OPT = lambda s: {"anyOf": [s, {"type": "null"}]}  # noqa: E731
 
-SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "fc_ghz": _POS,
-        "rician_k_db": _OPT(_NUM),
-        "eval_offset_hz": _NUM,
-        "trials": _INT1,
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d_bi_m": _OPT(_VEC3),
-                "d_iu_m": _OPT(_VEC3),
-                "d_bu_m": _OPT(_VEC3),
-            },
-        },
-        "bs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "num_elements": _INT1,
-                "spacing_m": _OPT(_POS),
-                "azimuth_deg": _DEG,
-                "elevation_deg": _DEG,
-                "speed_mps": _NONNEG,
-                "velocity_azimuth_deg": _DEG,
-            },
-        },
-        "user": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "num_elements": _INT1,
-                "spacing_m": _OPT(_POS),
-                "azimuth_deg": _DEG,
-                "elevation_deg": _DEG,
-                "speed_mps": _NONNEG,
-                "velocity_azimuth_deg": _DEG,
-            },
-        },
-        "irs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m_x": _INT1,
-                "m_y": _INT1,
-                "spacing_x_m": _OPT(_POS),
-                "spacing_y_m": _OPT(_POS),
-                "azimuth_x_deg": _DEG,
-                "elevation_x_deg": _DEG,
-                "azimuth_y_deg": _DEG,
-                "elevation_y_deg": _DEG,
-                "phase_bits": _OPT(_INT1),
-            },
-        },
-        "clusters": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "birth_rate": _POS,
-                "death_rate": _POS,
-                "correlation_factor_m": _POS,
-                "evolution_rate": _OPT(_POS),
-                "rays_per_cluster": _INT1,
-                "sigma_xyz_m": {"type": "array", "items": _NONNEG, "minItems": 3, "maxItems": 3},
-                "virtual_delay_mean_ns": _NONNEG,
-                "power_decay_ns": _POS,
-                "center_distance_mean_m": _POS,
-                "center_distance_min_m": _NONNEG,
-                "center_elevation_max_deg": {"type": "number", "minimum": 0, "maximum": 90},
-                "speed_a_mps": _NONNEG,
-                "velocity_azimuth_a_deg": _OPT(_DEG),
-                "speed_z_mps": _NONNEG,
-                "velocity_azimuth_z_deg": _OPT(_DEG),
-            },
-        },
-        "large_scale": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "sf_sigma_db": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"bi": _NONNEG, "iu": _NONNEG, "bu": _NONNEG},
-                },
-                "sf_mu_db": _NUM,
-                "path_loss": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"a": _NUM, "b": _NUM, "c": _NUM},
-                },
-                "scenario_name": {"type": "string"},
-            },
-        },
-        "time": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"start_s": _NUM, "stop_s": _NUM, "num": _INT1},
-        },
-        "acf": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "anchors_s": {"type": "array", "items": _NUM, "minItems": 1},
-                "lag_max_s": _POS,
-                "lag_min_s": _POS,
-                "num_lags": {"type": "integer", "minimum": 2},
-                "grid": {"enum": ["log", "linear"]},
-            },
-        },
-        "ccf": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "subchannel": {"enum": ["BI", "IU", "BU"]},
-                "axis": {"enum": ["tx", "rx"]},
-                "t_s": _NUM,
-                "dt_s": _NUM,
-            },
-        },
-        "doppler": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"start_s": _NUM, "stop_s": _NUM, "num": _INT1},
-        },
-        "ds_cdf": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma_scales": {"type": "array", "items": _POS, "minItems": 1},
-                "t_s": _NUM,
-            },
-        },
+# every config key once: a leaf is (default, schema), a section a nested dict
+_TERMINAL = {
+    "num_elements": (1, _INT1),
+    "spacing_m": (None, _OPT(_POS)),
+    "azimuth_deg": (0.0, _NUM),
+    "elevation_deg": (0.0, _NUM),
+    "speed_mps": (0.0, _NONNEG),
+    "velocity_azimuth_deg": (0.0, _NUM),
+}
+_GRID = lambda num: {"start_s": (0.0, _NUM), "stop_s": (2.0, _NUM),  # noqa: E731
+                     "num": (num, _INT1)}
+_KEYS = {
+    "seed": (1, {"type": "integer", "minimum": 0}),
+    "fc_ghz": (62.0, _POS),
+    "rician_k_db": (None, _OPT(_NUM)),
+    "eval_offset_hz": (0.0, _NUM),
+    "trials": (1000, _INT1),
+    "geometry": {
+        "d_bi_m": ([100.0, 0.0, 0.0], _OPT(_VEC3)),
+        "d_iu_m": ([200.0, 0.0, 0.0], _OPT(_VEC3)),
+        "d_bu_m": (None, _OPT(_VEC3)),
+    },
+    "bs": _TERMINAL,
+    "user": _TERMINAL,
+    "irs": {
+        "m_x": (1, _INT1),
+        "m_y": (1, _INT1),
+        "spacing_x_m": (None, _OPT(_POS)),
+        "spacing_y_m": (None, _OPT(_POS)),
+        "azimuth_x_deg": (0.0, _NUM),
+        "elevation_x_deg": (0.0, _NUM),
+        "azimuth_y_deg": (90.0, _NUM),
+        "elevation_y_deg": (0.0, _NUM),
+        "phase_bits": (None, _OPT(_INT1)),
+    },
+    "clusters": {
+        "birth_rate": (40.0, _POS),
+        "death_rate": (4.0, _POS),
+        "correlation_factor_m": (10.0, _POS),
+        "evolution_rate": (None, _OPT(_POS)),
+        "rays_per_cluster": (20, _INT1),
+        "sigma_xyz_m": ([2.0, 2.0, 1.0], {**_VEC3, "items": _NONNEG}),
+        "virtual_delay_mean_ns": (300.0, _NONNEG),
+        "power_decay_ns": (1000.0, _POS),
+        "center_distance_mean_m": (30.0, _POS),
+        "center_distance_min_m": (5.0, _NONNEG),
+        "center_elevation_max_deg": (30.0, {"type": "number", "minimum": 0, "maximum": 90}),
+        "speed_a_mps": (0.0, _NONNEG),
+        "velocity_azimuth_a_deg": (None, _OPT(_NUM)),
+        "speed_z_mps": (0.0, _NONNEG),
+        "velocity_azimuth_z_deg": (None, _OPT(_NUM)),
+    },
+    "large_scale": {
+        "enabled": (False, {"type": "boolean"}),
+        "sf_sigma_db": {"bi": (3.0, _NONNEG), "iu": (3.0, _NONNEG), "bu": (4.0, _NONNEG)},
+        "sf_mu_db": (0.0, _NUM),
+        "path_loss": {"a": (22.0, _NUM), "b": (28.0, _NUM), "c": (20.0, _NUM)},
+        "scenario_name": ("default", {"type": "string"}),
+    },
+    "time": _GRID(3),
+    "acf": {
+        "anchors_s": ([0.0, 2.0], {"type": "array", "items": _NUM, "minItems": 1}),
+        "lag_max_s": (0.1, _POS),
+        "lag_min_s": (1e-5, _POS),
+        "num_lags": (41, {"type": "integer", "minimum": 2}),
+        "grid": ("log", {"enum": ["log", "linear"]}),
+    },
+    "ccf": {
+        "subchannel": ("BU", {"enum": ["BI", "IU", "BU"]}),
+        "axis": ("tx", {"enum": ["tx", "rx"]}),
+        "t_s": (0.0, _NUM),
+        "dt_s": (0.0, _NUM),
+    },
+    "doppler": _GRID(11),
+    "ds_cdf": {
+        "sigma_scales": ([1.0, 2.0], {"type": "array", "items": _POS, "minItems": 1}),
+        "t_s": (0.0, _NUM),
     },
 }
+
+
+def _split(keys: dict) -> tuple[dict, dict]:
+    """(schema, defaults) of one section of ``_KEYS``, in its key order."""
+    schema: dict[str, Any] = {"type": "object", "additionalProperties": False, "properties": {}}
+    defaults: dict[str, Any] = {}
+    for name, entry in keys.items():
+        if isinstance(entry, dict):
+            schema["properties"][name], defaults[name] = _split(entry)
+        else:
+            defaults[name], schema["properties"][name] = entry
+    return schema, defaults
+
+
+SCHEMA, DEFAULTS = _split(_KEYS)
 
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
@@ -248,53 +205,6 @@ def _schema_errors(value: Any, schema: dict, path: tuple = ()):
             raise KeyError(f"schema keyword {key!r}: {arg!r} is not supported")
 
 
-DEFAULTS: dict[str, Any] = {
-    "seed": 1,
-    "fc_ghz": 62.0,
-    "rician_k_db": None,
-    "eval_offset_hz": 0.0,
-    "trials": 1000,
-    "geometry": {"d_bi_m": [100.0, 0.0, 0.0], "d_iu_m": [200.0, 0.0, 0.0], "d_bu_m": None},
-    "bs": {
-        "num_elements": 1, "spacing_m": None, "azimuth_deg": 0.0, "elevation_deg": 0.0,
-        "speed_mps": 0.0, "velocity_azimuth_deg": 0.0,
-    },
-    "user": {
-        "num_elements": 1, "spacing_m": None, "azimuth_deg": 0.0, "elevation_deg": 0.0,
-        "speed_mps": 0.0, "velocity_azimuth_deg": 0.0,
-    },
-    "irs": {
-        "m_x": 1, "m_y": 1, "spacing_x_m": None, "spacing_y_m": None,
-        "azimuth_x_deg": 0.0, "elevation_x_deg": 0.0,
-        "azimuth_y_deg": 90.0, "elevation_y_deg": 0.0,
-        "phase_bits": None,
-    },
-    "clusters": {
-        "birth_rate": 40.0, "death_rate": 4.0, "correlation_factor_m": 10.0,
-        "evolution_rate": None, "rays_per_cluster": 20,
-        "sigma_xyz_m": [2.0, 2.0, 1.0],
-        "virtual_delay_mean_ns": 300.0, "power_decay_ns": 1000.0,
-        "center_distance_mean_m": 30.0, "center_distance_min_m": 5.0,
-        "center_elevation_max_deg": 30.0,
-        "speed_a_mps": 0.0, "velocity_azimuth_a_deg": None,
-        "speed_z_mps": 0.0, "velocity_azimuth_z_deg": None,
-    },
-    "large_scale": {
-        "enabled": False,
-        "sf_sigma_db": {"bi": 3.0, "iu": 3.0, "bu": 4.0},
-        "sf_mu_db": 0.0,
-        "path_loss": {"a": 22.0, "b": 28.0, "c": 20.0},
-        "scenario_name": "default",
-    },
-    "time": {"start_s": 0.0, "stop_s": 2.0, "num": 3},
-    "acf": {"anchors_s": [0.0, 2.0], "lag_max_s": 0.1, "lag_min_s": 1e-5,
-            "num_lags": 41, "grid": "log"},
-    "ccf": {"subchannel": "BU", "axis": "tx", "t_s": 0.0, "dt_s": 0.0},
-    "doppler": {"start_s": 0.0, "stop_s": 2.0, "num": 11},
-    "ds_cdf": {"sigma_scales": [1.0, 2.0], "t_s": 0.0},
-}
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -305,8 +215,7 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _rad(deg: float) -> float:
-    return math.radians(deg)
+_rad = math.radians
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ Per trial, ``_correlations`` contracts with BLAS (GEMM), O(N E^2 T) work for
 N rays, E elements and T lags, and the full-IRS run holds 8 complex
 E x E x T accumulators (4 without the analytical tensors).  ``acf_full_irs``
 refuses, before any trial, a surface whose tensors would not fit in
-physical RAM.
+physical RAM, and ``ccf_spatial`` an axis whose N x E x T fields would not.
 
 Trials are reduced in fixed blocks of 256, summed in block order, so that
 results are bit-identical whatever the worker-pool size.  Within a block,
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import phase_model_for
-from .clusters import ClusterRealization, realize_subchannels
+from .clusters import ClusterRealization, expected_cluster_count, realize_subchannels
 from .config import ScenarioConfig, parse_config, serialize_config
 from .irs import resolution_label
 from .rng import rng_stream
@@ -88,6 +88,9 @@ from .smallscale import (
 _BLOCK = 256
 # trials realized together; small, because a chunk's realizations live at once
 _CHUNK = 16
+# bytes per ray, element and time of the complex N x E x T field arrays that a
+# trial holds at once in the row-0 kernel: about 3.5 arrays of 16 bytes
+_FIELD_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -425,27 +428,40 @@ def _physical_ram_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(per_process: int, parent: int, trials: int, threads: int,
+                  what: str, remedies: str) -> None:
+    """Raise MemoryError, before any trial runs, when a run cannot fit in RAM.
+
+    Each process that runs trials holds ``per_process`` bytes: the caller
+    alone, or every busy worker of a pooled run, whose parent then holds
+    ``parent`` bytes more while it folds the blocks.
+    """
+    blocks = len(_blocks(trials))
+    pooled = threads > 1 and blocks > 1
+    workers = min(threads, blocks) if pooled else 1
+    need = per_process * workers + (parent if pooled else 0)
+    ram = _physical_ram_bytes()
+    if need > ram:
+        raise MemoryError(
+            f"{what} need about {need / 2**30:.1f} GiB ({workers} trial process(es)), "
+            f"more than the {ram / 2**30:.1f} GiB of physical RAM; {remedies}")
+
+
 def _check_tensor_footprint(n_elements: int, n_lags: int, analytical: bool,
                             trials: int, threads: int) -> None:
-    """Raise MemoryError, before any trial runs, when the tensors cannot fit.
+    """Refuse a full-IRS ACF whose tensors cannot fit in RAM.
 
     Each process holding tensors keeps the accumulators plus one trial's (or
     one block's) output: 2 x (8 or 4) complex E x E x T tensors.  A pooled
     run has one such process per busy worker plus the parent.
     """
     per_process = 2 * (8 if analytical else 4) * n_elements**2 * n_lags * 16
-    blocks = len(_blocks(trials))
-    processes = 1 if threads <= 1 or blocks == 1 else 1 + min(threads, blocks)
-    need, ram = per_process * processes, _physical_ram_bytes()
-    if need > ram:
-        raise MemoryError(
-            f"full-IRS ACF tensors need about {need / 2**30:.1f} GiB "
-            f"(E={n_elements} elements, T={n_lags} lags, {processes} process(es)), "
-            f"more than the {ram / 2**30:.1f} GiB of physical RAM; in the config, "
-            f"lower irs.m_x and irs.m_y or acf.num_lags, or run with a smaller "
-            f"--threads (each worker process holds its own tensors); in the library, "
-            f"use fewer IRS elements, fewer lags, analytical=False, or "
-            f"cascade_trial_products")
+    _check_memory(
+        per_process, per_process, trials, threads,
+        f"full-IRS ACF tensors (E={n_elements} elements, T={n_lags} lags)",
+        "in the config, lower irs.m_x and irs.m_y or acf.num_lags, or run with a smaller "
+        "--threads (each worker process holds its own tensors); in the library, use "
+        "fewer IRS elements, fewer lags, analytical=False, or cascade_trial_products")
 
 
 def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = None,
@@ -508,14 +524,26 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
 
     The ``ccf`` section of the config names the sub-channel, the swept axis,
     t and dt.  The grid is each element's distance |l_e - l_1| from element 1.
+    Raises MemoryError before any trial when the predicted field arrays
+    exceed physical RAM: about 56 bytes per ray, swept element and time in
+    each trial process, for the expected ray count of the sub-channel's
+    chain (:func:`~irs_gbsm.clusters.expected_cluster_count`).
     """
     c = cfg.ccf
     subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
     params = {"times": t + np.array([0.0, c["dt_s"]]), "kind": subchannel, "sweep": axis}
-    acc, n = run_ensemble(cfg, "sub", params, threads)
     link = cfg.links[subchannel]
-    offsets = (link.rx_layout if axis == "rx" else link.tx_layout).offsets
-    seps = np.linalg.norm(offsets - offsets[0], axis=1)
+    swept = link.rx_layout if axis == "rx" else link.tx_layout
+    evolved = link.tx_layout if link.evolved_side == "tx" else link.rx_layout
+    rays = expected_cluster_count(evolved, cfg.clusters) * cfg.clusters.rays_per_cluster
+    e, n_t = swept.num_elements, params["times"].size
+    _check_memory(
+        int(_FIELD_BYTES * rays * e * n_t), 0, cfg.trials, threads,
+        f"spatial CCF fields (about {rays:.0f} rays, E={e} elements, T={n_t} times)",
+        "in the config, lower irs.m_x and irs.m_y (or the swept array's num_elements), "
+        "or run with a smaller --threads (each worker process forms its own fields)")
+    acc, n = run_ensemble(cfg, "sub", params, threads)
+    seps = np.linalg.norm(swept.offsets - swept.offsets[0], axis=1)
 
     def norm(vals, power):
         denom = np.sqrt((power[0, 0] / n) * (power[:, 1] / n))

@@ -368,6 +368,17 @@ class TestErrors:
                        "--threads"):
             assert remedy in err
 
+    def test_swept_ccf_too_large_for_memory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+        path = tmp_path / "ccf.json"
+        path.write_text(json.dumps({**SMALL, "ccf": {"subchannel": "BI", "axis": "rx"}}))
+        out = tmp_path / "big"
+        assert run("ccf", path, out) == 3
+        err = capsys.readouterr().err
+        for remedy in ("spatial CCF fields", "irs.m_x", "irs.m_y", "--threads"):
+            assert remedy in err
+        assert list(out.iterdir()) == []
+
     def test_log_env_smoke(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("IRS_GBSM_LOG", "DEBUG")
         assert run("link-budget", config_path, tmp_path / "log") == 0

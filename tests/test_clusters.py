@@ -9,19 +9,19 @@ from irs_gbsm.clusters import (
     ClusterSet,
     VisibilityTensor,
     evolve_visibility,
+    expected_cluster_count,
     generate_cluster_pairs,
     lag1_autocorrelation,
     realize_subchannel,
     realize_subchannels,
 )
 from irs_gbsm.geometry import (
-    SPEED_OF_LIGHT,
     RotationAngles,
     TerminalLayout,
     rotation_matrices,
 )
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_path_lengths
+from irs_gbsm.smallscale import ray_delays, ray_path_lengths, ray_powers_at
 from tests.cir_oracle import los_distance
 from tests.conftest import make_config
 
@@ -62,13 +62,6 @@ class TestGeneration:
         params = cluster_params(virtual_delay_mean_ns=250.0)
         clusters = generate_cluster_pairs(params, TX, RX, rng_stream(3, "g"), count=100_000)
         assert np.mean(clusters.virtual_delay) == pytest.approx(250e-9, rel=0.02)
-
-    def test_ray_powers_normalized_and_nonnegative(self):
-        params = cluster_params()
-        clusters = generate_cluster_pairs(params, TX, RX, rng_stream(4, "g"), count=7)
-        assert clusters.ray_powers.shape == (7, params.rays_per_cluster)
-        assert clusters.ray_powers.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (clusters.ray_powers >= 0).all()
 
     def test_velocities_are_planar(self):
         params = cluster_params(speed_a_mps=3.0, speed_z_mps=4.0)
@@ -134,6 +127,18 @@ class TestVisibilityEvolution:
         a = evolve_visibility(IRS_LAYOUT, params, rng_stream(14, "e"))
         b = evolve_visibility(IRS_LAYOUT, params, rng_stream(14, "e"))
         assert np.array_equal(a.grid, b.grid)
+
+    @pytest.mark.parametrize("layout", [
+        TerminalLayout.planar(16, 16, 2.585e-3, 2.585e-3, 0.0, np.pi / 3, np.pi / 2, np.pi / 6),
+        TerminalLayout.linear("BS", 128, 2.5e-3, 0.0, 0.0),
+    ], ids=["irs16x16", "linear_bs"])
+    def test_expected_cluster_count_is_the_chain_mean(self, layout):
+        params = cluster_params(birth_rate=80.0, death_rate=4.0, correlation_factor_m=10.0)
+        counts = [evolve_visibility(layout, params, rng_stream(16, "e", k)).n_clusters
+                  for k in range(200)]
+        want = expected_cluster_count(layout, params)
+        assert want > 2 * params.mean_count  # births along the array, not only lambda
+        assert abs(np.mean(counts) - want) < 3 * np.std(counts, ddof=1) / np.sqrt(200)
 
     def test_linear_array_shape(self):
         layout = TerminalLayout.linear("BS", 16, 2.5e-3, 0.0, 0.0)
@@ -363,19 +368,13 @@ def reference_cluster_pairs(params, tx_ref, rx_ref, rng, count):
                  else np.full(count, math.radians(fixed)))
         vel[side] = speed * np.stack([np.cos(alpha), np.sin(alpha), np.zeros_like(alpha)],
                                      axis=-1)
-    d_ref = (np.linalg.norm(scatter["a"] - tx_ref, axis=2)
-             + np.linalg.norm(scatter["z"] - rx_ref, axis=2))
-    tau_ref = d_ref / SPEED_OF_LIGHT + tau_v[:, None]
-    weights = np.exp(-tau_ref / (params.power_decay_ns * 1e-9))
-    powers = weights / weights.sum()
     return [
         ClusterPair(
             id=cid, center_a=centers["a"][cid], center_z=centers["z"][cid],
             angles_a=RotationAngles(*angles["a"][cid]),
             angles_z=RotationAngles(*angles["z"][cid]), sigma=tuple(sigma),
             scatter_a=scatter["a"][cid], scatter_z=scatter["z"][cid],
-            virtual_delay=float(tau_v[cid]), vel_a=vel["a"][cid], vel_z=vel["z"][cid],
-            ray_powers=powers[cid])
+            virtual_delay=float(tau_v[cid]), vel_a=vel["a"][cid], vel_z=vel["z"][cid])
         for cid in range(count)
     ]
 
@@ -540,10 +539,19 @@ class TestMotion:
                            atol=1e-12)
 
     def test_powers_preserved_under_motion(self):
-        params = cluster_params(speed_a_mps=3.0, speed_z_mps=2.0)
-        clusters = generate_cluster_pairs(params, TX, RX, rng_stream(22, "g"), count=4)
-        moved = advance_clusters(clusters, 5.0)
-        assert np.array_equal(clusters.ray_powers, moved.ray_powers)
+        # the ray powers at time t are those of the scene translated to t
+        real = self.realization(clusters={"speed_a_mps": 3.0, "speed_z_mps": 2.0})
+        t = 5.0
+        moved = dataclasses.replace(
+            real,
+            clusters=advance_clusters(real.clusters, t),
+            tx_ref=real.tx_ref + real.v_tx * t,
+            rx_ref=real.rx_ref + real.v_rx * t)
+        visible = real.visible_rays(1, 1)
+        direct = ray_powers_at(real, ray_delays(real, 1, 1, t), visible)
+        recomputed = ray_powers_at(moved, ray_delays(moved, 1, 1, 0.0), visible)
+        assert visible.any()
+        assert np.allclose(direct, recomputed, rtol=1e-12, atol=0)
 
     def test_velocity_form_matches_translated_positions(self):
         # path lengths from the velocity-integral expressions must equal a

@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import irs_gbsm
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "irs_gbsm"
 
@@ -88,3 +91,56 @@ def test_detects_a_default_nobody_sets():
     callers = ["f(0, 5)\nm.f(0, d=4)\n", "g(*xs)\n"]
     assert unset_defaults(module, callers) == ["f(c)"]
     assert unset_defaults(module, []) == ["f(b)", "f(c)", "f(d)", "g(x)"]
+
+
+def unread(names: list[str], sources: list[str]) -> list[str]:
+    """Names that no top-level definition of ``sources`` reads, besides their own.
+
+    Each top-level statement of a module is one definition: a ``def``, a
+    ``class`` or an assignment.  A name counts as read where a definition
+    loads it, bare or as an attribute; its own definition, imports (which
+    load nothing) and strings do not count.
+    """
+    read = set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = {getattr(node, "name", None)} | {
+                t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                if isinstance(t, ast.Name)}
+            for sub in ast.walk(node):
+                if isinstance(getattr(sub, "ctx", None), ast.Load):
+                    name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                    if name not in own:
+                        read.add(name)
+    return sorted(name for name in names if name not in read)
+
+
+# public names that no program path reads yet, each with the ROADMAP item that
+# wires it in or removes it; the list only shrinks
+UNWIRED = {
+    "acf_subchannel": "items 2-3",
+    "apply_steering": "item 3",
+    "steering_vector": "item 3",
+    "generate_cluster_pairs": "item 1",
+}
+
+
+def test_every_public_name_has_a_program_path():
+    public = [name for name in irs_gbsm.__all__
+              if not inspect.ismodule(getattr(irs_gbsm, name))]
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert unread(public, sources) == sorted(UNWIRED)
+
+
+def test_detects_a_name_no_definition_reads():
+    module = ("from .m import imported_only\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+              "def caller():\n    return mod.called() + Thing.size\n"
+              "class Thing:\n    def make(self):\n        return Thing()\n"
+              "def called():\n    '''mentioned'''\n    return 1\n"
+              "LIMIT = LIMIT + 1\n")
+    names = ["recursive", "caller", "Thing", "called", "imported_only", "mentioned", "LIMIT"]
+    assert unread(names, [module]) == ["LIMIT", "caller", "imported_only", "mentioned",
+                                       "recursive"]
+    assert unread(names, [module, "total = recursive(3) + LIMIT\n"]) == [
+        "caller", "imported_only", "mentioned"]

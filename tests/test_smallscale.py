@@ -33,14 +33,12 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
     """Single-cluster realization with fully controlled geometry."""
     scatter_a = np.atleast_2d(np.asarray(scatter_a, dtype=float))
     scatter_z = np.atleast_2d(np.asarray(scatter_z, dtype=float))
-    m_n = scatter_a.shape[0]
     clusters = ClusterSet(
         center_a=scatter_a.mean(axis=0)[None], center_z=scatter_z.mean(axis=0)[None],
         angles_a=np.zeros((1, 3)), angles_z=np.zeros((1, 3)), sigma=(0.0, 0.0, 0.0),
         scatter_a=scatter_a[None], scatter_z=scatter_z[None],
         virtual_delay=np.array([tau_v], dtype=float),
-        vel_a=np.asarray(vel_a, dtype=float)[None], vel_z=np.asarray(vel_z, dtype=float)[None],
-        ray_powers=np.full((1, m_n), 1.0 / m_n))
+        vel_a=np.asarray(vel_a, dtype=float)[None], vel_z=np.asarray(vel_z, dtype=float)[None])
     grid = np.ones((1, 1, 1), dtype=bool) if visible is None else visible
     return ClusterRealization(
         subchannel="BI",

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from irs_gbsm.assembly import phase_model_for
-from irs_gbsm.clusters import ClusterSet, generate_cluster_pairs, realize_subchannel
+from irs_gbsm.clusters import (
+    ClusterSet,
+    expected_cluster_count,
+    generate_cluster_pairs,
+    realize_subchannel,
+)
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
 from irs_gbsm.smallscale import ray_field, ray_path_lengths
@@ -398,6 +403,26 @@ class TestCcfSpatial:
             tracemalloc.stop()
         assert out["sim"].values.shape == (1024,)
         assert peak < pair_tensor / 4, f"peak {peak / 1e6:.1f} MB"
+
+    def test_field_prediction_fails_before_any_trial(self, monkeypatch):
+        # 56 bytes per expected ray, swept element and time, in each trial process
+        cfg = make_config(irs={"m_x": 16, "m_y": 16}, clusters={"birth_rate": 80.0},
+                          ccf={"subchannel": "BI", "axis": "rx"}, trials=512)
+        rays = expected_cluster_count(cfg.irs.layout(), cfg.clusters) * 10
+        need = int(56 * rays * 256 * 2)
+
+        class Started(Exception):
+            pass
+
+        def no_trials(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(stats, "run_ensemble", no_trials)
+        for ram, threads, fits in [(need, 1, True), (need - 1, 1, False),
+                                   (need, 2, False), (2 * need, 2, True)]:
+            monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: ram)
+            with pytest.raises(Started if fits else MemoryError):
+                stats.ccf_spatial(cfg, threads=threads)
 
     def test_sim_tracks_analytical(self):
         cfg = make_config(bs={"num_elements": 6}, ccf={"subchannel": "BU", "axis": "tx"},
