@@ -27,7 +27,6 @@ from .clusters import (
     ClusterSet,
     VisibilityTensor,
     evolve_visibility,
-    generate_cluster_pairs,
     realize_subchannel,
     realize_subchannels,
 )

@@ -7,7 +7,9 @@ For every (BS element q, USER element p) pair and time t:
 
 theta_r is the reflection phase of IRS element r.  Each sub-channel term is
 the frequency response of the taps ``simulate`` writes to its CIR file, the
-LoS tap and the visible rays of the pair (``smallscale.subchannel_matrix``).
+LoS tap and the visible rays of the pair: ``smallscale.subchannel_taps``
+forms the CIR columns and that transfer matrix in one pass, and
+:func:`cascade` only combines the three matrices.
 The taps carry the positive-exponent propagation phase exp(+j 2 pi f_c tau),
 so the reflection phase must enter conjugated for the surface to cancel the
 propagation phase of the path it was optimized for; with continuous optimal
@@ -23,11 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clusters import ClusterRealization
 from .config import ScenarioConfig
 from .irs import IrsPhaseModel, SteeringVector, cascaded_path_loss
 from .largescale import db_to_linear, path_loss_bu_db, sample_shadow_fading
-from .smallscale import subchannel_matrix
 
 def phase_model_for(cfg: ScenarioConfig) -> IrsPhaseModel:
     """IRS phase model of a scenario, at its configured phase resolution."""
@@ -60,20 +60,21 @@ def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def cascade(times, f: float, subchannels: dict[str, ClusterRealization],
-            phase_model: IrsPhaseModel, large_scale: dict | None = None) -> np.ndarray:
-    """End-to-end matrix H of every time from the three sub-channels; (T, M_U, M_B)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    bi, iu = subchannels["BI"], subchannels["IU"]
-    m_xy = phase_model.irs_layout.num_elements
-    if bi.rx_layout.num_elements != m_xy or iu.tx_layout.num_elements != m_xy:
-        raise ValueError("IRS element count mismatch between sub-channels and phase model")
-    h_bi = subchannel_matrix(bi, times, f)   # (T, M_xy, M_B)
-    h_iu = subchannel_matrix(iu, times, f)   # (T, M_U, M_xy)
-    theta = phase_model.applied_profile(times).T   # (T, M_xy)
+def cascade(h: dict[str, np.ndarray], theta: np.ndarray,
+            large_scale: dict | None = None) -> np.ndarray:
+    """End-to-end matrix H of every time from the sub-channel matrices; (T, M_U, M_B).
+
+    ``h`` holds the (T, n_rx, n_tx) transfer matrices of "BI", "IU" and "BU"
+    (``smallscale.subchannel_taps``), ``theta`` the (M_xy, T) applied IRS
+    phases (``IrsPhaseModel.applied_profile``).
+    """
+    h_bi, h_iu = h["BI"], h["IU"]   # (T, M_xy, M_B), (T, M_U, M_xy)
+    m_xy = theta.shape[0]
+    if h_bi.shape[1] != m_xy or h_iu.shape[2] != m_xy:
+        raise ValueError("IRS element count mismatch between sub-channels and phases")
     ls = large_scale or {"cascade_amp": 1.0, "direct_amp": 1.0}
-    cascade_term = ls["cascade_amp"] * ((h_iu * np.exp(-1j * theta)[:, None, :]) @ h_bi)
-    return cascade_term + ls["direct_amp"] * subchannel_matrix(subchannels["BU"], times, f)
+    cascade_term = ls["cascade_amp"] * ((h_iu * np.exp(-1j * theta.T)[:, None, :]) @ h_bi)
+    return cascade_term + ls["direct_amp"] * h["BU"]
 
 
 def apply_steering(matrix: np.ndarray, f_vec: SteeringVector) -> np.ndarray:

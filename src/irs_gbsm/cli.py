@@ -31,7 +31,7 @@ from .irs import (cascaded_path_loss, optimal_phase, quantize_phase, received_po
 from .largescale import db_to_linear, path_loss_bu_db
 from .output import curve_rows, stat_filename, write_csv, write_manifest
 from .rng import rng_stream
-from .smallscale import CIR_HEADER, cir_columns, cir_row_count
+from .smallscale import CIR_HEADER, cir_row_count, subchannel_taps
 
 log = logging.getLogger("irs_gbsm")
 
@@ -149,15 +149,19 @@ def _run_simulate(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]
     reals = {kind: realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", 0, kind))
              for kind in ("BI", "IU", "BU")}
     _check_disk(outdir, sum(cir_row_count(r, times.size) for r in reals.values()))
+    matrices = {}
     for kind, real in reals.items():
-        path = outdir / f"cir_{kind.lower()}.csv"
-        outputs.append(write_csv(path, CIR_HEADER, cir_columns(real, times)))
+        # one tap pass writes the CIR file and sums the transfer matrix; the
+        # columns go before the next sub-channel's are formed
+        columns, matrices[kind] = subchannel_taps(real, times, cfg.eval_offset_hz)
+        outputs.append(write_csv(outdir / f"cir_{kind.lower()}.csv", CIR_HEADER, columns))
+        del columns
 
     model = phase_model_for(cfg)
     ls = None
     if cfg.large_scale.enabled:
         ls = large_scale_factors(cfg, rng_stream(cfg.seed, "large_scale"))
-    h = cascade(times, cfg.eval_offset_hz, reals, model, large_scale=ls)   # (T, M_U, M_B)
+    h = cascade(matrices, model.applied_profile(times), large_scale=ls)   # (T, M_U, M_B)
     i_t, p, q = (index.ravel() for index in np.indices(h.shape))   # rows in C order
     h, n = h.ravel(), h.size
     outputs.append(write_csv(

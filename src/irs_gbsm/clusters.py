@@ -224,22 +224,6 @@ def _build(params: ClusterParams, refs: np.ndarray, velocities: np.ndarray,
     return out
 
 
-def generate_cluster_pairs(params: ClusterParams, tx_ref: np.ndarray,
-                           rx_ref: np.ndarray, rng: np.random.Generator,
-                           count: int | None = None) -> ClusterSet:
-    """Draw twin clusters around the two link-end references.
-
-    Cluster centers use the configured priors (uniform azimuth, bounded
-    uniform elevation, floored exponential distance).  Per-ray angles and
-    distances are derived from the scatterer positions, never sampled.
-    Zero clusters draw nothing further and give an empty set.
-    """
-    if count is None:
-        count = int(rng.poisson(params.mean_count))
-    refs = np.array([tx_ref, rx_ref], dtype=float)
-    return _build(params, refs, np.zeros((2, 3)), [_draw(params, rng, count)])[0][0]
-
-
 @dataclass(frozen=True)
 class VisibilityTensor:
     """Per-element cluster visibility from the sequential birth-death chain.

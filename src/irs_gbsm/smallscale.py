@@ -30,9 +30,10 @@ last-ulp change in d becomes about 1e-11 rad once multiplied by kappa
 
 One field kernel, :func:`ray_field`, serves every statistic: a single
 element pair is its case with ``sweep=None`` and a singleton element axis.
-One generator of visible taps, :func:`_visible_taps`, serves ``simulate``:
-:func:`cir_columns` writes its taps and :func:`subchannel_matrix` sums their
-frequency response, the sub-channel matrices of ``assembly.cascade``.
+One tap kernel, :func:`subchannel_taps`, serves ``simulate``: a single pass
+over a sub-channel's visible taps fills both the CIR columns it writes and
+the transfer matrix summed from their frequency response, which
+``assembly.cascade`` combines.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
-# cap on the float64 count of a _visible_taps block's (pair, ray) normalizer; at
+# cap on the float64 count of a subchannel_taps block's (pair, ray) normalizer; at
 # 12M a 32 x 32 surface of 8600 rays peaked at 158 MB (tracemalloc), at 2M 54 MB
 _BLOCK_FLOATS = 2_000_000
 # the element offset of a difference already formed per row (a LoS vector or a
@@ -238,7 +239,7 @@ CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
 
 
 def cir_row_count(real: ClusterRealization, n_times: int) -> int:
-    """Rows :func:`cir_columns` returns for ``n_times`` instants.
+    """CIR rows :func:`subchannel_taps` forms for ``n_times`` instants.
 
     One LoS row plus one row per visible ray for every (time, tx, rx),
     counted from the visible (element, cluster) entries, so the dense
@@ -251,22 +252,47 @@ def cir_row_count(real: ClusterRealization, n_times: int) -> int:
     return n_times * other.num_elements * taps
 
 
-def _visible_taps(real: ClusterRealization, times: np.ndarray):
-    """The visible taps of every (time, tx, rx), a block of element pairs at a time.
+def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
+                    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The visible taps of every (time, tx, rx): CIR columns and transfer matrix.
 
-    Yields ``(it, i_tx, i_rx, slot, d, power)`` per tap: time index, 0-based
-    tx and rx elements, slot (0 the LoS tap, 1 + n ray n), path length (|D|
-    for the LoS tap) and normalized power (1 for the LoS tap), in C order over
-    (t, tx, rx, slot); a block's pairs are contiguous.  d = |d_tx| + |d_rx|
-    is separable, so each side's norms are computed per element and time, on
-    the evolved side only for visible rays, and no n_rays x E temporary forms.
+    One pass over blocks of element pairs forms each tap once, as (time, tx,
+    rx, slot, path length d, normalized power): slot 0 the LoS tap (d = |D|,
+    power 1), slot 1 + n ray n.  From the same taps it fills
+
+    - the columns in :data:`CIR_HEADER` order, allocated once at
+      :func:`cir_row_count` rows.  Rows run in C order over (t, tx, rx,
+      [LoS, visible rays...]) and hold exactly the values of the per-tap test
+      oracle ``tests/cir_oracle.py``, ``weighted_taps(real, t, tx, rx)``;
+    - the Rician-weighted transfer matrix of every time, shape (T, n_rx,
+      n_tx): the Fourier sum of those taps, per element pair w_los e^{j kappa
+      |D|} + w_nlos sum_n sqrt(P_n) e^{j kappa d_n} vlink_n over the visible
+      rays in :meth:`FieldBundle.transfer`'s order of operations.  It equals
+      ``ray_field(...).transfer()`` to rounding.
+
+    d = |d_tx| + |d_rx| is separable, so each side's norms are computed per
+    element and time, on the evolved side only for visible rays, and no
+    n_rays x E temporary forms.
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
     n_rays = real.num_rays
     l_tx, l_rx = real.tx_layout.offsets, real.rx_layout.offsets
     n_tx, n_rx = l_tx.shape[0], l_rx.shape[0]
     matrix, ids = real.visibility.matrix, rays["cluster_ids"]
     d0_los = real.rx_ref - real.tx_ref
+    k = real.k_factor
+    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
+    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
+    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays; adding
+    # the LoS tap's zero virtual delay is exact
+    cluster = np.concatenate([[-1], ids])
+    ray = np.concatenate([[-1], rays["ray_ids"]])
+    tau_v = np.concatenate([[0.0], rays["tau_v"]])
+    columns = tuple(np.empty(cir_row_count(real, times.size), dtype=dt)
+                    for dt in (float, int, int, int, int, float, float, float, bool))
+    h = np.empty((times.size, n_tx, n_rx), dtype=complex)
 
     evolved_tx = real.evolved_side == "tx"
     other = n_rx if evolved_tx else n_tx
@@ -283,6 +309,7 @@ def _visible_taps(real: ClusterRealization, times: np.ndarray):
         return _side_norms(diff, rays[f"v_rel_{side}"][r], _ORIGIN, t)[:, 0, 0]
 
     fixed_side = "rx" if evolved_tx else "tx"
+    pos = 0
     for it, t in enumerate(times[:, None]):
         # the fixed side's norms for every ray, (n_rays, other); the evolved
         # side's only where visible
@@ -313,67 +340,20 @@ def _visible_taps(real: ClusterRealization, times: np.ndarray):
             total = full.sum(axis=-1)[i, j]
             power[~is_los] = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
             d[~is_los] = d_ray
-            yield it, i_tx + tx0, i_rx + rx0, slot, d, power
 
+            delay = d / SPEED_OF_LIGHT + tau_v[slot]
+            amplitude = np.where(is_los, w_los, w_nlos * np.sqrt(power))
+            end = pos + slot.size
+            for col, values in zip(columns, (
+                    times[it], i_tx + (tx0 + 1), i_rx + (rx0 + 1), cluster[slot], ray[slot],
+                    delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
+                col[pos:end] = values
+            pos = end
 
-def cir_columns(real: ClusterRealization, times) -> tuple[np.ndarray, ...]:
-    """Weighted taps of every (time, tx, rx) as columns in :data:`CIR_HEADER` order.
-
-    Rows run in C order over (t, tx, rx, [LoS, visible rays...]) and hold
-    exactly the values of the per-tap test oracle ``tests/cir_oracle.py``,
-    ``weighted_taps(real, t, tx, rx)``.  The columns are allocated once, at
-    :func:`cir_row_count` rows.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    k = real.k_factor
-    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
-    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays; adding
-    # the LoS tap's zero virtual delay is exact
-    cluster = np.concatenate([[-1], rays["cluster_ids"]])
-    ray = np.concatenate([[-1], rays["ray_ids"]])
-    tau_v = np.concatenate([[0.0], rays["tau_v"]])
-
-    n_rows = cir_row_count(real, times.size)
-    out = tuple(np.empty(n_rows, dtype=dt) for dt in (float, int, int, int, int, float,
-                                                       float, float, bool))
-    pos = 0
-    for it, i_tx, i_rx, slot, d, power in _visible_taps(real, times):
-        is_los = slot == 0
-        delay = d / SPEED_OF_LIGHT + tau_v[slot]
-        amplitude = np.where(is_los, w_los, w_nlos * np.sqrt(power))
-        end = pos + slot.size
-        for col, values in zip(out, (
-                times[it], i_tx + 1, i_rx + 1, cluster[slot], ray[slot], delay, amplitude,
-                np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
-            col[pos:end] = values
-        pos = end
-    return out
-
-
-def subchannel_matrix(real: ClusterRealization, times, f: float = 0.0) -> np.ndarray:
-    """Rician-weighted transfer matrix of every time, shape (T, n_rx, n_tx).
-
-    The Fourier sum of the taps :func:`cir_columns` writes, per element pair
-    w_los e^{j kappa |D|} + w_nlos sum_n sqrt(P_n) e^{j kappa d_n} vlink_n over
-    the visible rays in :meth:`FieldBundle.transfer`'s order of operations;
-    it equals ``ray_field(...).transfer()`` to rounding.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
-    k = real.k_factor
-    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
-    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * real.rays["tau_v"])
-    h = np.empty(times.size * n_tx * n_rx, dtype=complex)
-    for it, i_tx, i_rx, slot, d, power in _visible_taps(real, times):
-        pair = (it * n_tx + i_tx) * n_rx + i_rx
-        lo, n = pair[0], pair[-1] + 1 - pair[0]
-        g = np.exp(1j * kappa * d)
-        is_ray = slot > 0
-        g_ray = g[is_ray] * np.sqrt(power[is_ray])
-        g_ray *= vlink[slot[is_ray] - 1]
-        h_nlos = np.zeros(n, dtype=complex)
-        np.add.at(h_nlos, pair[is_ray] - lo, g_ray)   # a pair's rays add in ray order
-        h[lo:lo + n] = w_los * g[~is_ray] + w_nlos * h_nlos
-    return h.reshape(times.size, n_tx, n_rx).transpose(0, 2, 1)
+            g = np.exp(1j * kappa * d)
+            g_ray = g[~is_los] * np.sqrt(power[~is_los])
+            g_ray *= vlink[r]
+            h_nlos = np.zeros(shape[:2], dtype=complex)
+            np.add.at(h_nlos, (i, j), g_ray)   # a pair's rays add in ray order
+            h[it, tx0:tx1, rx0:rx1] = w_los * g[is_los].reshape(shape[:2]) + w_nlos * h_nlos
+    return columns, h.transpose(0, 2, 1)

@@ -596,16 +596,3 @@ def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sorted samples, CDF levels in (0, 1])."""
     s = np.sort(np.asarray(samples, dtype=float))
     return s, np.arange(1, s.size + 1) / s.size
-
-
-def bootstrap_mean_abs(trial_prod: np.ndarray, trial_pow: np.ndarray,
-                       rng: np.random.Generator, n_boot: int = 400) -> np.ndarray:
-    """Bootstrap samples of mean |ACF| over all lags, resampling trials."""
-    n = trial_prod.shape[0]
-    out = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, n)
-        prod = trial_prod[idx].mean(axis=0)
-        power = trial_pow[idx].mean(axis=0)
-        out[b] = np.abs(_normalize(prod, power)).mean()
-    return out

@@ -1,11 +1,11 @@
-"""Per-tap reference CIR of one element pair, the oracle of the CIR kernels.
+"""Per-tap reference CIR of one element pair, the oracle of the tap kernel.
 
 One ``RayTap`` per tap, built pair by pair and time by time: the LoS tap
 from ``np.linalg.norm`` of the LoS vector, then one tap per visible ray from
 ``ray_delays`` and ``ray_powers_at``, with the Rician weights folded into
-the amplitudes.  ``smallscale.cir_columns`` must reproduce these taps bit
-for bit, and ``smallscale.subchannel_matrix`` and ``ray_field(...).transfer()``
-their Fourier sum.
+the amplitudes.  The CIR columns of ``smallscale.subchannel_taps`` must
+reproduce these taps bit for bit, and the transfer matrix that the same
+pass sums, like ``ray_field(...).transfer()``, their Fourier sum.
 """
 
 from dataclasses import dataclass

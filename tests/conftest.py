@@ -1,8 +1,11 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and helpers for the test suite."""
 
+import numpy as np
 import pytest
 
+from irs_gbsm.clusters import _build, _draw
 from irs_gbsm.config import parse_config
+from irs_gbsm.stats import _normalize
 
 
 def make_config(**overrides):
@@ -26,6 +29,31 @@ def make_config(**overrides):
         else:
             base[key] = value
     return parse_config(base)
+
+
+def generate_cluster_pairs(params, tx_ref, rx_ref, rng, count=None):
+    """Draw one twin-cluster set around the two link-end references.
+
+    The draws and geometry of ``realize_subchannels`` for static link ends:
+    Poisson(mean) clusters unless ``count`` is given; zero clusters draw
+    nothing further and give an empty set.
+    """
+    if count is None:
+        count = int(rng.poisson(params.mean_count))
+    refs = np.array([tx_ref, rx_ref], dtype=float)
+    return _build(params, refs, np.zeros((2, 3)), [_draw(params, rng, count)])[0][0]
+
+
+def bootstrap_mean_abs(trial_prod, trial_pow, rng, n_boot=400):
+    """Bootstrap samples of mean |ACF| over all lags, resampling trials."""
+    n = trial_prod.shape[0]
+    out = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, n, n)
+        prod = trial_prod[idx].mean(axis=0)
+        power = trial_pow[idx].mean(axis=0)
+        out[b] = np.abs(_normalize(prod, power)).mean()
+    return out
 
 
 @pytest.fixture

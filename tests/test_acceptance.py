@@ -23,7 +23,8 @@ from irs_gbsm.clusters import (
 from irs_gbsm.config import parse_config
 from irs_gbsm.geometry import TerminalLayout
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_field, ray_path_lengths, ray_path_rates
+from irs_gbsm.smallscale import ray_field, ray_path_lengths, ray_path_rates, subchannel_taps
+from tests.conftest import bootstrap_mean_abs
 
 TRIALS = 10_000
 
@@ -206,7 +207,7 @@ def test_criterion_07_size_and_k_monotonicity(monotonic_probes):
     msgs, ok = [], True
     for name, keys in (("IRS size", (2, 5, 10)), ("Rician K dB", (0.0, 5.0, 10.0))):
         group = monotonic_probes["size" if name == "IRS size" else "k"]
-        boots = {k: stats.bootstrap_mean_abs(*group[k], rng, n_boot=400) for k in keys}
+        boots = {k: bootstrap_mean_abs(*group[k], rng, n_boot=400) for k in keys}
         means = {k: float(np.mean(boots[k])) for k in keys}
         for low, high in zip(keys[:-1], keys[1:]):
             delta = boots[high] - boots[low]
@@ -314,7 +315,8 @@ def test_criterion_11_oracle_equivalence():
     model = phase_model_for(cfg)
     t, f = 0.7, 1e6
     # the tap sum of the CIR kernel against the field kernel, pair by pair
-    matrix = cascade(t, f, reals, model)[0]
+    h = {kind: subchannel_taps(real, [t], f)[1] for kind, real in reals.items()}
+    matrix = cascade(h, model.applied_profile(np.array([t])))[0]
     theta = model.applied_profile(t)
 
     def transfer(kind, tx, rx):

@@ -6,20 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irs_gbsm.assembly import (
-    apply_steering,
-    cascade,
-    large_scale_factors,
-    phase_model_for,
-    subchannel_matrix,
-)
+from irs_gbsm import cli
+from irs_gbsm.assembly import apply_steering, cascade, large_scale_factors, phase_model_for
 from irs_gbsm.cli import main as cli_main
 from irs_gbsm.clusters import realize_subchannel
 from irs_gbsm.config import parse_config
 from irs_gbsm.irs import SteeringVector, steering_vector
 from irs_gbsm.largescale import db_to_linear, path_loss_bu_db
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_field
+from irs_gbsm.smallscale import ray_field, subchannel_taps
 from tests.conftest import make_config
 
 CONFIG_128 = Path(__file__).resolve().parents[1] / "configs" / "cluster_evolution_128.json"
@@ -30,6 +25,18 @@ CASCADE_ONLY = {"cascade_amp": 1.0, "direct_amp": 0.0}
 def realize_all(cfg, seed=0):
     return {k: realize_subchannel(cfg, k, rng_stream(seed, "trial", 0, k))
             for k in ("BI", "IU", "BU")}
+
+
+def subchannel_matrix(real, times, f=0.0):
+    """The transfer matrix of the one-pass tap kernel, (T, n_rx, n_tx)."""
+    return subchannel_taps(real, times, f)[1]
+
+
+def end_to_end(times, f, reals, model, large_scale=None):
+    """``cascade`` of the three sub-channel matrices under ``model``'s phases."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    h = {kind: subchannel_matrix(real, times, f) for kind, real in reals.items()}
+    return cascade(h, model.applied_profile(times), large_scale)
 
 
 def transfer(real, t, f=0.0, tx_element=1, rx_element=1):
@@ -43,7 +50,7 @@ class TestCascade:
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
         t = 0.4
-        matrix = cascade(t, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        matrix = end_to_end(t, 0.0, reals, model, large_scale=CASCADE_ONLY)
         h_bi = transfer(reals["BI"], t)
         h_iu = transfer(reals["IU"], t)
         theta = model.applied_profile(t)[0]
@@ -67,7 +74,7 @@ class TestCascade:
         reals = realize_all(cfg, seed=5)
         model = phase_model_for(cfg)
         times, f = np.array([0.0, 0.8]), 2e6
-        matrix = cascade(times, f, reals, model)
+        matrix = end_to_end(times, f, reals, model)
         assert matrix.shape == (2, 1, 2)
         for i, t in enumerate(times):
             theta = model.applied_profile(t)
@@ -109,17 +116,17 @@ class TestCascade:
                                     "d_iu_m": [30.0, -12.0, -2.0]})
         reals = realize_all(cfg, seed=8)
         model = phase_model_for(cfg)
-        cont = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
-        disc = cascade(0.0, 0.0, reals, dataclasses.replace(model, bits=2),
-                       large_scale=CASCADE_ONLY)
+        cont = end_to_end(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        disc = end_to_end(0.0, 0.0, reals, dataclasses.replace(model, bits=2),
+                          large_scale=CASCADE_ONLY)
         assert np.abs(disc[0, 0, 0]) <= np.abs(cont[0, 0, 0]) * (1 + 1e-12)
 
     def test_direct_term_toggle(self):
         cfg = make_config()
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
-        with_direct = cascade(0.0, 0.0, reals, model)
-        without = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        with_direct = end_to_end(0.0, 0.0, reals, model)
+        without = end_to_end(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
         assert with_direct[0, 0, 0] - without[0, 0, 0] == pytest.approx(
             transfer(reals["BU"], 0.0), rel=1e-12)
 
@@ -129,20 +136,29 @@ class TestCascade:
         reals = realize_all(cfg)
         wrong_model = phase_model_for(cfg_small)
         with pytest.raises(ValueError):
-            cascade(0.0, 0.0, reals, wrong_model)
+            end_to_end(0.0, 0.0, reals, wrong_model)
 
-    def test_rows_carry_resolution(self, tmp_path):
-        # simulate writes one row per (t, p, q), in C order of cascade's (T, M_U, M_B)
+    def test_rows_carry_resolution(self, tmp_path, monkeypatch):
+        # simulate writes one row per (t, p, q), in C order of cascade's (T, M_U, M_B),
+        # from one tap pass per sub-channel that also forms its CIR columns
         raw = {"seed": 3, "irs": {"m_x": 1, "m_y": 1, "phase_bits": 2},
                "bs": {"num_elements": 2}, "time": {"start_s": 0.0, "stop_s": 0.5, "num": 2}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
+        passes = []
+
+        def counted(real, *args):
+            passes.append(real.subchannel)
+            return subchannel_taps(real, *args)
+
+        monkeypatch.setattr(cli, "subchannel_taps", counted)
         assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
                          "--threads", "1"]) == 0
+        assert passes == ["BI", "IU", "BU"]
         rows = (tmp_path / "out" / "channel_matrix.csv").read_text().splitlines()[1:]
         cfg = parse_config(raw)
         times = cfg.time_grid()
-        matrix = cascade(times, 0.0, realize_all(cfg, seed=cfg.seed), phase_model_for(cfg))
+        matrix = end_to_end(times, 0.0, realize_all(cfg, seed=cfg.seed), phase_model_for(cfg))
         assert rows == [f"{t!r},0.0,{q},1,{v.real!r},{v.imag!r},2bit"
                         for t, h in zip(times.tolist(), matrix.tolist()) for q, v in zip((1, 2), h[0])]
 
@@ -175,7 +191,8 @@ class TestSubchannelMatrix:
         # the cluster parameters of the 128 x 128 config on a 32 x 32 surface:
         # about 8600 BI and 7900 IU rays.  A per-tx ray_field call forms
         # n_rays x E arrays, 49 B per (ray, element): 432 MB for BI.  The tap
-        # sum's blocks peak at about 55 MB
+        # kernel's blocks plus the CIR columns it fills in the same pass
+        # peaked at about 80 MB (BI) and 70 MB (IU)
         raw = json.loads(CONFIG_128.read_text())
         raw["irs"].update(m_x=32, m_y=32)
         cfg = parse_config(raw)
@@ -241,7 +258,7 @@ class TestLargeScale:
         reals = realize_all(cfg)
         model = phase_model_for(cfg)
         ls = large_scale_factors(cfg, rng_stream(2, "ls"))
-        plain = cascade(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
-        scaled = cascade(0.0, 0.0, reals, model, large_scale=dict(ls, direct_amp=0.0))
+        plain = end_to_end(0.0, 0.0, reals, model, large_scale=CASCADE_ONLY)
+        scaled = end_to_end(0.0, 0.0, reals, model, large_scale=dict(ls, direct_amp=0.0))
         assert scaled[0, 0, 0] == pytest.approx(
             ls["cascade_amp"] * plain[0, 0, 0], rel=1e-12)

@@ -10,7 +10,6 @@ from irs_gbsm.clusters import (
     VisibilityTensor,
     evolve_visibility,
     expected_cluster_count,
-    generate_cluster_pairs,
     lag1_autocorrelation,
     realize_subchannel,
     realize_subchannels,
@@ -23,7 +22,7 @@ from irs_gbsm.geometry import (
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import ray_delays, ray_path_lengths, ray_powers_at
 from tests.cir_oracle import los_distance
-from tests.conftest import make_config
+from tests.conftest import generate_cluster_pairs, make_config
 
 TX = np.zeros(3)
 RX = np.array([100.0, 0.0, 0.0])

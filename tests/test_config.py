@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -72,6 +73,17 @@ class TestParsing:
                                          "d_bu_m": [150.0, 10.0, 0.0]}})
         scene = cfg.scene()
         assert np.allclose(scene.d_iu, [100.0, 10.0, 0.0])
+
+    def test_schema_and_defaults_keep_their_key_order(self):
+        # SCHEMA and DEFAULTS are built from one key table; their JSON text,
+        # key order included, is pinned so that a reordered table fails here
+        def digest(obj):
+            return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+        assert digest(SCHEMA) == (
+            "427fa0b015b311f50c7796f0a3a0ddcaf6cdc8021097d90d1b2b136faf4a71f5")
+        assert digest(DEFAULTS) == (
+            "2218abd0818ffa69088c6449b61f6e13f8d1c22a286ee5ba9f629b0c5880543f")
 
 
 class TestValidationErrors:

@@ -14,12 +14,11 @@ from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import (
     CIR_HEADER,
     _side_norms,
-    cir_columns,
     ray_delays,
     ray_field,
     ray_path_lengths,
     ray_path_rates,
-    subchannel_matrix,
+    subchannel_taps,
 )
 from tests.cir_oracle import transfer_function, weighted_taps
 from tests.conftest import make_config
@@ -78,8 +77,8 @@ class TestRayDelays:
 
 
 def cir_table(real, times):
-    """:func:`cir_columns` by column name, plus each row's (t, tx, rx) group index."""
-    cols = dict(zip(CIR_HEADER, cir_columns(real, times)))
+    """The CIR columns of :func:`subchannel_taps` by name, plus each row's (t, tx, rx) group."""
+    cols = dict(zip(CIR_HEADER, subchannel_taps(real, times)[0]))
     cols["group"] = np.cumsum(cols["is_los"]) - 1  # each group opens with its LoS row
     return cols
 
@@ -223,7 +222,7 @@ class TestTransferFunction:
         # the two sides reach carrier phases of ~3.9e5 rad by different float64
         # roundings (path length * kappa vs exported delay), ~7e-11 apart
         assert ray_field(real, 0.0, f).transfer()[0, 0] == pytest.approx(oracle, rel=1e-10)
-        assert subchannel_matrix(real, 0.0, f)[0, 0, 0] == pytest.approx(oracle, rel=1e-10)
+        assert subchannel_taps(real, 0.0, f)[1][0, 0, 0] == pytest.approx(oracle, rel=1e-10)
 
     def test_matches_vectorized_path(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(5, "t"))
@@ -231,7 +230,7 @@ class TestTransferFunction:
             slow = transfer_function(weighted_taps(real, t), real.fc_hz, f=0.0)
             fast = ray_field(real, t).transfer()[0, 0]
             assert slow == pytest.approx(fast, rel=1e-9)
-            assert slow == pytest.approx(subchannel_matrix(real, t)[0, 0, 0], rel=1e-9)
+            assert slow == pytest.approx(subchannel_taps(real, t)[1][0, 0, 0], rel=1e-9)
 
 
 class TestNonStationarityHooks:

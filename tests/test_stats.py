@@ -8,7 +8,6 @@ from irs_gbsm.assembly import phase_model_for
 from irs_gbsm.clusters import (
     ClusterSet,
     expected_cluster_count,
-    generate_cluster_pairs,
     realize_subchannel,
 )
 from irs_gbsm.rng import rng_stream
@@ -16,7 +15,7 @@ from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
 from irs_gbsm.smallscale import ray_field, ray_path_lengths
 from irs_gbsm import stats
 from tests.cir_oracle import los_distance
-from tests.conftest import make_config
+from tests.conftest import bootstrap_mean_abs, generate_cluster_pairs, make_config
 
 TRIALS = 300
 
@@ -585,8 +584,8 @@ class TestBootstrap:
         cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0,
                           acf={"num_lags": 8}, trials=64)
         prod, power = stats.cascade_trial_products(cfg, 0.0)
-        a = stats.bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
-        b = stats.bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
+        a = bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
+        b = bootstrap_mean_abs(prod, power, np.random.default_rng(1), n_boot=50)
         assert np.array_equal(a, b)
         assert a.shape == (50,)
         assert np.all((a >= 0) & (a <= 1 + 1e-9))
