@@ -457,15 +457,6 @@ class ClusterRealization:
     def num_rays(self) -> int:
         return int(self.rays["tau_v"].size)
 
-    def ray_visibility(self, element: int) -> np.ndarray:
-        """Boolean mask over stacked rays visible to one evolved-side element."""
-        vis = self.visibility.matrix[element - 1]
-        return vis[self.rays["cluster_ids"]]
-
-    def visible_rays(self, tx_element: int, rx_element: int) -> np.ndarray:
-        element = tx_element if self.evolved_side == "tx" else rx_element
-        return self.ray_visibility(element)
-
 
 def realize_subchannels(cfg: ScenarioConfig, subchannel: str,
                         rngs) -> list[ClusterRealization]:

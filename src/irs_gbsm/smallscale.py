@@ -19,26 +19,26 @@ D(t) = D0 - l_q + l_r + (v_rx - v_tx) * t.
 
 Rician mixing: h = sqrt(K/(K+1)) h_LoS + sqrt(1/(K+1)) h_NLoS.
 
-Every ray path length, and the LoS distance of the field and CIR kernels,
-goes through one kernel, :func:`_side_norms`.  It takes |d0 - l - v t| one
-component at a time over (rays, elements, times) and adds the squares as
-(x0^2 + x1^2) + x2^2, the order of ``np.linalg.norm(..., axis=-1)``.  The
-LoS vector and per-(element, ray) differences enter the kernel as d0 with
-the origin as offset.  The summation order is part of the output: a
-last-ulp change in d becomes about 1e-11 rad once multiplied by kappa
-(about 1300 rad/m at 62 GHz), so the written CSV bytes move with it.
+Every ray path length, and the LoS distance, goes through one kernel,
+:func:`_norms`: |d0 - l - v t| = sqrt((x0^2 + x1^2) + x2^2) with x_c =
+(d0_c - l_c) - v_c t, the order of ``np.linalg.norm(..., axis=-1)``.  The
+summation order is part of the output: a last-ulp change in d becomes about
+1e-11 rad once multiplied by kappa (about 1300 rad/m at 62 GHz), so the
+written CSV bytes move with it.
 
-One field kernel, :func:`ray_field`, serves every statistic: a single
-element pair is its case with ``sweep=None`` and a singleton element axis.
-One tap kernel, :func:`subchannel_taps`, serves ``simulate``: a single pass
-over a sub-channel's visible taps fills both the CIR columns it writes and
-the transfer matrix summed from their frequency response, which
-``assembly.cascade`` combines.
+One tap kernel, :func:`_tap_blocks`, serves every statistic and
+``simulate``.  It takes a realization, element pairs as two index arrays and
+times.  It reads each pair's visible rays from the sparse visibility entries
+(``VisibilityTensor.flat``), once per block of pairs since visibility does
+not depend on t, and yields the taps' path lengths, normalized powers and
+phasors over the block's times at once.  A block's pairs x rays x times stay
+within ``_BLOCK_FLOATS``, so its memory does not grow with the array.
+:func:`subchannel_taps` turns the taps into the CIR columns that
+``simulate`` writes and the transfer matrix that ``assembly.cascade``
+combines; the statistics (``stats``) contract them into their correlations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,56 +47,28 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
-# cap on the float64 count of a subchannel_taps block's (pair, ray) normalizer; at
-# 12M a 32 x 32 surface of 8600 rays peaked at 158 MB (tracemalloc), at 2M 54 MB
+# cap on pairs x rays x times of a _tap_blocks block, the float64 count of its
+# zero-padded normalizer.  On the 128 x 128 config's BI clusters one subchannel_taps
+# pass at one time took 16.1 s at 0.5M, 8.2 s at 2M and 7.2 s at 4M (its columns,
+# about 420 MB, set the peak at each); at 2M a 32 x 32 surface peaks under 100 MB
+# (tracemalloc) with its columns
 _BLOCK_FLOATS = 2_000_000
-# the element offset of a difference already formed per row (a LoS vector or a
-# gathered (element, ray) pair); subtracting it is exact
-_ORIGIN = np.zeros((1, 3))
 
 
-def _side_norms(d0, v_rel, offsets, times):
-    """|d0 - l - v_rel t| over (rays, elements, times), one component at a time.
+def _norms(diff: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """|diff - v t| taken one component at a time, for any broadcast shapes.
 
-    ``d0`` and ``v_rel`` are (n, 3) per ray (``v_rel`` may be one (1, 3) row),
-    ``offsets`` (E, 3) per element, ``times`` (T,).  Component c is
-    (d0_c - l_c) - v_c t and the squares add as (x0^2 + x1^2) + x2^2, so the
-    (n, E, T) result equals ``np.linalg.norm`` of the broadcast (n, E, T, 3)
-    difference bit for bit, without forming it.
+    Component c is diff[..., c] - v[..., c] t and the squares add as (x0^2 +
+    x1^2) + x2^2, the order of ``np.linalg.norm(..., axis=-1)``, so the result
+    equals the norm of the broadcast difference bit for bit, without forming
+    it; ``t`` carries the time axis where the result should have it.
     """
     acc = None
     for c in range(3):
-        x = (d0[:, c, None] - offsets[:, c])[:, :, None] - v_rel[:, c, None, None] * times
+        x = diff[..., c] - v[..., c] * t
         x *= x
         acc = x if acc is None else np.add(acc, x, out=acc)
     return np.sqrt(acc, out=acc)
-
-
-def _los_norms(link, d0_los: np.ndarray, times) -> np.ndarray:
-    """|D0 + (v_rx - v_tx) t| of LoS vectors ``d0_los`` (m, 3); shape (m, T).
-
-    ``link`` is a realization or its ``LinkEnds``: only the velocities are read.
-    """
-    # d - (v_tx - v_rx) t equals d + (v_rx - v_tx) t exactly
-    return _side_norms(d0_los, (link.v_tx - link.v_rx)[None], _ORIGIN, times)[:, 0, :]
-
-
-def ray_path_lengths(real: ClusterRealization, tx_element: int, rx_element: int,
-                     times) -> np.ndarray:
-    """Geometric path length |d_tx| + |d_rx| per ray; shape (n_rays, n_times)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    l_tx = element_offset(real.tx_layout, tx_element)[None]
-    l_rx = element_offset(real.rx_layout, rx_element)[None]
-    return (_side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
-            + _side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))[:, 0, :]
-
-
-def ray_delays(real: ClusterRealization, tx_element: int, rx_element: int,
-               times) -> np.ndarray:
-    """Ray delays path/c + tau_v; shape (n_rays, n_times)."""
-    d = ray_path_lengths(real, tx_element, rx_element, times)
-    return d / SPEED_OF_LIGHT + real.rays["tau_v"][:, None]
 
 
 def ray_path_rates(real: ClusterRealization, tx_element: int, rx_element: int,
@@ -107,131 +79,164 @@ def ray_path_rates(real: ClusterRealization, tx_element: int, rx_element: int,
     """
     rays = real.rays
     out = np.zeros(real.num_rays)
-    for d0, v_rel, layout, elem in (
-        (rays["d0_tx"], rays["v_rel_tx"], real.tx_layout, tx_element),
-        (rays["d0_rx"], rays["v_rel_rx"], real.rx_layout, rx_element),
-    ):
-        offset = element_offset(layout, elem)
-        diff = d0 - offset - v_rel * t
-        norm = _side_norms(d0, v_rel, offset[None], np.array([t]))[:, 0, 0]
-        out += -np.einsum("ij,ij->i", v_rel, diff) / norm
+    for side, layout, elem in (("tx", real.tx_layout, tx_element),
+                               ("rx", real.rx_layout, rx_element)):
+        diff, v_rel = rays[f"d0_{side}"] - element_offset(layout, elem), rays[f"v_rel_{side}"]
+        out -= np.einsum("ij,ij->i", v_rel, diff - v_rel * t) / _norms(diff, v_rel, t)
     return out
 
 
-def ray_powers_at(real: ClusterRealization, delays: np.ndarray,
-                  visible: np.ndarray) -> np.ndarray:
-    """Normalized ray powers exp(-tau/gamma) over the visible set.
+def _sweep_pairs(link, sweep: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (tx, rx) element indices of element 1 against every element of the swept side.
 
-    ``delays`` is (n_rays, ..., n_times) and ``visible`` the boolean mask of
-    its leading axes: (n_rays,) for one element pair, (n_rays, E) over a
-    swept element axis.  Powers of invisible rays are zero; each (element,
-    time) column sums to 1 (or 0 when nothing is visible).
+    ``sweep`` None gives the one pair (1, 1); "tx" or "rx" pairs each
+    element of that side with element 1 of the other.
     """
-    w = np.exp(-delays / real.gamma_ds) * visible[..., None]
-    total = w.sum(axis=0)
-    return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+    n = 1 if sweep is None else getattr(link, f"{sweep}_layout").num_elements
+    fixed, swept = np.zeros(n, dtype=int), np.arange(n)
+    return (swept, fixed) if sweep == "tx" else (fixed, swept)
 
 
-@dataclass(frozen=True)
-class FieldBundle:
-    """Vectorized per-ray field factors over (swept element, time).
+def _los_norms(link, tx: np.ndarray, rx: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|D(t)| of the element pairs (tx[p], rx[p]) (0-based), shape (T, P).
 
-    g[n, e, t] = sqrt(P) * exp(j kappa d) with kappa = 2 pi (f_c - f)/c and d
-    the geometric path length (invisible rays zeroed); u[e, t] the LoS phasor
-    exp(j kappa D).  ``vlink`` carries the per-ray virtual-delay phasor so
-    that transfer values are g * vlink summed over rays.  ``visible`` is the
-    (n_rays, E) ray visibility mask.
+    ``link`` is a realization or its ``LinkEnds``; D(t) = D0 - l_tx + l_rx -
+    (v_tx - v_rx) t, which equals D0 - l_tx + l_rx + (v_rx - v_tx) t exactly.
     """
-
-    g: np.ndarray
-    u: np.ndarray
-    powers: np.ndarray
-    visible: np.ndarray
-    vlink: np.ndarray
-    k_factor: float
-
-    def transfer(self) -> np.ndarray:
-        """Rician-weighted transfer values, shape (n_elements, n_times)."""
-        w_los = np.sqrt(self.k_factor / (self.k_factor + 1.0))
-        w_nlos = np.sqrt(1.0 / (self.k_factor + 1.0))
-        h_nlos = np.einsum("net,n->et", self.g, self.vlink)
-        return w_los * self.u + w_nlos * h_nlos
+    d0 = (link.rx_ref - link.tx_ref) - link.tx_layout.offsets[tx] + link.rx_layout.offsets[rx]
+    return _norms(d0, link.v_tx - link.v_rx, times[:, None])
 
 
-def _fields(real: ClusterRealization, times: np.ndarray, f: float, l_tx: np.ndarray,
-            l_rx: np.ndarray, visible: np.ndarray):
-    """(g, powers, vlink) of the element offsets ``l_tx`` and ``l_rx``.
-
-    One of the offsets is a single (1, 3) row, the other (E, 3); ``visible``
-    is the boolean (n_rays, E) mask.  g and powers are (n_rays, E, T).
-    Powers are renormalized over the visible rays of each (element, time).
-    """
-    rays = real.rays
-    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-    d = (_side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx, times)
-         + _side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx, times))
-    powers = ray_powers_at(real, d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None], visible)
-    g = np.exp(1j * kappa * d)
-    g *= np.sqrt(powers)
-    g *= visible[:, :, None]
-    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
-    return g, powers, vlink
-
-
-def _offsets(link, tx_element: int, rx_element: int, sweep: str | None):
-    """Element offsets (l_tx, l_rx): one (1, 3) row each, or every element of the swept side."""
-    l_tx = element_offset(link.tx_layout, tx_element)[None]
-    l_rx = element_offset(link.rx_layout, rx_element)[None]
-    if sweep == "tx":
-        l_tx = link.tx_layout.offsets
-    elif sweep == "rx":
-        l_rx = link.rx_layout.offsets
-    elif sweep is not None:
-        raise ValueError(f"sweep must be None, 'tx' or 'rx', got {sweep!r}")
-    return l_tx, l_rx
-
-
-def los_phasor(link, times, fc_hz: float, f: float = 0.0, tx_element: int = 1,
-               rx_element: int = 1, sweep: str | None = None) -> np.ndarray:
-    """LoS phasor exp(j kappa |D(t)|) over (elements, times), shape (E, T).
+def los_phasor(link, times, fc_hz: float, f: float = 0.0,
+               sweep: str | None = None) -> np.ndarray:
+    """LoS phasor exp(j kappa |D(t)|) of element 1's pairs over times, shape (E, T).
 
     ``link`` is a realization or the ``LinkEnds`` of its sub-channel: the LoS
     depends only on the link ends, the element offsets, the times and the
-    frequency, never on a trial's draws, so an ensemble computes it once and
-    passes it to :func:`ray_field` as ``u``.
+    frequency, never on a trial's draws, so an ensemble computes it once.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    l_tx, l_rx = _offsets(link, tx_element, rx_element, sweep)
     kappa = TWO_PI * (fc_hz - f) / SPEED_OF_LIGHT
-    return np.exp(1j * kappa * _los_norms(link, (link.rx_ref - link.tx_ref) - l_tx + l_rx,
-                                          times))
+    return np.exp(1j * kappa * _los_norms(link, *_sweep_pairs(link, sweep), times)).T.copy()
 
 
-def ray_field(real: ClusterRealization, times, f: float = 0.0,
-              tx_element: int = 1, rx_element: int = 1,
-              sweep: str | None = None, u: np.ndarray | None = None) -> FieldBundle:
-    """Compute the field bundle for one pair or for a swept element axis.
+def _rays_per_cluster(real: ClusterRealization) -> int:
+    """Rays of each cluster (a cluster set is rectangular); 0 for a set without clusters."""
+    return real.num_rays // max(len(real.clusters), 1)
 
-    ``sweep`` of "tx"/"rx" evaluates every element on that side (the other
-    side stays fixed); None keeps both fixed with a singleton element axis.
-    ``u`` is the (E, T) :func:`los_phasor` of the same arguments, computed
-    here when not given.
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [starts[i], starts[i] + counts[i]) joined, and the i each value is from."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.arange(owner.size) + (starts - np.cumsum(counts) + counts)[owner], owner
+
+
+def _tap_norms(d0, v_rel, offsets, elements, pair, ray, times) -> np.ndarray:
+    """|d0 - l - v_rel t| of each tap (pair, ray) on one side, shape (T, K).
+
+    Formed per tap or, where that is less work, for every ray of every
+    pair's element (or of the one element all pairs share) and gathered:
+    both give the same bits.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    l_tx, l_rx = _offsets(real, tx_element, rx_element, sweep)
-    n_elem = max(l_tx.shape[0], l_rx.shape[0])
+    if (elements == elements[0]).all():
+        elements, pair = elements[:1], np.zeros_like(pair)
+    if elements.size * d0.shape[0] > 2 * ray.size:
+        return _norms(d0[ray] - offsets[elements[pair]], v_rel[ray], times[:, None])
+    d = _norms(d0 - offsets[elements, None], v_rel, times[:, None, None])
+    # taps that cover every (element, ray) in order are the dense array itself
+    return d.reshape(times.size, -1) if ray.size == d[0].size else d[:, pair, ray]
 
-    # visibility mask over (rays, swept elements)
-    if sweep == real.evolved_side:
-        visible = real.visibility.matrix[:, real.rays["cluster_ids"]].T  # (n_rays, E)
+
+def _block_steps(n_rays: float, n_times: int) -> tuple[int, int]:
+    """Pairs and times of a :func:`_tap_blocks` block: pairs x rays x times <= _BLOCK_FLOATS.
+
+    All times go in one block unless a single pair's rays over them exceed the
+    bound; ``n_rays`` may be an expected (float) count.
+    """
+    t_step = max(1, min(n_times, int(_BLOCK_FLOATS // max(1, n_rays))))
+    return max(1, int(_BLOCK_FLOATS // (max(1, n_rays) * t_step))), t_step
+
+
+def _normalized(w: np.ndarray, pair: np.ndarray, ray: np.ndarray, n_pairs: int,
+                n_rays: int) -> np.ndarray:
+    """Tap weights w (T, K) divided by their pair's sum at each time; 0 where it is 0.
+
+    Each sum runs pairwise over the full ray axis, zero-padded where a ray is
+    not visible, so it rounds as a sum over all the pair's rays does.
+    """
+    if ray.size == n_pairs * n_rays:   # the (pair, ray) grid: nothing to pad
+        full = w.reshape(w.shape[0], n_pairs, n_rays)
     else:
-        visible = np.broadcast_to(real.visible_rays(tx_element, rx_element)[:, None],
-                                  (real.num_rays, n_elem))
-    g, powers, vlink = _fields(real, times, f, l_tx, l_rx, visible)
-    if u is None:
-        u = los_phasor(real, times, real.fc_hz, f, tx_element, rx_element, sweep)
-    return FieldBundle(g=g, u=u, powers=powers, visible=visible, vlink=vlink,
-                       k_factor=real.k_factor)
+        full = np.zeros((w.shape[0], n_pairs, n_rays))
+        full[:, pair, ray] = w
+    total = full.sum(axis=-1)[:, pair]
+    return np.divide(w, total, out=np.zeros(w.shape), where=total > 0)
+
+
+def _tap_blocks(real: ClusterRealization, times: np.ndarray, f: float,
+                tx: np.ndarray, rx: np.ndarray):
+    """The visible NLoS taps of the element pairs (tx[p], rx[p]), a block at a time.
+
+    ``tx`` and ``rx`` are 0-based element indices, one per pair.  Blocks of
+    pairs and times keep pairs x rays x times within ``_BLOCK_FLOATS``; they
+    run pair-major and yield (pairs, steps, pair, ray, d, power, g): the
+    block's pair and time slices, each tap's pair (within the block) and ray,
+    sorted by pair and then ray, and its (T_b, K) path length d = |d_tx| +
+    |d_rx|, power P normalized over its pair's visible rays at each time and
+    phasor sqrt(P) exp(j kappa d).  Visibility does not depend on t, so the
+    taps are found once per block of pairs.
+    """
+    rays, n_rays = real.rays, real.num_rays
+    kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
+    # a pair's visible clusters are the entries [e n, (e + 1) n) of the sorted
+    # flat visibility, e its evolved-side element; cluster c's rays are
+    # c m ... c m + m - 1
+    n, flat = real.visibility.n_clusters, real.visibility.flat
+    evolved = tx if real.evolved_side == "tx" else rx
+    m = _rays_per_cluster(real)
+    p_step, t_step = _block_steps(n_rays, times.size)
+    for p0 in range(0, tx.size, p_step):
+        pairs = slice(p0, p0 + p_step)
+        b_tx, b_rx = tx[pairs], rx[pairs]
+        if flat.size == real.visibility.shape[0] * real.visibility.shape[1] * n:
+            # every element sees every cluster: the taps are the (pair, ray) grid
+            pair, ray = np.divmod(np.arange(b_tx.size * n_rays), n_rays)
+        else:
+            lo, hi = np.searchsorted(flat, [evolved[pairs] * n, (evolved[pairs] + 1) * n])
+            entry, entry_pair = _ranges(lo, hi - lo)
+            ray = ((flat[entry] % n)[:, None] * m + np.arange(m)).ravel()
+            pair = np.repeat(entry_pair, m)
+        for t0 in range(0, times.size, t_step):
+            steps = slice(t0, t0 + t_step)
+            t = times[steps]
+            d = (_tap_norms(rays["d0_tx"], rays["v_rel_tx"], real.tx_layout.offsets, b_tx,
+                            pair, ray, t)
+                 + _tap_norms(rays["d0_rx"], rays["v_rel_rx"], real.rx_layout.offsets, b_rx,
+                              pair, ray, t))
+            power = _normalized(
+                np.exp(-(d / SPEED_OF_LIGHT + rays["tau_v"][ray]) / real.gamma_ds),
+                pair, ray, b_tx.size, n_rays)
+            g = np.exp(1j * kappa * d)
+            g *= np.sqrt(power)
+            yield pairs, steps, pair, ray, d, power, g
+
+
+def _pair_sums(values: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Sums of (..., K) tap values per pair, shape (..., n_pairs).
+
+    ``np.add.at`` adds a pair's taps in tap order, from zero, so a pair
+    without a tap sums to 0.
+    """
+    lead = values.shape[:-1]
+    out = np.zeros(int(np.prod(lead)) * n_pairs, dtype=values.dtype)
+    np.add.at(out, (np.arange(out.size // n_pairs)[:, None] * n_pairs + pair).ravel(),
+              values.ravel())
+    return out.reshape(lead + (n_pairs,))
+
+
+def _vlink(real: ClusterRealization, f: float) -> np.ndarray:
+    """Per-ray virtual-link phasor exp(j 2 pi (f_c - f) tau_v), shape (n_rays,)."""
+    return np.exp(1j * TWO_PI * (real.fc_hz - f) * real.rays["tau_v"])
 
 
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
@@ -245,9 +250,8 @@ def cir_row_count(real: ClusterRealization, n_times: int) -> int:
     counted from the visible (element, cluster) entries, so the dense
     visibility view is not built.
     """
-    m_x, m_y, n = real.visibility.shape
-    rays_per_cluster = np.bincount(real.rays["cluster_ids"], minlength=n)
-    taps = m_x * m_y + int(rays_per_cluster[real.visibility.flat % n].sum())
+    m_x, m_y, _ = real.visibility.shape
+    taps = m_x * m_y + real.visibility.flat.size * _rays_per_cluster(real)
     other = real.rx_layout if real.evolved_side == "tx" else real.tx_layout
     return n_times * other.num_elements * taps
 
@@ -256,9 +260,8 @@ def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
                     ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The visible taps of every (time, tx, rx): CIR columns and transfer matrix.
 
-    One pass over blocks of element pairs forms each tap once, as (time, tx,
-    rx, slot, path length d, normalized power): slot 0 the LoS tap (d = |D|,
-    power 1), slot 1 + n ray n.  From the same taps it fills
+    The taps of :func:`_tap_blocks`, over every (tx, rx) pair in C order,
+    and each pair's LoS tap (d = |D|, power 1) fill
 
     - the columns in :data:`CIR_HEADER` order, allocated once at
       :func:`cir_row_count` rows.  Rows run in C order over (t, tx, rx,
@@ -266,94 +269,45 @@ def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
       oracle ``tests/cir_oracle.py``, ``weighted_taps(real, t, tx, rx)``;
     - the Rician-weighted transfer matrix of every time, shape (T, n_rx,
       n_tx): the Fourier sum of those taps, per element pair w_los e^{j kappa
-      |D|} + w_nlos sum_n sqrt(P_n) e^{j kappa d_n} vlink_n over the visible
-      rays in :meth:`FieldBundle.transfer`'s order of operations.  It equals
-      ``ray_field(...).transfer()`` to rounding.
-
-    d = |d_tx| + |d_rx| is separable, so each side's norms are computed per
-    element and time, on the evolved side only for visible rays, and no
-    n_rays x E temporary forms.
+      |D|} + w_nlos sum_n sqrt(P_n) e^{j kappa d_n} vlink_n, the rays of a
+      pair added in ray order.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rays = real.rays
-    n_rays = real.num_rays
-    l_tx, l_rx = real.tx_layout.offsets, real.rx_layout.offsets
-    n_tx, n_rx = l_tx.shape[0], l_rx.shape[0]
-    matrix, ids = real.visibility.matrix, rays["cluster_ids"]
-    d0_los = real.rx_ref - real.tx_ref
+    n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
+    tx, rx = np.divmod(np.arange(n_tx * n_rx), n_rx)
     k = real.k_factor
     w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-    vlink = np.exp(1j * TWO_PI * (real.fc_hz - f) * rays["tau_v"])
-    # slot 0 of each (tx, rx) pair is the LoS tap, slots 1.. the rays; adding
-    # the LoS tap's zero virtual delay is exact
-    cluster = np.concatenate([[-1], ids])
-    ray = np.concatenate([[-1], rays["ray_ids"]])
-    tau_v = np.concatenate([[0.0], rays["tau_v"]])
-    columns = tuple(np.empty(cir_row_count(real, times.size), dtype=dt)
+    vlink = _vlink(real, f)
+    # rows per time, and the first row of the block's pairs at each time
+    per_time, lo = cir_row_count(real, 1), 0
+    columns = tuple(np.empty(times.size * per_time, dtype=dt)
                     for dt in (float, int, int, int, int, float, float, float, bool))
-    h = np.empty((times.size, n_tx, n_rx), dtype=complex)
+    h = np.empty((times.size, n_tx * n_rx), dtype=complex)
 
-    evolved_tx = real.evolved_side == "tx"
-    other = n_rx if evolved_tx else n_tx
-    step = max(1, _BLOCK_FLOATS // ((1 + n_rays) * other))
-    # blocks of (tx, rx) ranges that are contiguous in C order
-    blocks = ([(lo, min(lo + step, n_tx), 0, n_rx) for lo in range(0, n_tx, step)]
-              if evolved_tx else
-              [(q, q + 1, lo, min(lo + step, n_rx))
-               for q in range(n_tx) for lo in range(0, n_rx, step)])
+    for pairs, steps, pair, ray, d, power, g in _tap_blocks(real, times, f, tx, rx):
+        b_tx, b_rx = tx[pairs], rx[pairs]
+        d_los = _los_norms(real, b_tx, b_rx, times[steps])
+        g *= vlink[ray]
+        h[steps, pairs] = (w_los * np.exp(1j * kappa * d_los)
+                           + w_nlos * _pair_sums(g, pair, b_tx.size))
 
-    def pair_norms(side, elements, r, t):
-        """|d0 - l - v t| of rays ``r`` seen from ``elements``, pair by pair."""
-        diff = rays[f"d0_{side}"][r] - (l_tx if side == "tx" else l_rx)[elements]
-        return _side_norms(diff, rays[f"v_rel_{side}"][r], _ORIGIN, t)[:, 0, 0]
-
-    fixed_side = "rx" if evolved_tx else "tx"
-    pos = 0
-    for it, t in enumerate(times[:, None]):
-        # the fixed side's norms for every ray, (n_rays, other); the evolved
-        # side's only where visible
-        fixed = _side_norms(rays[f"d0_{fixed_side}"], rays[f"v_rel_{fixed_side}"],
-                            l_rx if evolved_tx else l_tx, t)[:, :, 0]
-        for tx0, tx1, rx0, rx1 in blocks:
-            shape = (tx1 - tx0, rx1 - rx0, 1 + n_rays)
-            mask = np.ones(shape, dtype=bool)
-            mask[:, :, 1:] = (matrix[tx0:tx1, None, ids] if evolved_tx
-                              else matrix[None, rx0:rx1, ids])
-            i_tx, i_rx, slot = np.nonzero(mask)
-            is_los = slot == 0
-            d = np.empty(slot.size)
-            power = np.ones(slot.size)
-            los = _los_norms(real, (d0_los - l_tx[tx0:tx1, None, :]
-                                    + l_rx[None, rx0:rx1, :]).reshape(-1, 3), t)
-            d[is_los] = los[:, 0]
-            i, j, r = i_tx[~is_los], i_rx[~is_los], slot[~is_los] - 1
-            if evolved_tx:
-                d_ray = pair_norms("tx", i + tx0, r, t) + fixed[r, j + rx0]
-            else:
-                d_ray = fixed[r, i + tx0] + pair_norms("rx", j + rx0, r, t)
-            w = np.exp(-(d_ray / SPEED_OF_LIGHT + rays["tau_v"][r]) / real.gamma_ds)
-            # the normalizer sums the full ray axis, invisible rays as zeros, so
-            # its rounding equals the per-pair sum of ray_powers_at
-            full = np.zeros(shape[:2] + (n_rays,))
-            full[i, j, r] = w
-            total = full.sum(axis=-1)[i, j]
-            power[~is_los] = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-            d[~is_los] = d_ray
-
-            delay = d / SPEED_OF_LIGHT + tau_v[slot]
-            amplitude = np.where(is_los, w_los, w_nlos * np.sqrt(power))
-            end = pos + slot.size
-            for col, values in zip(columns, (
-                    times[it], i_tx + (tx0 + 1), i_rx + (rx0 + 1), cluster[slot], ray[slot],
-                    delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
-                col[pos:end] = values
-            pos = end
-
-            g = np.exp(1j * kappa * d)
-            g_ray = g[~is_los] * np.sqrt(power[~is_los])
-            g_ray *= vlink[r]
-            h_nlos = np.zeros(shape[:2], dtype=complex)
-            np.add.at(h_nlos, (i, j), g_ray)   # a pair's rays add in ray order
-            h[it, tx0:tx1, rx0:rx1] = w_los * g[is_los].reshape(shape[:2]) + w_nlos * h_nlos
-    return columns, h.transpose(0, 2, 1)
+        # the block's rows at each time: pair by pair, its LoS row and its taps
+        is_los = np.ones(b_tx.size + pair.size, dtype=bool)
+        is_los[np.arange(pair.size) + pair + 1] = False
+        row_pair = np.cumsum(is_los) - 1
+        delay = np.empty((d.shape[0], row_pair.size))
+        delay[:, is_los] = d_los / SPEED_OF_LIGHT
+        delay[:, ~is_los] = d / SPEED_OF_LIGHT + rays["tau_v"][ray]
+        amplitude = np.full(delay.shape, w_los)
+        amplitude[:, ~is_los] = w_nlos * np.sqrt(power)
+        cluster, ray_id = np.full((2, row_pair.size), -1)
+        cluster[~is_los], ray_id[~is_los] = rays["cluster_ids"][ray], rays["ray_ids"][ray]
+        for col, values in zip(columns, (
+                times[steps, None], b_tx[row_pair] + 1, b_rx[row_pair] + 1, cluster, ray_id,
+                delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
+            col.reshape(times.size, per_time)[steps, lo:lo + row_pair.size] = values
+        if steps.stop >= times.size:   # the block's last times: the next block's pairs follow
+            lo += row_pair.size
+    return columns, h.reshape(-1, n_tx, n_rx).transpose(0, 2, 1)

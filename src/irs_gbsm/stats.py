@@ -31,22 +31,31 @@ conj(x[n, s, t + dt]).  For one element pair that is
     R(dt) = K/(K+1) * exp(j kappa (D(t) - D(t+dt)))
           + 1/(K+1) * sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t) - d(t+dt))).
 
-Two contractions of x serve every statistic.  ``_correlations`` forms the
-full E x E x T CCF and equal-time tensors that the full-IRS ACF combines
-over IRS element pairs (r1, r2) with the reflection-phase factor
-exp(-j(theta_r1(t) - theta_r2(t + dt))), so one ensemble serves any phase
-resolution; a 1 x 1 surface is its E = 1 case, R_BI R_IU exp(-j(theta(t) -
-theta(t + dt))).  ``_trial_sub`` forms only row 0, element 1 at t against
-every element and time, for the sub-channel ACF and the spatial CCF, so a
-CCF across a large array stays O(N E T).  The simulated curves use the same
-two contractions of the transfer values h.  Every correlation is normalized
-by sqrt(R0(anchor1) * R0(anchor2)), making the zero-lag value exactly 1.
+The rows of x are read from the visible taps of the one tap kernel,
+``smallscale._tap_blocks``: ray n's row is 0 at an element that does not
+see it.  The transfer value is h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n)
+exp(j kappa d_n) vlink_n, each pair's rays added in ray order as
+``simulate`` adds them.  Two contractions of x serve every statistic.
+``_correlations`` forms the full E x E x T CCF and equal-time tensors from
+the dense x, which the tap phasors are scattered into; the full-IRS ACF
+combines them over IRS element pairs (r1, r2) with the reflection-phase
+factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so one ensemble serves any
+phase resolution; a 1 x 1 surface is its E = 1 case, R_BI R_IU
+exp(-j(theta(t) - theta(t + dt))).  ``_trial_sub`` forms only row 0,
+element 1 at t against every element and time, for the sub-channel ACF and
+the spatial CCF.  It sums each element's products with element 1 over that
+element's visible taps, a block of elements at a time, so a CCF across a
+large array costs O(visible taps x T) and never holds an N x E x T array.
+The simulated curves use the same two contractions of the transfer values
+h.  Every correlation is normalized by sqrt(R0(anchor1) * R0(anchor2)),
+making the zero-lag value exactly 1.
 
 Per trial, ``_correlations`` contracts with BLAS (GEMM), O(N E^2 T) work for
 N rays, E elements and T lags, and the full-IRS run holds 8 complex
 E x E x T accumulators (4 without the analytical tensors).  ``acf_full_irs``
-refuses, before any trial, a surface whose tensors would not fit in
-physical RAM, and ``ccf_spatial`` an axis whose N x E x T fields would not.
+refuses, before any trial, a surface whose tensors would not fit in the
+available RAM, and ``ccf_spatial`` an axis whose tap blocks and
+realizations would not.
 
 Trials are reduced in fixed blocks of 256, summed in block order, so that
 results are bit-identical whatever the worker-pool size.  Within a block,
@@ -75,22 +84,32 @@ import numpy as np
 from .assembly import phase_model_for
 from .clusters import ClusterRealization, expected_cluster_count, realize_subchannels
 from .config import ScenarioConfig, parse_config, serialize_config
+from .geometry import SPEED_OF_LIGHT
 from .irs import resolution_label
 from .rng import rng_stream
 from .smallscale import (
+    _block_steps,
+    _pair_sums,
+    _sweep_pairs,
+    _tap_blocks,
+    _vlink,
     los_phasor,
-    ray_delays,
-    ray_field,
     ray_path_rates,
-    ray_powers_at,
 )
 
 _BLOCK = 256
 # trials realized together; small, because a chunk's realizations live at once
 _CHUNK = 16
-# bytes per ray, element and time of the complex N x E x T field arrays that a
-# trial holds at once in the row-0 kernel: about 3.5 arrays of 16 bytes
-_FIELD_BYTES = 56
+# resident bytes of a process that has imported numpy and this package, before
+# any trial: 34 MB by ru_maxrss on CPython 3.11 and numpy 2.4
+_PROCESS_BYTES = 36 * 2**20
+# bytes per visible tap and time of a block of the row-0 kernel that its
+# arrays hold at once: d, P and g of the taps, the three stacked products summed
+# per pair and their index (about ten complex arrays)
+_TAP_BYTES = 160
+# bytes per ray of a realization, held by each of a chunk's realizations: the
+# ray and scatterer arrays and their transient peak while a chunk is built
+_RAY_BYTES = 300
 
 
 @dataclass(frozen=True)
@@ -128,19 +147,36 @@ def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ccf, gram
 
 
-def _stacked(real: ClusterRealization, times, f, sweep=None, u=None):
+def _weights(real: ClusterRealization) -> tuple[float, float]:
+    """Rician weights sqrt(K/(K+1)) of the LoS and sqrt(1/(K+1)) of the rays."""
+    k = real.k_factor
+    return np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+
+
+def _stacked(real: ClusterRealization, times, f, sweep, u):
     """Transfer values h (E, T) and stacked phasors x (1 + N, E, T) of one sub-channel.
 
     x is the one definition behind every analytical correlation: its row 0
-    is the LoS phasor ``u`` (see :func:`ray_field`) weighted sqrt(K/(K+1)),
-    the other rows the NLoS rays g weighted sqrt(1/(K+1)).  A correlation is
-    a contraction of x with its conjugate over the first axis.
+    is the LoS phasor ``u`` (E, T) of element 1's pairs (see ``los_phasor``)
+    weighted sqrt(K/(K+1)), row 1 + n ray n's tap phasor sqrt(P) exp(j kappa
+    d) weighted sqrt(1/(K+1)), 0 where the ray is not visible.  A
+    correlation is a contraction of x with its conjugate over the first axis.
+    h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n) exp(j kappa d_n) vlink_n, the
+    rays added in ray order, as ``smallscale.subchannel_taps`` adds them.
     """
-    bundle = ray_field(real, times, f, sweep=sweep, u=u)
-    k = real.k_factor
-    x = np.concatenate([np.sqrt(k / (k + 1.0)) * bundle.u[None],
-                        np.sqrt(1.0 / (k + 1.0)) * bundle.g])
-    return bundle.transfer(), x
+    x = np.zeros((1 + real.num_rays,) + u.shape, dtype=complex)
+    for pairs, steps, pair, ray, _, _, g in _tap_blocks(
+            real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
+        x[1 + ray, pair + pairs.start, steps] = g.T
+    # row 0 is still zero and comes first, so the sum over the ray axis adds
+    # the rays one by one from zero; summed as floats, a column of one pair
+    # at one time is not summed pairwise
+    terms = x * np.concatenate([[0.0], _vlink(real, f)])[:, None, None]
+    w_los, w_nlos = _weights(real)
+    h = w_los * u + w_nlos * terms.view(float).sum(axis=0).view(complex)
+    x[0] = w_los * u
+    x[1:] *= w_nlos
+    return h, x
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +206,30 @@ def _trial_sub(reals: dict, args: dict) -> dict:
     """Row-0 correlations of one sub-channel, each (E, T).
 
     Element 1 at the anchor against every (swept) element and time: the
-    direct products ``prod`` and powers ``pow``, and the analytical ``ana``
-    and ``ana0`` from the stacked phasors.  Only row 0 of the E x E tensors
-    is formed, so the work and memory stay O(N E T).
+    direct products ``prod`` and powers ``pow`` of h, and the analytical
+    ``ana`` and ``ana0``, row 0 of the contractions of x.  Each is summed
+    from the visible taps, a block of pairs at a time, so no N x E x T array
+    forms: the work and memory are O(visible taps x T).
     """
-    h, x = _stacked(reals[args["kind"]], args["times"], args["f"], args["sweep"],
-                    args["los"])
-    n, e, t = x.shape
-    return {"prod": h[0, 0] * np.conj(h),
-            "pow": np.abs(h) ** 2,
-            "ana": (x[:, 0, 0] @ np.conj(x).reshape(n, e * t)).reshape(e, t),
-            "ana0": np.sum(np.abs(x) ** 2, axis=0)}
+    real, u, f = reals[args["kind"]], args["los"], args["f"]
+    times = np.atleast_1d(args["times"])
+    # element 1 at the anchor: h and the column of x that row 0 contracts with
+    h_ref, x_ref = (a.ravel() for a in _stacked(real, times[:1], f, None, u[:1, :1]))
+    w_los, w_nlos = _weights(real)
+    vlink = _vlink(real, f)
+    out = {"prod": np.empty(u.shape, dtype=complex), "pow": np.empty(u.shape),
+           "ana": np.empty(u.shape, dtype=complex), "ana0": np.empty(u.shape)}
+    for pairs, steps, pair, ray, _, _, g in _tap_blocks(
+            real, times, f, *_sweep_pairs(real, args["sweep"])):
+        x0, xt = w_los * u[pairs, steps].T, w_nlos * g      # (T_b, P_b) and (T_b, K)
+        h, ana, ana0 = _pair_sums(np.stack([g * vlink[ray], x_ref[1 + ray] * np.conj(xt),
+                                            xt.real ** 2 + xt.imag ** 2]), pair, x0.shape[1])
+        h = x0 + w_nlos * h
+        for key, value in (("prod", h_ref * np.conj(h)), ("pow", np.abs(h) ** 2),
+                           ("ana", x_ref[0] * np.conj(x0) + ana),
+                           ("ana0", np.abs(x0) ** 2 + ana0.real)):
+            out[key][pairs, steps] = value.T
+    return out
 
 
 def _setup_cascade(cfg: ScenarioConfig, params: dict) -> dict:
@@ -198,8 +247,8 @@ def _setup_products(cfg: ScenarioConfig, params: dict) -> dict:
 def _cascade_transfers(reals: dict, args: dict) -> tuple[np.ndarray, np.ndarray]:
     """Transfer values (E, T) of BI to every IRS element and of IU from it."""
     times, f = args["times"], args["f"]
-    return (ray_field(reals["BI"], times, f, sweep="rx", u=args["los_bi"]).transfer(),
-            ray_field(reals["IU"], times, f, sweep="tx", u=args["los_iu"]).transfer())
+    return (_stacked(reals["BI"], times, f, "rx", args["los_bi"])[0],
+            _stacked(reals["IU"], times, f, "tx", args["los_iu"])[0])
 
 
 def _trial_cascade(reals: dict, args: dict) -> dict:
@@ -229,6 +278,12 @@ def _trial_products(reals: dict, args: dict) -> dict:
     return {"trial_prod": h[0] * np.conj(h), "trial_pow": np.abs(h) ** 2}
 
 
+def _pair_1_taps(real: ClusterRealization, t: float):
+    """(ray, delay, power) of the rays visible to element pair (1, 1) at time t, in ray order."""
+    *_, ray, d, power, _ = next(_tap_blocks(real, np.array([t]), 0.0, *_sweep_pairs(real, None)))
+    return ray, d[0] / SPEED_OF_LIGHT + real.rays["tau_v"][ray], power[0]
+
+
 def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float):
     """Instantaneous per-ray Doppler of the cascaded link through element 1, Hz.
 
@@ -237,18 +292,14 @@ def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float):
     1 carry the link.  Rays of the two sub-channels are paired index-wise up
     to the smaller visible count; returns (nu, power_weights).
     """
-    seen_bi, seen_iu = bi.visible_rays(1, 1), iu.visible_rays(1, 1)
-    vis_bi, vis_iu = np.nonzero(seen_bi)[0], np.nonzero(seen_iu)[0]
-    m = min(vis_bi.size, vis_iu.size)
+    (ray_bi, _, p_bi), (ray_iu, _, p_iu) = (_pair_1_taps(real, t) for real in (bi, iu))
+    m = min(ray_bi.size, ray_iu.size)
     if m == 0:
         return np.zeros(0), np.zeros(0)
-    vis_bi, vis_iu = vis_bi[:m], vis_iu[:m]
-    rate = (ray_path_rates(bi, 1, 1, t)[vis_bi]
-            + ray_path_rates(iu, 1, 1, t)[vis_iu])
+    rate = (ray_path_rates(bi, 1, 1, t)[ray_bi[:m]]
+            + ray_path_rates(iu, 1, 1, t)[ray_iu[:m]])
     nu = -rate / bi.wavelength
-    p_bi = ray_powers_at(bi, ray_delays(bi, 1, 1, t), seen_bi)[vis_bi, 0]
-    p_iu = ray_powers_at(iu, ray_delays(iu, 1, 1, t), seen_iu)[vis_iu, 0]
-    weights = p_bi * p_iu
+    weights = p_bi[:m] * p_iu[:m]
     weights = weights / weights.sum()
     return nu, weights
 
@@ -293,17 +344,11 @@ def rms_delay_spread(delays, powers) -> float:
 
 
 def _trial_ds(reals: dict, args: dict) -> dict:
-    real = reals["BI"]
-    if real.num_rays == 0:
-        return {"trial_ds": np.array([np.nan])}  # no cluster at all: skip trial
-    t = args["t"]
-    visible = real.visible_rays(1, 1)
-    delays = ray_delays(real, 1, 1, t)
-    powers = ray_powers_at(real, delays, visible)[:, 0]
+    _, delays, powers = _pair_1_taps(reals["BI"], args["t"])
     keep = powers > 0
-    if not keep.any():
+    if not keep.any():   # no visible ray, or no cluster at all: skip the trial
         return {"trial_ds": np.array([np.nan])}
-    return {"trial_ds": np.array([rms_delay_spread(delays[keep, 0], powers[keep])])}
+    return {"trial_ds": np.array([rms_delay_spread(delays[keep], powers[keep])])}
 
 
 # statistic -> (setup, per-trial kernel)
@@ -424,8 +469,22 @@ def _combine_full(ccf_bi, gram_bi, ccf_iu, gram_iu, theta) -> np.ndarray:
     return _normalize(r_vals, a0)
 
 
-def _physical_ram_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_MEMINFO = "/proc/meminfo"
+
+
+def _available_ram_bytes() -> int:
+    """RAM the kernel can give a new process without swapping, in bytes.
+
+    ``MemAvailable`` of ``/proc/meminfo``: on a shared host that is what the
+    run can count on, which may be far below the physical RAM.  Where that
+    file or field is missing, the physical RAM.
+    """
+    try:
+        with open(_MEMINFO) as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh
+                        if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _check_memory(per_process: int, parent: int, trials: int, threads: int,
@@ -434,17 +493,20 @@ def _check_memory(per_process: int, parent: int, trials: int, threads: int,
 
     Each process that runs trials holds ``per_process`` bytes: the caller
     alone, or every busy worker of a pooled run, whose parent then holds
-    ``parent`` bytes more while it folds the blocks.
+    ``parent`` bytes more while it folds the blocks.  Every process also
+    holds ``_PROCESS_BYTES``, and the sum is checked against the RAM that
+    is available now.
     """
     blocks = len(_blocks(trials))
     pooled = threads > 1 and blocks > 1
     workers = min(threads, blocks) if pooled else 1
-    need = per_process * workers + (parent if pooled else 0)
-    ram = _physical_ram_bytes()
+    need = (per_process + _PROCESS_BYTES) * workers + (
+        parent + _PROCESS_BYTES if pooled else 0)
+    ram = _available_ram_bytes()
     if need > ram:
         raise MemoryError(
             f"{what} need about {need / 2**30:.1f} GiB ({workers} trial process(es)), "
-            f"more than the {ram / 2**30:.1f} GiB of physical RAM; {remedies}")
+            f"more than the {ram / 2**30:.1f} GiB of available RAM; {remedies}")
 
 
 def _check_tensor_footprint(n_elements: int, n_lags: int, analytical: bool,
@@ -476,7 +538,7 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
     ``analytical=False`` skips the per-ray analytical tensors: their GEMMs,
     O(N E^2 T) per trial for N rays, are most of a large surface's cost and
     they double the accumulators.  Raises MemoryError before any trial when
-    the predicted tensors exceed physical RAM.
+    the predicted tensors exceed the available RAM.
     """
     if bits_variants is None:
         bits_variants = (cfg.irs.phase_bits,)
@@ -524,10 +586,12 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
 
     The ``ccf`` section of the config names the sub-channel, the swept axis,
     t and dt.  The grid is each element's distance |l_e - l_1| from element 1.
-    Raises MemoryError before any trial when the predicted field arrays
-    exceed physical RAM: about 56 bytes per ray, swept element and time in
-    each trial process, for the expected ray count of the sub-channel's
-    chain (:func:`~irs_gbsm.clusters.expected_cluster_count`).
+    Raises MemoryError before any trial when the predicted peak exceeds the
+    available RAM.  Each trial process holds one block of the row-0 kernel:
+    its normalizer (8 bytes per pair, ray and time) and ``_TAP_BYTES`` per
+    visible tap and time, at lambda_B / lambda_D clusters' rays per pair; and
+    a chunk's realizations, ``_RAY_BYTES`` per ray of the expected ray count
+    of the sub-channel's chain (:func:`~irs_gbsm.clusters.expected_cluster_count`).
     """
     c = cfg.ccf
     subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
@@ -536,10 +600,15 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     swept = link.rx_layout if axis == "rx" else link.tx_layout
     evolved = link.tx_layout if link.evolved_side == "tx" else link.rx_layout
     rays = expected_cluster_count(evolved, cfg.clusters) * cfg.clusters.rays_per_cluster
+    taps = cfg.clusters.mean_count * cfg.clusters.rays_per_cluster   # visible at each pair
     e, n_t = swept.num_elements, params["times"].size
+    pairs, steps = _block_steps(rays, n_t)   # a block of the row-0 kernel
+    per_process = (min(pairs, e) * steps * (8 * rays + _TAP_BYTES * taps)
+                   + _RAY_BYTES * rays * min(_CHUNK, cfg.trials))
     _check_memory(
-        int(_FIELD_BYTES * rays * e * n_t), 0, cfg.trials, threads,
-        f"spatial CCF fields (about {rays:.0f} rays, E={e} elements, T={n_t} times)",
+        int(per_process), 0, cfg.trials, threads,
+        f"spatial CCF fields (about {rays:.0f} rays, {taps:.0f} visible at each of E={e} "
+        f"elements, T={n_t} times)",
         "in the config, lower irs.m_x and irs.m_y (or the swept array's num_elements), "
         "or run with a smaller --threads (each worker process forms its own fields)")
     acc, n = run_ensemble(cfg, "sub", params, threads)

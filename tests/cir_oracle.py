@@ -2,10 +2,10 @@
 
 One ``RayTap`` per tap, built pair by pair and time by time: the LoS tap
 from ``np.linalg.norm`` of the LoS vector, then one tap per visible ray from
-``ray_delays`` and ``ray_powers_at``, with the Rician weights folded into
-the amplitudes.  The CIR columns of ``smallscale.subchannel_taps`` must
-reproduce these taps bit for bit, and the transfer matrix that the same
-pass sums, like ``ray_field(...).transfer()``, their Fourier sum.
+the delays and powers of ``field_oracle.reference_single_pair``, with the
+Rician weights folded into the amplitudes.  The CIR columns of
+``smallscale.subchannel_taps`` must reproduce these taps bit for bit, and
+the transfer matrix that the same pass sums their Fourier sum.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
-from irs_gbsm.smallscale import TWO_PI, ray_delays, ray_powers_at
+from irs_gbsm.smallscale import TWO_PI
+from tests.field_oracle import reference_single_pair
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,11 @@ def weighted_taps(real, t: float, tx_element: int = 1, rx_element: int = 1) -> l
                    float(np.mod(TWO_PI * real.fc_hz * tau, TWO_PI)), -1, -1, True)]
     if real.num_rays == 0:
         return taps
-    visible = real.visible_rays(tx_element, rx_element)
-    delays = ray_delays(real, tx_element, rx_element, t)
-    powers = ray_powers_at(real, delays, visible)[:, 0]
-    delays = delays[:, 0]
+    field = reference_single_pair(real, t, 0.0, tx_element, rx_element)
+    delays, powers = field["delays"][:, 0], field["powers"][:, 0]
     w_nlos = np.sqrt(1.0 / (k + 1.0))
     rays = real.rays
-    for i in np.nonzero(visible)[0]:
+    for i in np.nonzero(field["visible"])[0]:
         taps.append(RayTap(float(delays[i]), w_nlos * float(np.sqrt(powers[i])),
                            float(np.mod(TWO_PI * real.fc_hz * delays[i], TWO_PI)),
                            int(rays["cluster_ids"][i]), int(rays["ray_ids"][i])))

@@ -23,8 +23,9 @@ from irs_gbsm.clusters import (
 from irs_gbsm.config import parse_config
 from irs_gbsm.geometry import TerminalLayout
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_field, ray_path_lengths, ray_path_rates, subchannel_taps
+from irs_gbsm.smallscale import ray_path_rates, subchannel_taps
 from tests.conftest import bootstrap_mean_abs
+from tests.field_oracle import reference_single_pair
 
 TRIALS = 10_000
 
@@ -272,8 +273,8 @@ def test_criterion_09_doppler():
     real = realize_subchannel(probe, "BI", rng_stream(7, "trial", 0, "BI"))
     t, h = 0.9, 1e-4
     rate = ray_path_rates(real, 1, 1, t)
-    fd = (ray_path_lengths(real, 1, 1, t + h)[:, 0]
-          - ray_path_lengths(real, 1, 1, t - h)[:, 0]) / (2 * h)
+    d = reference_single_pair(real, [t + h, t - h])["d"]
+    fd = (d[:, 0] - d[:, 1]) / (2 * h)
     fd_rel = float(np.max(np.abs(rate - fd) / np.abs(fd)))
 
     ok = static_zero and increasing and fd_rel <= 1e-6
@@ -314,13 +315,13 @@ def test_criterion_11_oracle_equivalence():
              for k in ("BI", "IU", "BU")}
     model = phase_model_for(cfg)
     t, f = 0.7, 1e6
-    # the tap sum of the CIR kernel against the field kernel, pair by pair
+    # the tap sum of the CIR kernel against the field oracle, pair by pair
     h = {kind: subchannel_taps(real, [t], f)[1] for kind, real in reals.items()}
     matrix = cascade(h, model.applied_profile(np.array([t])))[0]
     theta = model.applied_profile(t)
 
     def transfer(kind, tx, rx):
-        return ray_field(reals[kind], t, f, tx, rx).transfer()[0, 0]
+        return reference_single_pair(reals[kind], t, f, tx, rx)["h"][0]
 
     worst = 0.0
     for q in (1, 2):
@@ -338,9 +339,9 @@ def test_criterion_11_oracle_equivalence():
     los_reals = {k: realize_subchannel(los_cfg, k, rng_stream(32, "trial", 0, k))
                  for k in ("BI", "IU")}
     los_model = phase_model_for(los_cfg)
-    h_bi = np.array([ray_field(los_reals["BI"], 0.0, rx_element=r).transfer()[0, 0]
+    h_bi = np.array([reference_single_pair(los_reals["BI"], 0.0, rx_element=r)["h"][0]
                      for r in range(1, 10)])
-    h_iu = np.array([ray_field(los_reals["IU"], 0.0, tx_element=r).transfer()[0, 0]
+    h_iu = np.array([reference_single_pair(los_reals["IU"], 0.0, tx_element=r)["h"][0]
                      for r in range(1, 10)])
     terms = h_iu * np.exp(-1j * los_model.applied_profile(0.0)) * h_bi
     combine_rel = abs(np.abs(terms.sum()) - np.abs(terms).sum()) / np.abs(terms).sum()

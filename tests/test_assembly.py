@@ -14,8 +14,9 @@ from irs_gbsm.config import parse_config
 from irs_gbsm.irs import SteeringVector, steering_vector
 from irs_gbsm.largescale import db_to_linear, path_loss_bu_db
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_field, subchannel_taps
+from irs_gbsm.smallscale import los_phasor, subchannel_taps
 from tests.conftest import make_config
+from tests.field_oracle import reference_ray_field, reference_single_pair
 
 CONFIG_128 = Path(__file__).resolve().parents[1] / "configs" / "cluster_evolution_128.json"
 # large-scale amplitudes that keep the cascade and drop the direct term exactly
@@ -40,8 +41,8 @@ def end_to_end(times, f, reals, model, large_scale=None):
 
 
 def transfer(real, t, f=0.0, tx_element=1, rx_element=1):
-    """H of one element pair at one time, from the field kernel."""
-    return ray_field(real, t, f, tx_element, rx_element).transfer()[0, 0]
+    """H of one element pair at one time, from the field oracle."""
+    return reference_single_pair(real, t, f, tx_element, rx_element)["h"][0]
 
 
 class TestCascade:
@@ -164,7 +165,7 @@ class TestCascade:
 
 
 class TestSubchannelMatrix:
-    """The tap sum of the CIR taps against the field kernel."""
+    """The tap sum of the CIR taps against the field oracle."""
 
     @pytest.mark.parametrize("kind", ["BI", "IU", "BU"])
     def test_equals_field_transfer(self, kind):
@@ -176,7 +177,7 @@ class TestSubchannelMatrix:
         n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
         assert got.shape == (3, n_rx, n_tx)
         for q in range(1, n_tx + 1):
-            expect = ray_field(real, times, f, tx_element=q, sweep="rx").transfer()
+            expect = reference_ray_field(real, times, f, tx_element=q, sweep="rx")["transfer"]
             np.testing.assert_allclose(got[:, :, q - 1], expect.T, rtol=1e-12, atol=0)
 
     def test_no_visible_ray_leaves_the_los(self):
@@ -184,15 +185,16 @@ class TestSubchannelMatrix:
         real = realize_all(cfg)["BI"]
         assert real.num_rays == 0
         k = real.k_factor
-        expect = np.sqrt(k / (k + 1.0)) * ray_field(real, 0.2).u[0, 0]
+        expect = np.sqrt(k / (k + 1.0)) * los_phasor(real, 0.2, real.fc_hz)[0, 0]
         assert subchannel_matrix(real, 0.2)[0, 0, 0] == expect
 
     def test_large_irs_allocates_no_ray_element_field(self):
         # the cluster parameters of the 128 x 128 config on a 32 x 32 surface:
-        # about 8600 BI and 7900 IU rays.  A per-tx ray_field call forms
-        # n_rays x E arrays, 49 B per (ray, element): 432 MB for BI.  The tap
-        # kernel's blocks plus the CIR columns it fills in the same pass
-        # peaked at about 80 MB (BI) and 70 MB (IU)
+        # about 8600 BI and 7900 IU rays.  Dense n_rays x E field arrays take
+        # 49 B per (ray, element): 432 MB for BI.  The tap kernel's blocks plus
+        # the CIR columns it fills in the same pass peak at about 80 MB (BI)
+        # and 70 MB (IU), and the pass reads visibility from its sparse
+        # entries, never from the dense grid
         raw = json.loads(CONFIG_128.read_text())
         raw["irs"].update(m_x=32, m_y=32)
         cfg = parse_config(raw)
@@ -206,6 +208,7 @@ class TestSubchannelMatrix:
                 tracemalloc.stop()
             assert h.shape[1] * h.shape[2] == 1024
             assert peak < 100e6, f"{kind} peak {peak / 1e6:.1f} MB"
+            assert "grid" not in reals[kind].visibility.__dict__
 
 
 class TestSteering:

@@ -177,11 +177,15 @@ class TestExportColumns:
     # export (simulate, cluster-evolve), the per-cluster realization (acf) and
     # the per-kernel side norms (ccf, doppler, ds-cdf, link-budget)
     PINNED = {
+        # the statistics sum their rays from the taps, each pair's power
+        # normalizer pairwise over the zero-padded ray axis; the values moved by
+        # at most 3.3e-16, and the dense field kernel wrote 12fefad2...a8e3983f
+        # and 323fc6f3...f5c07c6
         "acf": {
             "acf_2bit_0s_62GHz.csv":
-                "12fefad245e5f2144a2556b62837ea8c0c84857c59a8cb720edcb39440e3983f",
+                "065a933ae323048947da534cca592d833a8db6d00f3542045f2aa69e5d1d79dd",
             "acf_continuous_0s_62GHz.csv":
-                "323fc6f3fea33fea0139a38bdc410b7d2cf25906644ec03db70998b72c5f07c6",
+                "073856fd00fcce320c5dae5c1f545d67918f6dc5995cf97bbe816da795f59f13",
         },
         # H is the tap sum of the CIR taps, which moved its entries by at most
         # 2.8e-16 relative; one ray_field call per (time, tx) wrote e1c184f6...2928da52
@@ -198,11 +202,12 @@ class TestExportColumns:
             "cluster_visibility.csv":
                 "90635cb5bfec3694afbcab864ad15df0b766ffe53171fd9f2f835f7a226ebad9",
         },
-        # the analytical CCF is row 0 of the stacked-phasor contraction, which
-        # moved its values by at most 8.8e-18; the direct sum wrote 503dbb0c...b8dda6ff
+        # the row-0 kernel sums its correlations from the visible taps, which
+        # moved the values by at most 4.6e-17; the dense fields wrote
+        # c85ab9d6...babd025a322e and the direct sum 503dbb0c...b8dda6ff
         "ccf": {
             "ccf_0s_62GHz.csv":
-                "c85ab9d6650046be0d22ff8c8c66d39206f10e27b7d54fdfd8acbabd025a322e",
+                "3ac3f73698d13ac2183b60c5073302ee210818dd1e106621a0be8b0b26893c1f",
         },
         # the trials column counts the trials with a visible ray pair (36 of
         # 40 at each time); writing cfg.trials there gave bc83e117...c42a96da
@@ -227,15 +232,16 @@ class TestExportColumns:
 
     def test_single_element_acf_bytes_are_pinned(self, tmp_path):
         # a 1x1 surface runs the full-IRS ensemble at E = 1 and writes one file.
-        # Pinned at that path, which moved the values by at most 6.8e-16; the
-        # product of two single-pair ACFs wrote 1843f8d8...0c74618 and, before the
+        # Pinned at the tap kernel, which moved the values by at most 5.6e-16; the
+        # dense field kernel wrote dbc881fa...0b9b49882,
+        # the product of two single-pair ACFs 1843f8d8...0c74618 and, before the
         # path lengths were summed in np.linalg.norm's order, 6c88b523...decd945
         path = tmp_path / "element.json"
         path.write_text(json.dumps(dict(SMALL, irs=dict(SMALL["irs"], m_x=1, m_y=1))))
         assert run("acf", path, tmp_path / "acf") == 0
         assert manifest(tmp_path / "acf")["outputs"] == {
             "acf_0s_62GHz.csv":
-                "dbc881fabda128334411df92184ae0a392c01dd99b81687f08dc7ec0b9b49882"}
+                "bb13a5c24709f72cf7441ac1b73216af5d53f91ce0b0b7cb3828fc3b42cb33cf"}
 
     def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
         cfg = parse_config(SMALL)
@@ -360,7 +366,7 @@ class TestErrors:
 
     def test_surface_too_large_for_memory(self, config_path, tmp_path, monkeypatch,
                                           capsys):
-        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+        monkeypatch.setattr(stats, "_available_ram_bytes", lambda: 4096)
         assert run("acf", config_path, tmp_path / "big") == 3
         err = capsys.readouterr().err
         for remedy in ("fewer IRS elements", "fewer lags", "analytical=False",
@@ -369,7 +375,7 @@ class TestErrors:
             assert remedy in err
 
     def test_swept_ccf_too_large_for_memory(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+        monkeypatch.setattr(stats, "_available_ram_bytes", lambda: 4096)
         path = tmp_path / "ccf.json"
         path.write_text(json.dumps({**SMALL, "ccf": {"subchannel": "BI", "axis": "rx"}}))
         out = tmp_path / "big"

@@ -20,9 +20,9 @@ from irs_gbsm.geometry import (
     rotation_matrices,
 )
 from irs_gbsm.rng import rng_stream
-from irs_gbsm.smallscale import ray_delays, ray_path_lengths, ray_powers_at
 from tests.cir_oracle import los_distance
 from tests.conftest import generate_cluster_pairs, make_config
+from tests.field_oracle import reference_single_pair
 
 TX = np.zeros(3)
 RX = np.array([100.0, 0.0, 0.0])
@@ -546,24 +546,23 @@ class TestMotion:
             clusters=advance_clusters(real.clusters, t),
             tx_ref=real.tx_ref + real.v_tx * t,
             rx_ref=real.rx_ref + real.v_rx * t)
-        visible = real.visible_rays(1, 1)
-        direct = ray_powers_at(real, ray_delays(real, 1, 1, t), visible)
-        recomputed = ray_powers_at(moved, ray_delays(moved, 1, 1, 0.0), visible)
-        assert visible.any()
-        assert np.allclose(direct, recomputed, rtol=1e-12, atol=0)
+        direct = reference_single_pair(real, t)
+        recomputed = reference_single_pair(moved, 0.0)
+        assert direct["visible"].any()
+        assert np.allclose(direct["powers"], recomputed["powers"], rtol=1e-12, atol=0)
 
     def test_velocity_form_matches_translated_positions(self):
         # path lengths from the velocity-integral expressions must equal a
         # fresh evaluation on translated scatterers and terminal references
         real = self.realization()
         t = 1.7
-        direct = ray_path_lengths(real, 1, 1, t)[:, 0]
+        direct = reference_single_pair(real, t)["d"][:, 0]
         moved = dataclasses.replace(
             real,
             clusters=advance_clusters(real.clusters, t),
             tx_ref=real.tx_ref + real.v_tx * t,
             rx_ref=real.rx_ref + real.v_rx * t)
-        recomputed = ray_path_lengths(moved, 1, 1, 0.0)[:, 0]
+        recomputed = reference_single_pair(moved, 0.0)["d"][:, 0]
         assert np.allclose(direct, recomputed, rtol=1e-12, atol=1e-9)
         assert los_distance(real, 1, 1, t)[0] == pytest.approx(
             los_distance(moved, 1, 1, 0.0)[0], rel=1e-12)

@@ -157,8 +157,38 @@ def test_detects_a_name_no_definition_reads():
         "caller", "imported_only", "mentioned"]
 
 
-def load_line_counter():
-    spec = importlib.util.spec_from_file_location("count_lines", ROOT / "tools" / "count_lines.py")
+def dense_visibility_readers(source: str) -> list[str]:
+    """Top-level definitions, other than ``VisibilityTensor``, that read ``.grid`` or ``.matrix``.
+
+    Those attributes are the dense (m_x, m_y, n_clusters) visibility view,
+    96 MB at 128 x 128; program paths read the sparse ``flat`` entries.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) == "VisibilityTensor":
+            continue
+        if any(isinstance(sub, ast.Attribute) and sub.attr in ("grid", "matrix")
+               and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)):
+            found.append(getattr(node, "name", f"line {node.lineno}"))
+    return found
+
+
+def test_no_program_path_reads_the_dense_visibility_grid():
+    for path in sorted(SRC.glob("*.py")):
+        assert dense_visibility_readers(path.read_text()) == [], path.name
+
+
+def test_detects_a_dense_visibility_reader():
+    module = ("class VisibilityTensor:\n    def matrix(self):\n        return self.grid\n"
+              "def reader(real):\n    return real.visibility.matrix[0]\n"
+              "def sparse(real):\n    return real.visibility.flat\n"
+              "class Realization:\n    def rays(self):\n        return self.visibility.grid\n"
+              "GRID = tensor.grid\n")
+    assert dense_visibility_readers(module) == ["reader", "Realization", "line 11"]
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -172,4 +202,24 @@ def test_line_counter_leaves_out_blanks_comments_and_docstrings(tmp_path):
     path = tmp_path / "toy.py"
     path.write_text(source)
     # code: import, def, the two lines of the string statement, return, class, y
-    assert load_line_counter().count(path) == (20, 7)
+    assert load_tool("count_lines").count(path) == (20, 7)
+
+
+def test_output_comparison_reports_identity_and_the_largest_difference(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "same.csv").write_text("t,x\n0.0,1.0\n")
+    (a / "run" / "acf.csv").write_text("dt_s,real,kind\n0.0,1.0,sim\n0.5,0.25,sim\n")
+    (b / "run" / "acf.csv").write_text("dt_s,real,kind\n0.0,1.0,sim\n0.5,0.2500001,ana\n")
+    tool = load_tool("compare_outputs")
+    assert tool.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "run/acf.csv: max |d|: dt_s 0, real 1e-07, kind 1 cells"
+    assert lines[1] == "run/same.csv: identical"
+    (b / "run" / "same.csv").write_text("t,x\n0.0,1.0\n1.0,2.0\n")
+    (b / "run" / "extra.csv").write_text("t\n")
+    assert tool.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "run/same.csv: row counts differ: 1 and 2" in out
+    assert "run/extra.csv: missing in the first directory" in out

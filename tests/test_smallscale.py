@@ -9,19 +9,21 @@ from irs_gbsm.clusters import (
     VisibilityTensor,
     realize_subchannel,
 )
-from irs_gbsm.geometry import SPEED_OF_LIGHT, TerminalLayout, element_offset
+from irs_gbsm.geometry import SPEED_OF_LIGHT, TerminalLayout
 from irs_gbsm.rng import rng_stream
+from irs_gbsm import smallscale, stats
 from irs_gbsm.smallscale import (
     CIR_HEADER,
-    _side_norms,
-    ray_delays,
-    ray_field,
-    ray_path_lengths,
+    _pair_sums,
+    _norms,
+    _tap_blocks,
+    los_phasor,
     ray_path_rates,
     subchannel_taps,
 )
 from tests.cir_oracle import transfer_function, weighted_taps
 from tests.conftest import make_config
+from tests.field_oracle import reference_ray_field, reference_single_pair, visible_rays
 
 FC = 62e9
 
@@ -52,13 +54,27 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
         evolved_side="rx", k_factor=k_factor, gamma_ds=gamma_ds, fc_hz=FC)
 
 
+def ray_delays(real, times):
+    """Delays of the ray rows of the CIR export of element pair (1, 1), (T, visible rays)."""
+    cols = cir_table(real, times)
+    return cols["delay_s"][~cols["is_los"]].reshape(len(times), -1)
+
+
+def pair_taps(real, times, tx_element=1, rx_element=1):
+    """(ray, d, power) of the rays visible to one element pair, from the tap kernel."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    *_, ray, d, power, _ = next(_tap_blocks(real, times, 0.0, np.array([tx_element - 1]),
+                                            np.array([rx_element - 1])))
+    return ray, d, power
+
+
 class TestRayDelays:
     def test_300m_path_is_a_microsecond(self):
         # scatterers sit on the element-to-element line: 100 m to the first
         # bounce, 200 m from the last bounce, 300 m total
         real = toy_realization(scatter_a=[100.0, 0.0, 0.0],
                                scatter_z=[100.0, 0.0, 0.0], rx_ref=[300.0, 0.0, 0.0])
-        tau = ray_delays(real, 1, 1, 0.0)[0, 0]
+        tau = ray_delays(real, [0.0])[0, 0]
         assert tau == 300.0 / SPEED_OF_LIGHT
         assert tau == pytest.approx(1e-6, rel=2e-3)
 
@@ -66,13 +82,13 @@ class TestRayDelays:
         base = toy_realization(scatter_a=[100.0, 0, 0], scatter_z=[100.0, 0, 0])
         extra = toy_realization(scatter_a=[100.0, 0, 0], scatter_z=[100.0, 0, 0],
                                 tau_v=50e-9)
-        t0 = ray_delays(base, 1, 1, 0.0)[0, 0]
-        t1 = ray_delays(extra, 1, 1, 0.0)[0, 0]
+        t0 = ray_delays(base, [0.0])[0, 0]
+        t1 = ray_delays(extra, [0.0])[0, 0]
         assert t1 - t0 == pytest.approx(50e-9, abs=1e-18)
 
     def test_static_scene_constant_delay(self):
         real = toy_realization(scatter_a=[80.0, 10.0, 2.0], scatter_z=[150.0, -5.0, 0.0])
-        tau = ray_delays(real, 1, 1, np.array([0.0, 0.5, 1.0, 2.0]))
+        tau = ray_delays(real, [0.0, 0.5, 1.0, 2.0])
         assert np.ptp(tau) == 0.0
 
 
@@ -136,7 +152,7 @@ class TestNlosCir:
         cols = cir_table(real, [0.0])
         for r in range(1, 5):
             rows = ~cols["is_los"] & (cols["tx"] == 1) & (cols["rx"] == r)
-            assert rows.sum() == real.visible_rays(1, r).sum()
+            assert rows.sum() == visible_rays(real, 1, r).sum()
 
     def test_phase_difference_follows_delay_difference(self):
         real = two_ray_realization()
@@ -197,19 +213,29 @@ class TestCompose:
         assert np.allclose(energy[has_ray], 1.0, rtol=0, atol=1e-9)
 
 
+def transfer(real, times, f=0.0):
+    """Transfer values of element pair (1, 1) over times, from the statistics' tap sum."""
+    u = los_phasor(real, times, real.fc_hz, f)
+    return stats._stacked(real, times, f, None, u)[0][0]
+
+
 class TestTransferFunction:
     def test_single_unit_tap(self):
         real = toy_realization(scatter_a=[1, 0, 0], scatter_z=[1, 0, 0],
                                rx_ref=[200, 0, 0], k_factor=1e18)
-        got = ray_field(real, 0.0).transfer()[0, 0]
+        got = subchannel_taps(real, 0.0)[1][0, 0, 0]
         assert got == pytest.approx(np.exp(1j * 2 * np.pi * FC * 200.0 / SPEED_OF_LIGHT),
                                     abs=1e-6)
 
     def test_linear_in_amplitudes(self):
-        real = two_ray_realization()
-        bundle = ray_field(real, np.array([0.0, 0.5]), f=1e6)
-        doubled = dataclasses.replace(bundle, g=2 * bundle.g)
-        assert np.allclose(doubled.transfer(), 2 * bundle.transfer(), rtol=1e-12, atol=0)
+        # the Rician mix is linear in its two parts: the K = 1 transfer is the
+        # K = 0 one (rays alone) and the LoS phasor, each weighted sqrt(1/2)
+        times, f = np.array([0.0, 0.5]), 1e6
+        rays_only = subchannel_taps(two_ray_realization(k_factor=0.0), times, f)[1][:, 0, 0]
+        real = two_ray_realization(k_factor=1.0)
+        mixed = subchannel_taps(real, times, f)[1][:, 0, 0]
+        u = los_phasor(real, times, FC, f)[0]
+        np.testing.assert_allclose(mixed, np.sqrt(0.5) * (u + rays_only), rtol=1e-12, atol=0)
 
     def test_three_tap_fourier_oracle(self):
         # LoS plus two rays: H(f) is the Fourier sum of the exported taps
@@ -221,14 +247,14 @@ class TestTransferFunction:
                         * np.exp(1j * 2 * np.pi * (FC - f) * cols["delay_s"]))
         # the two sides reach carrier phases of ~3.9e5 rad by different float64
         # roundings (path length * kappa vs exported delay), ~7e-11 apart
-        assert ray_field(real, 0.0, f).transfer()[0, 0] == pytest.approx(oracle, rel=1e-10)
+        assert transfer(real, [0.0], f)[0] == pytest.approx(oracle, rel=1e-10)
         assert subchannel_taps(real, 0.0, f)[1][0, 0, 0] == pytest.approx(oracle, rel=1e-10)
 
     def test_matches_vectorized_path(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(5, "t"))
         for t in (0.0, 1.2):
             slow = transfer_function(weighted_taps(real, t), real.fc_hz, f=0.0)
-            fast = ray_field(real, t).transfer()[0, 0]
+            fast = transfer(real, [t])[0]
             assert slow == pytest.approx(fast, rel=1e-9)
             assert slow == pytest.approx(subchannel_taps(real, t)[1][0, 0, 0], rel=1e-9)
 
@@ -243,123 +269,26 @@ class TestNonStationarityHooks:
             l_q = element_offset(real.tx_layout, q)
             direct = np.linalg.norm(rays["d0_tx"] - l_q, axis=1) \
                 + np.linalg.norm(rays["d0_rx"], axis=1)
-            got = ray_path_lengths(real, q, 1, 0.0)[:, 0]
-            assert np.allclose(got, direct, rtol=1e-12)
+            ray, got, _ = pair_taps(real, 0.0, q, 1)
+            assert ray.size and np.allclose(got[0], direct[ray], rtol=1e-12)
 
     def test_delay_rate_matches_velocity_projection(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(7, "t"))
         t, h = 0.9, 1e-4
         rate = ray_path_rates(real, 1, 1, t)
-        fd = (ray_path_lengths(real, 1, 1, t + h)[:, 0]
-              - ray_path_lengths(real, 1, 1, t - h)[:, 0]) / (2 * h)
-        assert np.allclose(rate, fd, rtol=1e-6)
+        d = reference_single_pair(real, [t + h, t - h])["d"]
+        assert np.allclose(rate, (d[:, 0] - d[:, 1]) / (2 * h), rtol=1e-6)
 
     def test_tap_phase_increment_is_doppler(self, small_cfg):
         # phase advance of a tap over dt equals -2 pi nu dt with
         # nu = -(path rate)/lambda
         real = realize_subchannel(small_cfg, "BI", rng_stream(8, "t"))
         t, dt = 0.4, 1e-6
-        tau = ray_delays(real, 1, 1, np.array([t, t + dt]))
-        dphi = 2 * np.pi * real.fc_hz * (tau[:, 1] - tau[:, 0])
+        tau = ray_delays(real, [t, t + dt])
+        dphi = 2 * np.pi * real.fc_hz * (tau[1] - tau[0])
         # midpoint Doppler cancels the first-order truncation of the increment
-        nu = -ray_path_rates(real, 1, 1, t + dt / 2) / real.wavelength
+        nu = -ray_path_rates(real, 1, 1, t + dt / 2)[pair_taps(real, t)[0]] / real.wavelength
         assert np.allclose(dphi, -2 * np.pi * nu * dt, rtol=1e-6)
-
-
-def reference_single_pair(real, times, f=0.0, tx_element=1, rx_element=1):
-    """One element pair's g, u, powers and h, with np.linalg.norm over (n, T, 3) differences."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
-    l_tx = element_offset(real.tx_layout, tx_element)
-    l_rx = element_offset(real.rx_layout, rx_element)
-    k = real.k_factor
-    w_l2, w_n2 = k / (k + 1.0), 1.0 / (k + 1.0)
-    diff_los = ((real.rx_ref - real.tx_ref - l_tx + l_rx)
-                + (real.v_rx - real.v_tx) * times[:, None])
-    u = np.exp(1j * kappa * np.linalg.norm(diff_los, axis=-1))
-    if real.num_rays == 0:
-        empty = np.zeros((0, times.size))
-        return {"g": empty.astype(complex), "u": u, "powers": empty, "h": np.sqrt(w_l2) * u}
-    visible = real.visible_rays(tx_element, rx_element)
-    diff_tx = (rays["d0_tx"] - l_tx)[:, None, :] - rays["v_rel_tx"][:, None, :] \
-        * times[None, :, None]
-    diff_rx = (rays["d0_rx"] - l_rx)[:, None, :] - rays["v_rel_rx"][:, None, :] \
-        * times[None, :, None]
-    d = np.linalg.norm(diff_tx, axis=-1) + np.linalg.norm(diff_rx, axis=-1)
-    tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None]
-    w = np.exp(-tau / real.gamma_ds) * visible[:, None]
-    total = w.sum(axis=0)
-    powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-    g = np.sqrt(powers) * np.exp(1j * kappa * d)
-    vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
-    h = np.sqrt(w_l2) * u + np.sqrt(w_n2) * (g * vlink[:, None]).sum(axis=0)
-    return {"g": g, "u": u, "powers": powers, "h": h}
-
-
-def reference_ray_field(real, times, f=0.0, tx_element=1, rx_element=1, sweep=None):
-    """The ray-field kernel before the component-wise norms (oracle).
-
-    Norms of blocked (n_rays, E, T, 3) differences by np.linalg.norm; returns
-    g, u, powers and the Rician-weighted transfer values.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    rays = real.rays
-    kappa = 2.0 * np.pi * (real.fc_hz - f) / SPEED_OF_LIGHT
-    l_tx = element_offset(real.tx_layout, tx_element)[None, :]
-    l_rx = element_offset(real.rx_layout, rx_element)[None, :]
-    if sweep == "tx":
-        l_tx = real.tx_layout.offsets
-    elif sweep == "rx":
-        l_rx = real.rx_layout.offsets
-    n_elem = max(l_tx.shape[0], l_rx.shape[0])
-    n_rays, n_t = real.num_rays, times.size
-    if n_rays == 0:
-        visible = np.zeros((0, n_elem), dtype=bool)
-    elif sweep == real.evolved_side:
-        visible = real.visibility.matrix[:, rays["cluster_ids"]].T
-    else:
-        fixed = tx_element if real.evolved_side == "tx" else rx_element
-        visible = np.broadcast_to(real.ray_visibility(fixed)[:, None], (n_rays, n_elem))
-
-    def side_norms(d0, v_rel, offs):
-        if offs.shape[0] == 1:
-            diff = (d0 - offs[0])[:, None, :] - v_rel[:, None, :] * times[None, :, None]
-            return np.linalg.norm(diff, axis=-1)[:, None, :]
-        out = np.empty((n_rays, offs.shape[0], n_t))
-        step = max(1, int(12_000_000 // max(1, n_rays * n_t * 3)))
-        for lo in range(0, offs.shape[0], step):
-            block = offs[lo: lo + step]
-            diff = (d0[:, None, :] - block[None, :, :])[:, :, None, :] \
-                - v_rel[:, None, None, :] * times[None, None, :, None]
-            out[:, lo: lo + block.shape[0], :] = np.linalg.norm(diff, axis=-1)
-        return out
-
-    if n_rays:
-        d = (side_norms(rays["d0_tx"], rays["v_rel_tx"], l_tx)
-             + side_norms(rays["d0_rx"], rays["v_rel_rx"], l_rx))
-        if d.shape[1] == 1 and n_elem > 1:
-            d = np.broadcast_to(d, (n_rays, n_elem, n_t))
-        tau = d / SPEED_OF_LIGHT + rays["tau_v"][:, None, None]
-        w = np.exp(-tau / real.gamma_ds) * visible[:, :, None]
-        total = w.sum(axis=0)
-        powers = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-        g = np.sqrt(powers) * np.exp(1j * kappa * d) * visible[:, :, None]
-        vlink = np.exp(1j * 2.0 * np.pi * (real.fc_hz - f) * rays["tau_v"])
-    else:
-        powers = np.zeros((0, n_elem, n_t))
-        g = np.zeros((0, n_elem, n_t), dtype=complex)
-        vlink = np.zeros(0, dtype=complex)
-    d0_los = (real.rx_ref - real.tx_ref) - l_tx + l_rx
-    if d0_los.shape[0] == 1 and n_elem > 1:
-        d0_los = np.broadcast_to(d0_los, (n_elem, 3))
-    d_los = np.linalg.norm(
-        d0_los[:, None, :] + (real.v_rx - real.v_tx) * times[None, :, None], axis=-1)
-    u = np.exp(1j * kappa * d_los)
-    k = real.k_factor
-    transfer = (np.sqrt(k / (k + 1.0)) * u
-                + np.sqrt(1.0 / (k + 1.0)) * np.einsum("net,n->et", g, vlink))
-    return {"g": g, "u": u, "powers": powers, "transfer": transfer, "visible": visible}
 
 
 def _realizations(cfg, kind, count, empty=False):
@@ -383,12 +312,36 @@ class TestSideNorms:
         times = np.sort(rng.uniform(0.0, 2.0, size=n_t))
         diff = ((d0[:, None, :] - offsets[None, :, :])[:, :, None, :]
                 - v_rel[:, None, None, :] * times[None, None, :, None])
-        got = _side_norms(d0, v_rel, offsets, times)
+        got = _norms((d0[:, None] - offsets)[:, :, None], v_rel[:, None, None], times)
         assert got.shape == (n_rays, n_elem, n_t)
         assert np.array_equal(got, np.linalg.norm(diff, axis=-1))
 
 
+def element_pairs(real, elements, sweep):
+    """0-based (tx, rx) index arrays: the pair ``elements``, or its swept side's every element."""
+    tx, rx = (np.array([e - 1]) for e in elements)
+    if sweep == "tx":
+        tx = np.arange(real.tx_layout.num_elements)
+    elif sweep == "rx":
+        rx = np.arange(real.rx_layout.num_elements)
+    return np.broadcast_arrays(tx, rx)
+
+
+def dense_taps(real, times, f, tx, rx):
+    """The taps of :func:`_tap_blocks` placed on the dense (n_rays, pairs, T) grid."""
+    shape = (real.num_rays, tx.size, times.size)
+    out = {"g": np.zeros(shape, dtype=complex), "powers": np.zeros(shape),
+           "visible": np.zeros(shape[:2], dtype=bool)}
+    for pairs, steps, pair, ray, _, power, g in _tap_blocks(real, times, f, tx, rx):
+        out["g"][ray, pair + pairs.start, steps] = g.T
+        out["powers"][ray, pair + pairs.start, steps] = power.T
+        out["visible"][ray, pair + pairs.start] = True
+    return out
+
+
 class TestRayFieldOracle:
+    """The tap kernel against the dense field oracle (the ids name its cases)."""
+
     @pytest.mark.parametrize("kind, over, f, elements, sweep, empty", [
         ("IU", {}, 0.0, (1, 1), None, False),
         ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), None, False),
@@ -407,16 +360,50 @@ class TestRayFieldOracle:
     def test_bit_equal_to_blocked_norms(self, kind, over, f, elements, sweep, empty):
         cfg = make_config(**over)
         times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
-        tx, rx = elements
         for real in _realizations(cfg, kind, 8, empty):
-            got = ray_field(real, times, f, tx, rx, sweep)
-            want = reference_ray_field(real, times, f, tx, rx, sweep)
-            for key in ("g", "u", "powers", "visible"):
-                value = getattr(got, key)
+            want = reference_ray_field(real, times, f, *elements, sweep)
+            tx, rx = element_pairs(real, elements, sweep)
+            got = dense_taps(real, times, f, tx, rx)
+            for key, value in got.items():
                 assert value.shape == want[key].shape, key
                 assert value.dtype == want[key].dtype, key
                 assert np.array_equal(value, want[key]), key
-            assert np.array_equal(got.transfer(), want["transfer"])
+            # each pair's transfer value, from the tap sum of subchannel_taps
+            matrix = subchannel_taps(real, times, f)[1]
+            assert np.array_equal(matrix[:, rx, tx].T, want["transfer"])
+            if elements == (1, 1):
+                u = los_phasor(real, times, real.fc_hz, f, sweep)
+                assert np.array_equal(u, want["u"])
+                h = stats._stacked(real, times, f, sweep, u)[0]
+                assert np.array_equal(h, want["transfer"])
+
+    @pytest.mark.parametrize("kind, sweep", [("BI", "rx"), ("IU", "tx"), ("BU", None)])
+    def test_blocks_leave_every_value_unchanged(self, monkeypatch, kind, sweep):
+        # at a tiny block bound every pair and every time is a block of its own
+        cfg = make_config(bs={"num_elements": 2}, irs={"m_x": 3, "m_y": 2},
+                          user={"num_elements": 2}, rician_k_db=3.0)
+        real = realize_subchannel(cfg, kind, rng_stream(12, "t"))
+        times, f = np.array([0.0, 0.4, 1.3]), 2e6
+        u = los_phasor(real, times, real.fc_hz, f, sweep)
+        args = {"kind": kind, "times": times, "f": f, "sweep": sweep, "los": u}
+        tx, rx = smallscale._sweep_pairs(real, sweep)
+
+        def run():
+            columns, matrix = subchannel_taps(real, times, f)
+            exact = (*columns, matrix, *dense_taps(real, times, f, tx, rx).values(),
+                     *stats._stacked(real, times, f, sweep, u))
+            return exact, stats._trial_sub({kind: real}, args)
+
+        whole = run()
+        monkeypatch.setattr(smallscale, "_BLOCK_FLOATS", 1)
+        assert len(list(_tap_blocks(real, times, f, tx, rx))) == times.size * tx.size
+        blocked = run()
+        for a, b in zip(whole[0], blocked[0]):
+            assert np.array_equal(a, b)
+        # element 1's products are complex multiplies of arrays of another
+        # shape, whose last bit numpy's loops may round another way
+        for key, value in whole[1].items():
+            np.testing.assert_allclose(blocked[1][key], value, rtol=0, atol=1e-15)
 
 
 class TestPairFieldOracle:
@@ -431,20 +418,22 @@ class TestPairFieldOracle:
         ("BI", {"rician_k_db": 5.0}, 1e5, (1, 1), True),
     ], ids=["k0", "k5db", "f_offset", "elements_bi", "elements_iu", "zero_rays"])
     def test_equals_einsum_form(self, kind, over, f, elements, empty):
-        # ray_field at one element pair (sweep None) against the per-pair oracle;
-        # the ids predate the change of order and the removal of the lean
-        # single-pair kernel that this class once tested
+        # the tap kernel at one element pair against the per-pair oracle; the
+        # ids predate the single-pair kernels that this class once tested
         cfg = make_config(**over)
         times = np.concatenate([[0.4], 0.4 + cfg.lag_grid()[1:]])
         tx, rx = elements
         for real in _realizations(cfg, kind, 12, empty):
-            bundle = ray_field(real, times, f, tx, rx)
-            got = {"g": bundle.g[:, 0], "u": bundle.u[0], "powers": bundle.powers[:, 0]}
+            taps = dense_taps(real, times, f, np.array([tx - 1]), np.array([rx - 1]))
+            got = {"g": taps["g"][:, 0], "powers": taps["powers"][:, 0]}
             want = reference_single_pair(real, times, f, tx, rx)
             for key, value in got.items():
                 assert value.shape == want[key].shape, key
                 assert np.array_equal(value, want[key]), key
-            np.testing.assert_allclose(bundle.transfer()[0], want["h"], rtol=1e-12)
+            h = subchannel_taps(real, times, f)[1][:, rx - 1, tx - 1]
+            np.testing.assert_allclose(h, want["h"], rtol=1e-12)
+            if elements == (1, 1):
+                assert np.array_equal(los_phasor(real, times, real.fc_hz, f)[0], want["u"])
 
 
 class TestFieldKernels:
@@ -452,21 +441,24 @@ class TestFieldKernels:
         cfg = make_config(irs={"m_x": 2, "m_y": 3})
         real = realize_subchannel(cfg, "BI", rng_stream(10, "t"))
         times = np.array([0.0, 0.7])
-        swept = ray_field(real, times, sweep="rx").transfer()
+        swept = dense_taps(real, times, 0.0, np.zeros(6, dtype=int), np.arange(6))
+        h = stats._stacked(real, times, 0.0, "rx", los_phasor(real, times, FC, 0.0, "rx"))[0]
+        matrix = subchannel_taps(real, times)[1]
         for r in range(1, 7):
-            single = ray_field(real, times, rx_element=r).transfer()[0]
-            assert np.allclose(swept[r - 1], single, rtol=1e-12)
+            single = dense_taps(real, times, 0.0, np.array([0]), np.array([r - 1]))
+            assert np.array_equal(swept["g"][:, r - 1], single["g"][:, 0])
+            assert np.array_equal(h[r - 1], matrix[:, r - 1, 0])
 
     def test_power_columns_normalized(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(11, "t"))
-        bundle = ray_field(real, np.array([0.0, 1.0]))
-        sums = bundle.powers.sum(axis=0)
-        assert np.allclose(sums, 1.0, atol=1e-9)
+        for _, _, pair, _, _, power, _ in _tap_blocks(real, np.array([0.0, 1.0]), 0.0,
+                                                     np.array([0]), np.array([0])):
+            assert np.allclose(_pair_sums(power, pair, 1), 1.0, atol=1e-9)
 
     def test_empty_channel_transfer_is_los_only(self):
         grid = np.zeros((1, 1, 1), dtype=bool)
         real = toy_realization(scatter_a=[50, 0, 0], scatter_z=[70, 0, 0],
                                visible=grid, k_factor=2.0)
-        h = ray_field(real, 0.0).transfer()[0, 0]
+        h = subchannel_taps(real, 0.0)[1][0, 0, 0]
         w_los = np.sqrt(2.0 / 3.0)
         assert abs(h) == pytest.approx(w_los, abs=1e-12)

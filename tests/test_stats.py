@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,11 @@ from irs_gbsm.clusters import (
 )
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
-from irs_gbsm.smallscale import ray_field, ray_path_lengths
+from irs_gbsm.smallscale import _block_steps, los_phasor
 from irs_gbsm import stats
 from tests.cir_oracle import los_distance
 from tests.conftest import bootstrap_mean_abs, generate_cluster_pairs, make_config
+from tests.field_oracle import reference_ray_field, reference_single_pair
 
 TRIALS = 300
 
@@ -55,8 +57,8 @@ class TestAcfSubchannel:
         real = realize_subchannel(small_cfg, "BI",
                                   rng_stream(small_cfg.seed, "trial", 0, "BI"))
         lags = small_cfg.lag_grid()
-        bundle = ray_field(real, lags)
-        g, u, powers = bundle.g[:, 0], bundle.u[0], bundle.powers[:, 0]
+        field = reference_single_pair(real, lags)
+        g, u, powers = field["g"], field["u"], field["powers"]
         w_l2, w_n2 = real.k_factor / (real.k_factor + 1.0), 1.0 / (real.k_factor + 1.0)
         vals = w_l2 * u[0] * np.conj(u) + w_n2 * (g[:, 0][:, None] * np.conj(g)).sum(axis=0)
         anchors = w_l2 + w_n2 * powers.sum(axis=0)
@@ -150,7 +152,7 @@ class TestAcfFullIrs:
 
     def test_footprint_prediction(self, monkeypatch):
         # 2 x 8 tensors of E^2 T complex per process: 5.25 GiB at E=1024, T=21
-        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(stats, "_available_ram_bytes", lambda: 8 * 2**30)
         stats._check_tensor_footprint(1024, 21, True, trials=256, threads=2)
         with pytest.raises(MemoryError, match="cascade_trial_products"):
             stats._check_tensor_footprint(1024, 21, True, trials=512, threads=2)
@@ -159,7 +161,7 @@ class TestAcfFullIrs:
 
     def test_too_large_surface_fails_before_any_trial(self, monkeypatch):
         cfg = make_config(irs={"m_x": 2, "m_y": 2}, trials=10)
-        monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: 4096)
+        monkeypatch.setattr(stats, "_available_ram_bytes", lambda: 4096)
 
         def no_trials(*args, **kwargs):
             raise AssertionError("the ensemble must not start")
@@ -171,16 +173,17 @@ class TestAcfFullIrs:
 
 def _reference_sub_arrays(real, t, lags, sweep):
     """Outer-product einsum form of the analytical tensors (the oracle)."""
-    bundle = ray_field(real, t + lags, 0.0, 1, 1, sweep)
+    field = reference_ray_field(real, t + lags, 0.0, 1, 1, sweep)
+    g, u = field["g"], field["u"]
     w_l = real.k_factor / (real.k_factor + 1.0)
     w_n = 1.0 / (real.k_factor + 1.0)
-    gc = np.conj(bundle.g)
-    uc = np.conj(bundle.u)
-    ana = (w_l * bundle.u[:, 0][:, None, None] * uc[None, :, :]
-           + w_n * np.einsum("nr,nst->rst", bundle.g[:, :, 0], gc))
-    gram = (w_l * bundle.u[:, None, :] * uc[None, :, :]
-            + w_n * np.einsum("nrt,nst->rst", bundle.g, gc))
-    return bundle.transfer(), ana, gram
+    gc = np.conj(g)
+    uc = np.conj(u)
+    ana = (w_l * u[:, 0][:, None, None] * uc[None, :, :]
+           + w_n * np.einsum("nr,nst->rst", g[:, :, 0], gc))
+    gram = (w_l * u[:, None, :] * uc[None, :, :]
+            + w_n * np.einsum("nrt,nst->rst", g, gc))
+    return field["transfer"], ana, gram
 
 
 class TestCorrelationTensors:
@@ -197,7 +200,7 @@ class TestCorrelationTensors:
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
-        h, x = stats._stacked(real, lags, 0.0, sweep="rx")
+        h, x = stats._stacked(real, lags, 0.0, "rx", los_phasor(real, lags, real.fc_hz, 0.0, "rx"))
         ana, gram = stats._correlations(x)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, "rx")
         assert ana.shape == gram.shape == (h.shape[0], h.shape[0], lags.size)
@@ -229,7 +232,8 @@ class TestCorrelationTensors:
 
     def test_sim_tensors_are_outer_products(self):
         cfg, real = self._realization(3)
-        h = ray_field(real, cfg.lag_grid(), 0.0, 1, 1, "rx").transfer()
+        lags = cfg.lag_grid()
+        h = stats._stacked(real, lags, 0.0, "rx", los_phasor(real, lags, real.fc_hz, 0.0, "rx"))[0]
         ccf, gram = stats._correlations(h[None])
         np.testing.assert_allclose(ccf, h[:, 0][:, None, None] * np.conj(h)[None],
                                    rtol=1e-12)
@@ -303,23 +307,26 @@ class TestChunkedEnsemble:
         for k in range(3):
             bi, iu = (realize_subchannel(cfg, kind, rng_stream(9, "trial", k, kind))
                       for kind in ("BI", "IU"))
-            f_bi = ray_field(bi, times, f, 1, 1, sweep="rx")
-            f_iu = ray_field(iu, times, f, 1, 1, sweep="tx")
-            np.testing.assert_array_equal(products["los_bi"], f_bi.u)
-            np.testing.assert_array_equal(products["los_iu"], f_iu.u)
-            np.testing.assert_array_equal(f_bi.u, _los_oracle(bi, times, f, 1, 1, "rx"))
-            np.testing.assert_array_equal(f_iu.u, _los_oracle(iu, times, f, 1, 1, "tx"))
+            u_bi = los_phasor(bi, times, bi.fc_hz, f, "rx")
+            u_iu = los_phasor(iu, times, iu.fc_hz, f, "tx")
+            np.testing.assert_array_equal(products["los_bi"], u_bi)
+            np.testing.assert_array_equal(products["los_iu"], u_iu)
+            np.testing.assert_array_equal(u_bi, _los_oracle(bi, times, f, 1, 1, "rx"))
+            np.testing.assert_array_equal(u_iu, _los_oracle(iu, times, f, 1, 1, "tx"))
             # the cascade products with the run's phasor equal the per-trial form
             out = stats._trial_products({"BI": bi, "IU": iu}, products)
-            h_part = np.sum(f_bi.transfer() * f_iu.transfer() * np.exp(-1j * theta), axis=0)
+            h_part = np.sum(stats._stacked(bi, times, f, "rx", u_bi)[0]
+                            * stats._stacked(iu, times, f, "tx", u_iu)[0] * np.exp(-1j * theta),
+                            axis=0)
             np.testing.assert_array_equal(out["trial_prod"], h_part[0] * np.conj(h_part))
             np.testing.assert_array_equal(out["trial_pow"], np.abs(h_part) ** 2)
             for args in sub:
                 real = bi if args["kind"] == "BI" else iu
-                np.testing.assert_array_equal(args["los"], ray_field(real, times, f).u)
+                u = los_phasor(real, times, real.fc_hz, f)
+                np.testing.assert_array_equal(args["los"], u)
                 np.testing.assert_array_equal(args["los"],
                                               _los_oracle(real, times, f, 1, 1, None))
-            u_ccf = ray_field(iu, ccf["times"], f, 1, 1, sweep="tx").u
+            u_ccf = los_phasor(iu, ccf["times"], iu.fc_hz, f, "tx")
             np.testing.assert_array_equal(ccf["los"], u_ccf)
         assert not products["phasor"].flags.writeable
         assert not products["los_bi"].flags.writeable
@@ -404,11 +411,19 @@ class TestCcfSpatial:
         assert peak < pair_tensor / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_field_prediction_fails_before_any_trial(self, monkeypatch):
-        # 56 bytes per expected ray, swept element and time, in each trial process
+        # per trial process: a block of the row-0 kernel (its normalizer, 8
+        # bytes per pair, ray and time, and _TAP_BYTES per visible tap and
+        # time), the chunk's realizations (_RAY_BYTES per ray) and the process
         cfg = make_config(irs={"m_x": 16, "m_y": 16}, clusters={"birth_rate": 80.0},
                           ccf={"subchannel": "BI", "axis": "rx"}, trials=512)
         rays = expected_cluster_count(cfg.irs.layout(), cfg.clusters) * 10
-        need = int(56 * rays * 256 * 2)
+        taps = 80.0 / 4.0 * 10
+        pairs, steps = _block_steps(rays, 2)
+        assert steps == 2
+        per = int(min(pairs, 256) * 2 * (8 * rays + stats._TAP_BYTES * taps)
+                  + stats._RAY_BYTES * rays * 16)
+        one, two = per + stats._PROCESS_BYTES, 2 * (per + stats._PROCESS_BYTES)
+        two += stats._PROCESS_BYTES   # the pool's parent
 
         class Started(Exception):
             pass
@@ -417,9 +432,9 @@ class TestCcfSpatial:
             raise Started
 
         monkeypatch.setattr(stats, "run_ensemble", no_trials)
-        for ram, threads, fits in [(need, 1, True), (need - 1, 1, False),
-                                   (need, 2, False), (2 * need, 2, True)]:
-            monkeypatch.setattr(stats, "_physical_ram_bytes", lambda: ram)
+        for ram, threads, fits in [(one, 1, True), (one - 1, 1, False),
+                                   (two - 1, 2, False), (two, 2, True)]:
+            monkeypatch.setattr(stats, "_available_ram_bytes", lambda: ram)
             with pytest.raises(Started if fits else MemoryError):
                 stats.ccf_spatial(cfg, threads=threads)
 
@@ -429,6 +444,19 @@ class TestCcfSpatial:
         out = stats.ccf_spatial(cfg)
         gap = np.max(np.abs(out["sim"].magnitude - out["analytical"].magnitude))
         assert gap < 0.2
+
+
+def test_available_ram_reads_memavailable_and_falls_back(tmp_path, monkeypatch):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8000000 kB\nMemFree:           12000 kB\n"
+                       "MemAvailable:    1234567 kB\nBuffers:            100 kB\n")
+    monkeypatch.setattr(stats, "_MEMINFO", str(meminfo))
+    assert stats._available_ram_bytes() == 1234567 * 1024
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    meminfo.write_text("MemTotal:        8000000 kB\nMemFree:           12000 kB\n")
+    assert stats._available_ram_bytes() == physical     # a kernel without the field
+    monkeypatch.setattr(stats, "_MEMINFO", str(tmp_path / "missing"))
+    assert stats._available_ram_bytes() == physical
 
 
 class TestRmsDelaySpread:
@@ -512,9 +540,8 @@ class TestDoppler:
         t, h = 1.3, 1e-4
         from irs_gbsm.smallscale import ray_path_rates
         rate = ray_path_rates(bi, 1, 1, t)
-        fd = (ray_path_lengths(bi, 1, 1, t + h)[:, 0]
-              - ray_path_lengths(bi, 1, 1, t - h)[:, 0]) / (2 * h)
-        assert np.allclose(rate, fd, rtol=1e-6)
+        d = reference_single_pair(bi, [t + h, t - h])["d"]
+        assert np.allclose(rate, (d[:, 0] - d[:, 1]) / (2 * h), rtol=1e-6)
 
     def test_single_ray_spread_zero(self):
         assert stats.local_doppler_spread(np.array([123.4])) == 0.0
