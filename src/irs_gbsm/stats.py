@@ -165,9 +165,8 @@ def _stacked(real: ClusterRealization, times, f, sweep, u):
     rays added in ray order, as ``smallscale.subchannel_taps`` adds them.
     """
     x = np.zeros((1 + real.num_rays,) + u.shape, dtype=complex)
-    for pairs, steps, pair, ray, _, _, g in _tap_blocks(
-            real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
-        x[1 + ray, pair + pairs.start, steps] = g.T
+    for b in _tap_blocks(real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
+        x[1 + b.ray, b.pair + b.pairs.start, b.steps] = b.g.T
     # row 0 is still zero and comes first, so the sum over the ray axis adds
     # the rays one by one from zero; summed as floats, a column of one pair
     # at one time is not summed pairwise
@@ -219,16 +218,15 @@ def _trial_sub(reals: dict, args: dict) -> dict:
     vlink = _vlink(real, f)
     out = {"prod": np.empty(u.shape, dtype=complex), "pow": np.empty(u.shape),
            "ana": np.empty(u.shape, dtype=complex), "ana0": np.empty(u.shape)}
-    for pairs, steps, pair, ray, _, _, g in _tap_blocks(
-            real, times, f, *_sweep_pairs(real, args["sweep"])):
-        x0, xt = w_los * u[pairs, steps].T, w_nlos * g      # (T_b, P_b) and (T_b, K)
-        h, ana, ana0 = _pair_sums(np.stack([g * vlink[ray], x_ref[1 + ray] * np.conj(xt),
-                                            xt.real ** 2 + xt.imag ** 2]), pair, x0.shape[1])
+    for b in _tap_blocks(real, times, f, *_sweep_pairs(real, args["sweep"])):
+        x0, xt = w_los * u[b.pairs, b.steps].T, w_nlos * b.g    # (T_b, P_b) and (T_b, K)
+        h, ana, ana0 = _pair_sums(np.stack([b.g * vlink[b.ray], x_ref[1 + b.ray] * np.conj(xt),
+                                            xt.real ** 2 + xt.imag ** 2]), b.pair, x0.shape[1])
         h = x0 + w_nlos * h
         for key, value in (("prod", h_ref * np.conj(h)), ("pow", np.abs(h) ** 2),
                            ("ana", x_ref[0] * np.conj(x0) + ana),
                            ("ana0", np.abs(x0) ** 2 + ana0.real)):
-            out[key][pairs, steps] = value.T
+            out[key][b.pairs, b.steps] = value.T
     return out
 
 
@@ -280,8 +278,8 @@ def _trial_products(reals: dict, args: dict) -> dict:
 
 def _pair_1_taps(real: ClusterRealization, t: float):
     """(ray, delay, power) of the rays visible to element pair (1, 1) at time t, in ray order."""
-    *_, ray, d, power, _ = next(_tap_blocks(real, np.array([t]), 0.0, *_sweep_pairs(real, None)))
-    return ray, d[0] / SPEED_OF_LIGHT + real.rays["tau_v"][ray], power[0]
+    b = next(_tap_blocks(real, np.array([t]), 0.0, *_sweep_pairs(real, None)))
+    return b.ray, b.d[0] / SPEED_OF_LIGHT + real.rays["tau_v"][b.ray], b.power[0]
 
 
 def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float):
@@ -493,15 +491,13 @@ def _check_memory(per_process: int, parent: int, trials: int, threads: int,
 
     Each process that runs trials holds ``per_process`` bytes: the caller
     alone, or every busy worker of a pooled run, whose parent then holds
-    ``parent`` bytes more while it folds the blocks.  Every process also
-    holds ``_PROCESS_BYTES``, and the sum is checked against the RAM that
-    is available now.
+    ``parent`` bytes more while it folds the blocks.  The sum is checked
+    against the RAM that is available now.
     """
     blocks = len(_blocks(trials))
     pooled = threads > 1 and blocks > 1
     workers = min(threads, blocks) if pooled else 1
-    need = (per_process + _PROCESS_BYTES) * workers + (
-        parent + _PROCESS_BYTES if pooled else 0)
+    need = per_process * workers + (parent if pooled else 0)
     ram = _available_ram_bytes()
     if need > ram:
         raise MemoryError(
@@ -591,7 +587,9 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     its normalizer (8 bytes per pair, ray and time) and ``_TAP_BYTES`` per
     visible tap and time, at lambda_B / lambda_D clusters' rays per pair; and
     a chunk's realizations, ``_RAY_BYTES`` per ray of the expected ray count
-    of the sub-channel's chain (:func:`~irs_gbsm.clusters.expected_cluster_count`).
+    of the sub-channel's chain (:func:`~irs_gbsm.clusters.expected_cluster_count`);
+    and the interpreter itself, ``_PROCESS_BYTES``, which is also all that
+    a pool's parent holds.
     """
     c = cfg.ccf
     subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
@@ -604,9 +602,9 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     e, n_t = swept.num_elements, params["times"].size
     pairs, steps = _block_steps(rays, n_t)   # a block of the row-0 kernel
     per_process = (min(pairs, e) * steps * (8 * rays + _TAP_BYTES * taps)
-                   + _RAY_BYTES * rays * min(_CHUNK, cfg.trials))
+                   + _RAY_BYTES * rays * min(_CHUNK, cfg.trials) + _PROCESS_BYTES)
     _check_memory(
-        int(per_process), 0, cfg.trials, threads,
+        int(per_process), _PROCESS_BYTES, cfg.trials, threads,
         f"spatial CCF fields (about {rays:.0f} rays, {taps:.0f} visible at each of E={e} "
         f"elements, T={n_t} times)",
         "in the config, lower irs.m_x and irs.m_y (or the swept array's num_elements), "

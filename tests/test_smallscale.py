@@ -63,9 +63,9 @@ def ray_delays(real, times):
 def pair_taps(real, times, tx_element=1, rx_element=1):
     """(ray, d, power) of the rays visible to one element pair, from the tap kernel."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    *_, ray, d, power, _ = next(_tap_blocks(real, times, 0.0, np.array([tx_element - 1]),
-                                            np.array([rx_element - 1])))
-    return ray, d, power
+    b = next(_tap_blocks(real, times, 0.0, np.array([tx_element - 1]),
+                         np.array([rx_element - 1])))
+    return b.ray, b.d, b.power
 
 
 class TestRayDelays:
@@ -332,10 +332,11 @@ def dense_taps(real, times, f, tx, rx):
     shape = (real.num_rays, tx.size, times.size)
     out = {"g": np.zeros(shape, dtype=complex), "powers": np.zeros(shape),
            "visible": np.zeros(shape[:2], dtype=bool)}
-    for pairs, steps, pair, ray, _, power, g in _tap_blocks(real, times, f, tx, rx):
-        out["g"][ray, pair + pairs.start, steps] = g.T
-        out["powers"][ray, pair + pairs.start, steps] = power.T
-        out["visible"][ray, pair + pairs.start] = True
+    for b in _tap_blocks(real, times, f, tx, rx):
+        pair = b.pair + b.pairs.start
+        out["g"][b.ray, pair, b.steps] = b.g.T
+        out["powers"][b.ray, pair, b.steps] = b.power.T
+        out["visible"][b.ray, pair] = True
     return out
 
 
@@ -376,6 +377,32 @@ class TestRayFieldOracle:
                 assert np.array_equal(u, want["u"])
                 h = stats._stacked(real, times, f, sweep, u)[0]
                 assert np.array_equal(h, want["transfer"])
+
+    def test_shared_element_taps_as_many_as_rays(self):
+        # both pairs share the evolved-side element, which sees half the
+        # clusters: the block's taps number exactly the realization's rays,
+        # yet they are the pairs' own rays, not rays 0 .. n_rays - 1
+        cfg = make_config(bs={"num_elements": 2}, user={"num_elements": 2}, rician_k_db=3.0)
+        times, f = np.array([0.0, 0.4, 1.3]), 2e6
+        reals = (realize_subchannel(cfg, "BU", rng_stream(cfg.seed, "shared", k))
+                 for k in range(100))
+        real = next(r for r in reals if len(r.clusters) >= 2 and len(r.clusters) % 2 == 0)
+        n = len(real.clusters)
+        grid = np.zeros(real.visibility.shape, dtype=bool)
+        grid[0, 0, n // 2:] = True
+        grid[1, 0, : n // 2] = True
+        real = dataclasses.replace(real, visibility=dataclasses.replace(
+            real.visibility, flat=np.flatnonzero(grid)))
+        sweep = "rx" if real.evolved_side == "tx" else "tx"
+        tx, rx = element_pairs(real, (1, 1), sweep)
+        assert sum(b.ray.size for b in _tap_blocks(real, times, f, tx, rx)) == real.num_rays
+        want = reference_ray_field(real, times, f, 1, 1, sweep)
+        for key, value in dense_taps(real, times, f, tx, rx).items():
+            assert np.array_equal(value, want[key]), key
+        matrix = subchannel_taps(real, times, f)[1]
+        assert np.array_equal(matrix[:, rx, tx].T, want["transfer"])
+        u = los_phasor(real, times, real.fc_hz, f, sweep)
+        assert np.array_equal(stats._stacked(real, times, f, sweep, u)[0], want["transfer"])
 
     @pytest.mark.parametrize("kind, sweep", [("BI", "rx"), ("IU", "tx"), ("BU", None)])
     def test_blocks_leave_every_value_unchanged(self, monkeypatch, kind, sweep):
@@ -451,9 +478,8 @@ class TestFieldKernels:
 
     def test_power_columns_normalized(self, small_cfg):
         real = realize_subchannel(small_cfg, "BI", rng_stream(11, "t"))
-        for _, _, pair, _, _, power, _ in _tap_blocks(real, np.array([0.0, 1.0]), 0.0,
-                                                     np.array([0]), np.array([0])):
-            assert np.allclose(_pair_sums(power, pair, 1), 1.0, atol=1e-9)
+        for b in _tap_blocks(real, np.array([0.0, 1.0]), 0.0, np.array([0]), np.array([0])):
+            assert np.allclose(_pair_sums(b.power, b.pair, 1), 1.0, atol=1e-9)
 
     def test_empty_channel_transfer_is_los_only(self):
         grid = np.zeros((1, 1, 1), dtype=bool)
