@@ -33,9 +33,23 @@ times.  It reads each pair's visible rays from the sparse visibility entries
 not depend on t, and yields the taps' path lengths, normalized powers and
 phasors over the block's times at once.  A block's pairs x rays x times stay
 within ``_BLOCK_FLOATS``, so its memory does not grow with the array.
-:func:`subchannel_taps` turns the taps into the CIR columns that
-``simulate`` writes and the transfer matrix that ``assembly.cascade``
-combines; the statistics (``stats``) contract them into their correlations.
+
+This module owns the taps, their :class:`TapBlock` format and the blocking
+policy: no other module reads a block.  The bound is a memory knob and never
+an output's: every function below returns the same bits for any
+``_BLOCK_FLOATS`` (a tier-1 test runs every subcommand at tiny bounds).  The
+rest of the package reads the taps through
+
+- :func:`subchannel_taps`: the CIR columns that ``simulate`` writes and the
+  transfer matrix that ``assembly.cascade`` combines;
+- :func:`stacked_phasors`: the dense stacked phasors x and transfer values h
+  of element 1's sweep, which ``stats`` contracts into the full-IRS tensors;
+- :func:`row_0_tap_sums`: per-pair sums over the taps of element 1's sweep,
+  row 0 of the same contractions, for the sub-channel ACF and spatial CCF;
+- :func:`element_1_taps`: the delays, powers and path rates of element pair
+  (1, 1) over a time grid, for the Doppler and delay spreads;
+- :func:`tap_block_bytes`: the bytes of one :func:`row_0_tap_sums` block,
+  which the ``ccf`` memory check predicts.
 """
 
 from __future__ import annotations
@@ -55,6 +69,15 @@ TWO_PI = 2.0 * np.pi
 # about 420 MB, set the peak at each); at 2M a 32 x 32 surface peaks under 100 MB
 # (tracemalloc) with its columns
 _BLOCK_FLOATS = 2_000_000
+# bytes per visible tap and time of a row_0_tap_sums block that its arrays hold
+# at once: d, P and g of the taps, the three stacked products summed per pair
+# and their index (about ten complex arrays)
+_TAP_BYTES = 160
+
+
+def rician_weights(k_factor: float) -> tuple[float, float]:
+    """Rician weights sqrt(K/(K+1)) of the LoS and sqrt(1/(K+1)) of the rays."""
+    return np.sqrt(k_factor / (k_factor + 1.0)), np.sqrt(1.0 / (k_factor + 1.0))
 
 
 def _norms(diff: np.ndarray, v: np.ndarray, t) -> np.ndarray:
@@ -71,21 +94,6 @@ def _norms(diff: np.ndarray, v: np.ndarray, t) -> np.ndarray:
         x *= x
         acc = x if acc is None else np.add(acc, x, out=acc)
     return np.sqrt(acc, out=acc)
-
-
-def ray_path_rates(real: ClusterRealization, tx_element: int, rx_element: int,
-                   t: float) -> np.ndarray:
-    """Analytic d/dt of each ray's path length at time t, m/s, shape (n_rays,).
-
-    d|a - v t|/dt = -v . (a - v t)/|a - v t| per side.
-    """
-    rays = real.rays
-    out = np.zeros(real.num_rays)
-    for side, layout, elem in (("tx", real.tx_layout, tx_element),
-                               ("rx", real.rx_layout, rx_element)):
-        diff, v_rel = rays[f"d0_{side}"] - element_offset(layout, elem), rays[f"v_rel_{side}"]
-        out -= np.einsum("ij,ij->i", v_rel, diff - v_rel * t) / _norms(diff, v_rel, t)
-    return out
 
 
 def _sweep_pairs(link, sweep: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +261,108 @@ def _vlink(real: ClusterRealization, f: float) -> np.ndarray:
     return np.exp(1j * TWO_PI * (real.fc_hz - f) * real.rays["tau_v"])
 
 
+# ---------------------------------------------------------------------------
+# the reductions of the taps that the statistics read; none of them yields a
+# block, and each is independent of how the blocks split
+
+def stacked_phasors(real: ClusterRealization, times, f: float, sweep: str | None,
+                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer values h (E, T) and stacked phasors x (1 + N, E, T) of one sub-channel.
+
+    x is the one definition behind every analytical correlation: its row 0
+    is the LoS phasor ``u`` (E, T) of element 1's pairs (see ``los_phasor``)
+    weighted sqrt(K/(K+1)), row 1 + n ray n's tap phasor sqrt(P) exp(j kappa
+    d) weighted sqrt(1/(K+1)), 0 where the ray is not visible.  A
+    correlation is a contraction of x with its conjugate over the first axis.
+    h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n) exp(j kappa d_n) vlink_n, the
+    rays added in ray order, as :func:`subchannel_taps` adds them.
+    """
+    x = np.zeros((1 + real.num_rays,) + u.shape, dtype=complex)
+    for b in _tap_blocks(real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
+        x[1 + b.ray, b.pair + b.pairs.start, b.steps] = b.g.T
+    # row 0 is still zero and comes first, so the sum over the ray axis adds
+    # the rays one by one from zero; summed as floats, a column of one pair
+    # at one time is not summed pairwise
+    terms = x * np.concatenate([[0.0], _vlink(real, f)])[:, None, None]
+    w_los, w_nlos = rician_weights(real.k_factor)
+    h = w_los * u + w_nlos * terms.view(float).sum(axis=0).view(complex)
+    x[0] = w_los * u
+    x[1:] *= w_nlos
+    return h, x
+
+
+def row_0_tap_sums(real: ClusterRealization, times: np.ndarray, f: float,
+                   sweep: str | None) -> np.ndarray:
+    """Per-pair tap sums of element 1's sweep against element 1 at times[0], (3, T, E).
+
+    With x_n = sqrt(1/(K+1)) sqrt(P_n) exp(j kappa d_n), the tap phasor of
+    :func:`stacked_phasors` row 1 + n, and x_ref the column of x of element
+    pair 1 at times[0], the three sums over each pair's visible taps, at
+    every time, are
+
+    - sum_n sqrt(P_n) exp(j kappa d_n) vlink_n, h's NLoS part before its weight;
+    - sum_n x_ref[n] conj(x_n), the NLoS part of row 0 of the CCF contraction;
+    - sum_n |x_n|^2 (real, held as complex), that of the equal-time one.
+
+    Each pair's taps are added in ray order from zero.  x_ref is read from
+    the first block, whose pair 0 is element 1 and whose first time is
+    times[0], so one kernel pass serves the anchor and the sweep, and no
+    array larger than a block's taps or the (3, T, E) sums forms: the work
+    and memory are O(visible taps x T).
+    """
+    tx, rx = _sweep_pairs(real, sweep)
+    w_nlos, vlink = rician_weights(real.k_factor)[1], _vlink(real, f)
+    sums = np.empty((3, times.size, tx.size), dtype=complex)
+    x_ref = np.zeros(real.num_rays, dtype=complex)
+    for b in _tap_blocks(real, times, f, tx, rx):
+        xt = w_nlos * b.g
+        if not (b.pairs.start or b.steps.start):   # the first block: pair 0 at times[0]
+            x_ref[b.ray[b.pair == 0]] = xt[0, b.pair == 0]
+        sums[:, b.steps, b.pairs] = _pair_sums(
+            np.stack([b.g * vlink[b.ray], x_ref[b.ray] * np.conj(xt),
+                      xt.real ** 2 + xt.imag ** 2]), b.pair, tx[b.pairs].size)
+    return sums
+
+
+def element_1_taps(real: ClusterRealization, times):
+    """(ray, delay, power, rate) of element pair (1, 1)'s visible taps over ``times``.
+
+    One tap-kernel call over all the times.  ``ray`` (K,) holds the rays'
+    indices in ray order, one set for every time since visibility does not
+    depend on t.  ``delay``, ``power`` and ``rate`` are (T, K): the delay
+    |d|/c + tau_v, the normalized power and the path rate d|d|/dt in m/s.
+    The path rate is d|a - v t|/dt = -v . (a - v t)/|a - v t| summed over
+    the two sides, with a = d0 - l_1 and v the ray's relative velocity on
+    that side.  The dot product adds its components as (v0 x0 + v2 x2) +
+    v1 x1, the order of numpy's ``einsum("ij,ij->i")``.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    blocks = list(_tap_blocks(real, times, 0.0, *_sweep_pairs(real, None)))
+    ray, rays = blocks[0].ray, real.rays    # one pair: blocks split only the times
+    d = np.concatenate([b.d for b in blocks])
+    rate = np.zeros(d.shape)
+    for side, layout in (("tx", real.tx_layout), ("rx", real.rx_layout)):
+        a, v = rays[f"d0_{side}"][ray] - element_offset(layout, 1), rays[f"v_rel_{side}"][ray]
+        x = a - v * times[:, None, None]
+        dot = (v[:, 0] * x[..., 0] + v[:, 2] * x[..., 2]) + v[:, 1] * x[..., 1]
+        rate -= dot / _norms(a, v, times[:, None])
+    return (ray, d / SPEED_OF_LIGHT + rays["tau_v"][ray],
+            np.concatenate([b.power for b in blocks]), rate)
+
+
+def tap_block_bytes(n_rays: float, n_taps: float, n_pairs: int, n_times: int) -> float:
+    """Bytes a :func:`row_0_tap_sums` block holds, for ``n_pairs`` pairs over ``n_times`` times.
+
+    A block spans the pairs and times of :func:`_block_steps`, at most
+    ``n_pairs``: 8 bytes per pair, ray and time for the zero-padded
+    normalizer and ``_TAP_BYTES`` per visible tap and time, at ``n_rays``
+    rays and ``n_taps`` visible taps per pair (either may be an expected,
+    float count).
+    """
+    pairs, steps = _block_steps(n_rays, n_times)
+    return min(pairs, n_pairs) * steps * (8 * n_rays + _TAP_BYTES * n_taps)
+
+
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
               "phase_rad", "is_los"]
 
@@ -290,8 +400,7 @@ def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
     rays = real.rays
     n_tx, n_rx = real.tx_layout.num_elements, real.rx_layout.num_elements
     tx, rx = np.divmod(np.arange(n_tx * n_rx), n_rx)
-    k = real.k_factor
-    w_los, w_nlos = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
+    w_los, w_nlos = rician_weights(real.k_factor)
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
     vlink = _vlink(real, f)
     # rows per time, and the first row of the block's pairs at each time

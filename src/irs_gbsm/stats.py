@@ -20,7 +20,8 @@ realizations; trial k of a run draws from the stream (seed, "trial", k, ...)
 so results are reproducible and extending the trial count never changes
 earlier trials.  "Analytical" curves evaluate the closed diagonal-ray
 expressions, conditioned on the same realizations and then averaged.  They
-have one definition: the stacked phasors of a sub-channel (``_stacked``),
+have one definition: the stacked phasors of a sub-channel
+(``smallscale.stacked_phasors``),
 
     x[0, e, t] = sqrt(K/(K+1)) exp(j kappa D_e(t))
     x[n, e, t] = sqrt(1/(K+1)) sqrt(P_n,e(t)) exp(j kappa d_n,e(t)),  n = 1..N
@@ -31,21 +32,23 @@ conj(x[n, s, t + dt]).  For one element pair that is
     R(dt) = K/(K+1) * exp(j kappa (D(t) - D(t+dt)))
           + 1/(K+1) * sum_rays sqrt(P(t) P(t+dt)) exp(j kappa (d(t) - d(t+dt))).
 
-The rows of x are read from the visible taps of the one tap kernel,
-``smallscale._tap_blocks``: ray n's row is 0 at an element that does not
-see it.  The transfer value is h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n)
+The taps of the rays, their blocks and the block bound belong to
+``smallscale``; this module reads them only through its reductions, none of
+which depends on how the blocks split, so the bound can never move an
+output.  The transfer value is h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n)
 exp(j kappa d_n) vlink_n, each pair's rays added in ray order as
 ``simulate`` adds them.  Two contractions of x serve every statistic.
 ``_correlations`` forms the full E x E x T CCF and equal-time tensors from
-the dense x, which the tap phasors are scattered into; the full-IRS ACF
-combines them over IRS element pairs (r1, r2) with the reflection-phase
-factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so one ensemble serves any
-phase resolution; a 1 x 1 surface is its E = 1 case, R_BI R_IU
-exp(-j(theta(t) - theta(t + dt))).  ``_trial_sub`` forms only row 0,
+the dense x; the full-IRS ACF combines them over IRS element pairs (r1, r2)
+with the reflection-phase factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so
+one ensemble serves any phase resolution; a 1 x 1 surface is its E = 1 case,
+R_BI R_IU exp(-j(theta(t) - theta(t + dt))).  ``_trial_sub`` forms only row 0,
 element 1 at t against every element and time, for the sub-channel ACF and
-the spatial CCF.  It sums each element's products with element 1 over that
-element's visible taps, a block of elements at a time, so a CCF across a
-large array costs O(visible taps x T) and never holds an N x E x T array.
+the spatial CCF.  It reads each element's sums over its visible taps
+(``smallscale.row_0_tap_sums``), so a CCF across a large array costs
+O(visible taps x T) and never holds an N x E x T array.  The Doppler and
+delay spreads read the taps of element pair (1, 1)
+(``smallscale.element_1_taps``), over all their times at once.
 The simulated curves use the same two contractions of the transfer values
 h.  Every correlation is normalized by sqrt(R0(anchor1) * R0(anchor2)),
 making the zero-lag value exactly 1.
@@ -84,17 +87,15 @@ import numpy as np
 from .assembly import phase_model_for
 from .clusters import ClusterRealization, expected_cluster_count, realize_subchannels
 from .config import ScenarioConfig, parse_config, serialize_config
-from .geometry import SPEED_OF_LIGHT
 from .irs import resolution_label
 from .rng import rng_stream
 from .smallscale import (
-    _block_steps,
-    _pair_sums,
-    _sweep_pairs,
-    _tap_blocks,
-    _vlink,
+    element_1_taps,
     los_phasor,
-    ray_path_rates,
+    rician_weights,
+    row_0_tap_sums,
+    stacked_phasors,
+    tap_block_bytes,
 )
 
 _BLOCK = 256
@@ -103,10 +104,6 @@ _CHUNK = 16
 # resident bytes of a process that has imported numpy and this package, before
 # any trial: 34 MB by ru_maxrss on CPython 3.11 and numpy 2.4
 _PROCESS_BYTES = 36 * 2**20
-# bytes per visible tap and time of a block of the row-0 kernel that its
-# arrays hold at once: d, P and g of the taps, the three stacked products summed
-# per pair and their index (about ten complex arrays)
-_TAP_BYTES = 160
 # bytes per ray of a realization, held by each of a chunk's realizations: the
 # ray and scatterer arrays and their transient peak while a chunk is built
 _RAY_BYTES = 300
@@ -147,37 +144,6 @@ def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ccf, gram
 
 
-def _weights(real: ClusterRealization) -> tuple[float, float]:
-    """Rician weights sqrt(K/(K+1)) of the LoS and sqrt(1/(K+1)) of the rays."""
-    k = real.k_factor
-    return np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (k + 1.0))
-
-
-def _stacked(real: ClusterRealization, times, f, sweep, u):
-    """Transfer values h (E, T) and stacked phasors x (1 + N, E, T) of one sub-channel.
-
-    x is the one definition behind every analytical correlation: its row 0
-    is the LoS phasor ``u`` (E, T) of element 1's pairs (see ``los_phasor``)
-    weighted sqrt(K/(K+1)), row 1 + n ray n's tap phasor sqrt(P) exp(j kappa
-    d) weighted sqrt(1/(K+1)), 0 where the ray is not visible.  A
-    correlation is a contraction of x with its conjugate over the first axis.
-    h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n) exp(j kappa d_n) vlink_n, the
-    rays added in ray order, as ``smallscale.subchannel_taps`` adds them.
-    """
-    x = np.zeros((1 + real.num_rays,) + u.shape, dtype=complex)
-    for b in _tap_blocks(real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
-        x[1 + b.ray, b.pair + b.pairs.start, b.steps] = b.g.T
-    # row 0 is still zero and comes first, so the sum over the ray axis adds
-    # the rays one by one from zero; summed as floats, a column of one pair
-    # at one time is not summed pairwise
-    terms = x * np.concatenate([[0.0], _vlink(real, f)])[:, None, None]
-    w_los, w_nlos = _weights(real)
-    h = w_los * u + w_nlos * terms.view(float).sum(axis=0).view(complex)
-    x[0] = w_los * u
-    x[1:] *= w_nlos
-    return h, x
-
-
 # ---------------------------------------------------------------------------
 # per-trial kernels: each takes one trial's realizations {kind: realization}
 # and the run's arguments, which a setup function builds once per run from
@@ -206,28 +172,19 @@ def _trial_sub(reals: dict, args: dict) -> dict:
 
     Element 1 at the anchor against every (swept) element and time: the
     direct products ``prod`` and powers ``pow`` of h, and the analytical
-    ``ana`` and ``ana0``, row 0 of the contractions of x.  Each is summed
-    from the visible taps, a block of pairs at a time, so no N x E x T array
-    forms: the work and memory are O(visible taps x T).
+    ``ana`` and ``ana0``, row 0 of the contractions of x.  The rays enter
+    through their per-pair sums (``smallscale.row_0_tap_sums``), so no N x E
+    x T array forms; the products are formed once, on the whole (T, E)
+    arrays.
     """
-    real, u, f = reals[args["kind"]], args["los"], args["f"]
-    times = np.atleast_1d(args["times"])
-    # element 1 at the anchor: h and the column of x that row 0 contracts with
-    h_ref, x_ref = (a.ravel() for a in _stacked(real, times[:1], f, None, u[:1, :1]))
-    w_los, w_nlos = _weights(real)
-    vlink = _vlink(real, f)
-    out = {"prod": np.empty(u.shape, dtype=complex), "pow": np.empty(u.shape),
-           "ana": np.empty(u.shape, dtype=complex), "ana0": np.empty(u.shape)}
-    for b in _tap_blocks(real, times, f, *_sweep_pairs(real, args["sweep"])):
-        x0, xt = w_los * u[b.pairs, b.steps].T, w_nlos * b.g    # (T_b, P_b) and (T_b, K)
-        h, ana, ana0 = _pair_sums(np.stack([b.g * vlink[b.ray], x_ref[1 + b.ray] * np.conj(xt),
-                                            xt.real ** 2 + xt.imag ** 2]), b.pair, x0.shape[1])
-        h = x0 + w_nlos * h
-        for key, value in (("prod", h_ref * np.conj(h)), ("pow", np.abs(h) ** 2),
-                           ("ana", x_ref[0] * np.conj(x0) + ana),
-                           ("ana0", np.abs(x0) ** 2 + ana0.real)):
-            out[key][b.pairs, b.steps] = value.T
-    return out
+    real, u = reals[args["kind"]], args["los"]
+    nlos, cross, power = row_0_tap_sums(real, args["times"], args["f"], args["sweep"])
+    w_los, w_nlos = rician_weights(real.k_factor)
+    x0 = w_los * u.T
+    h = x0 + w_nlos * nlos
+    return {key: np.ascontiguousarray(value.T) for key, value in (
+        ("prod", h[:1, :1] * np.conj(h)), ("pow", np.abs(h) ** 2),
+        ("ana", w_los * u[0, 0] * np.conj(x0) + cross), ("ana0", np.abs(x0) ** 2 + power.real))}
 
 
 def _setup_cascade(cfg: ScenarioConfig, params: dict) -> dict:
@@ -245,8 +202,8 @@ def _setup_products(cfg: ScenarioConfig, params: dict) -> dict:
 def _cascade_transfers(reals: dict, args: dict) -> tuple[np.ndarray, np.ndarray]:
     """Transfer values (E, T) of BI to every IRS element and of IU from it."""
     times, f = args["times"], args["f"]
-    return (_stacked(reals["BI"], times, f, "rx", args["los_bi"])[0],
-            _stacked(reals["IU"], times, f, "tx", args["los_iu"])[0])
+    return (stacked_phasors(reals["BI"], times, f, "rx", args["los_bi"])[0],
+            stacked_phasors(reals["IU"], times, f, "tx", args["los_iu"])[0])
 
 
 def _trial_cascade(reals: dict, args: dict) -> dict:
@@ -258,8 +215,8 @@ def _trial_cascade(reals: dict, args: dict) -> dict:
     out = {}
     if args["analytical"]:
         times, f = args["times"], args["f"]
-        h_bi, x_bi = _stacked(reals["BI"], times, f, "rx", args["los_bi"])
-        h_iu, x_iu = _stacked(reals["IU"], times, f, "tx", args["los_iu"])
+        h_bi, x_bi = stacked_phasors(reals["BI"], times, f, "rx", args["los_bi"])
+        h_iu, x_iu = stacked_phasors(reals["IU"], times, f, "tx", args["los_iu"])
         out["ana_ccf_bi"], out["ana_gram_bi"] = _correlations(x_bi)
         out["ana_ccf_iu"], out["ana_gram_iu"] = _correlations(x_iu)
     else:
@@ -276,30 +233,24 @@ def _trial_products(reals: dict, args: dict) -> dict:
     return {"trial_prod": h[0] * np.conj(h), "trial_pow": np.abs(h) ** 2}
 
 
-def _pair_1_taps(real: ClusterRealization, t: float):
-    """(ray, delay, power) of the rays visible to element pair (1, 1) at time t, in ray order."""
-    b = next(_tap_blocks(real, np.array([t]), 0.0, *_sweep_pairs(real, None)))
-    return b.ray, b.d[0] / SPEED_OF_LIGHT + real.rays["tau_v"][b.ray], b.power[0]
-
-
-def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t: float):
+def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t):
     """Instantaneous per-ray Doppler of the cascaded link through element 1, Hz.
 
     nu = -(1/lambda) d/dt [d_B_BI + d_I_BI + d_I_IU + d_U_IU], so motion that
     shortens the total path gives a positive shift.  BS, IRS and USER element
     1 carry the link.  Rays of the two sub-channels are paired index-wise up
-    to the smaller visible count; returns (nu, power_weights).
+    to the smaller visible count; returns (nu, power_weights).  ``t`` is a
+    time or an array of times: nu and the weights have its shape followed by
+    the ray pairs, whose count does not depend on t (visibility does not).
+    Each sub-channel's taps come from one tap-kernel call over all the times.
     """
-    (ray_bi, _, p_bi), (ray_iu, _, p_iu) = (_pair_1_taps(real, t) for real in (bi, iu))
+    (ray_bi, _, p_bi, rate_bi), (ray_iu, _, p_iu, rate_iu) = (
+        element_1_taps(real, t) for real in (bi, iu))
     m = min(ray_bi.size, ray_iu.size)
-    if m == 0:
-        return np.zeros(0), np.zeros(0)
-    rate = (ray_path_rates(bi, 1, 1, t)[ray_bi[:m]]
-            + ray_path_rates(iu, 1, 1, t)[ray_iu[:m]])
-    nu = -rate / bi.wavelength
-    weights = p_bi[:m] * p_iu[:m]
-    weights = weights / weights.sum()
-    return nu, weights
+    nu = -(rate_bi[:, :m] + rate_iu[:, :m]) / bi.wavelength
+    weights = p_bi[:, :m] * p_iu[:, :m]
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    return nu.reshape(np.shape(t) + (m,)), weights.reshape(np.shape(t) + (m,))
 
 
 def _weighted_spread(weights: np.ndarray, x: np.ndarray) -> float:
@@ -320,14 +271,10 @@ def local_doppler_spread(nu: np.ndarray, weights: np.ndarray | None = None) -> f
 
 
 def _trial_doppler(reals: dict, args: dict) -> dict:
-    spread = np.zeros(len(args["times"]))
-    valid = np.zeros(len(args["times"]))
-    for i, s in enumerate(args["times"]):
-        nu, weights = doppler_frequency(reals["BI"], reals["IU"], s)
-        if nu.size:  # trials whose visible ray set is empty carry no spread
-            spread[i] = local_doppler_spread(nu, weights)
-            valid[i] = 1.0
-    return {"spread": spread, "valid": valid}
+    nu, weights = doppler_frequency(reals["BI"], reals["IU"], args["times"])
+    # a trial without a visible ray pair has none at any time, and carries no spread
+    spread = [local_doppler_spread(*row) if nu.shape[1] else 0.0 for row in zip(nu, weights)]
+    return {"spread": np.array(spread), "valid": np.full(nu.shape[0], float(nu.shape[1] > 0))}
 
 
 def rms_delay_spread(delays, powers) -> float:
@@ -342,7 +289,7 @@ def rms_delay_spread(delays, powers) -> float:
 
 
 def _trial_ds(reals: dict, args: dict) -> dict:
-    _, delays, powers = _pair_1_taps(reals["BI"], args["t"])
+    _, (delays,), (powers,), _ = element_1_taps(reals["BI"], args["t"])
     keep = powers > 0
     if not keep.any():   # no visible ray, or no cluster at all: skip the trial
         return {"trial_ds": np.array([np.nan])}
@@ -583,9 +530,9 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     The ``ccf`` section of the config names the sub-channel, the swept axis,
     t and dt.  The grid is each element's distance |l_e - l_1| from element 1.
     Raises MemoryError before any trial when the predicted peak exceeds the
-    available RAM.  Each trial process holds one block of the row-0 kernel:
-    its normalizer (8 bytes per pair, ray and time) and ``_TAP_BYTES`` per
-    visible tap and time, at lambda_B / lambda_D clusters' rays per pair; and
+    available RAM.  Each trial process holds one block of the row-0 kernel
+    (``smallscale.tap_block_bytes``), at lambda_B / lambda_D clusters' rays
+    per pair; and
     a chunk's realizations, ``_RAY_BYTES`` per ray of the expected ray count
     of the sub-channel's chain (:func:`~irs_gbsm.clusters.expected_cluster_count`);
     and the interpreter itself, ``_PROCESS_BYTES``, which is also all that
@@ -600,8 +547,7 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     rays = expected_cluster_count(evolved, cfg.clusters) * cfg.clusters.rays_per_cluster
     taps = cfg.clusters.mean_count * cfg.clusters.rays_per_cluster   # visible at each pair
     e, n_t = swept.num_elements, params["times"].size
-    pairs, steps = _block_steps(rays, n_t)   # a block of the row-0 kernel
-    per_process = (min(pairs, e) * steps * (8 * rays + _TAP_BYTES * taps)
+    per_process = (tap_block_bytes(rays, taps, e, n_t)
                    + _RAY_BYTES * rays * min(_CHUNK, cfg.trials) + _PROCESS_BYTES)
     _check_memory(
         int(per_process), _PROCESS_BYTES, cfg.trials, threads,
@@ -632,7 +578,8 @@ def doppler_spread_series(cfg: ScenarioConfig, threads: int = 1
 
     Returns (times, spread, counts): counts[i] is the number of trials with
     a visible ray pair at times[i], the trials that spread[i] averages (0
-    where none has, and the spread is 0).
+    where none has, and the spread is 0).  The count is the same at every
+    time: the rays visible to element pair (1, 1) do not depend on t.
     """
     d = cfg.doppler
     times = np.linspace(d["start_s"], d["stop_s"], d["num"])

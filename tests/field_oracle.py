@@ -6,7 +6,8 @@ zero phasor.  The sums over rays follow the kernel's definitions, so the
 results are comparable bit for bit: a power normalizer sums each (element,
 time) over the full, zero-padded ray axis (one pair's sum is pairwise over
 all its rays), and a transfer value adds the rays one by one in ray order.  The CIR export
-has its own per-tap oracle in ``cir_oracle.py``.
+has its own per-tap oracle in ``cir_oracle.py``.  ``ray_path_rates`` is the
+oracle of the path rates of ``smallscale.element_1_taps``.
 """
 
 import numpy as np
@@ -132,3 +133,19 @@ def reference_ray_field(real, times, f=0.0, tx_element=1, rx_element=1, sweep=No
     transfer = (np.sqrt(k / (k + 1.0)) * u
                 + np.sqrt(1.0 / (k + 1.0)) * _in_ray_order(g * vlink[:, None, None]))
     return {"g": g, "u": u, "powers": powers, "transfer": transfer, "visible": visible}
+
+
+def ray_path_rates(real, tx_element: int, rx_element: int, t: float) -> np.ndarray:
+    """Analytic d/dt of every ray's path length at time t, m/s, shape (n_rays,).
+
+    d|a - v t|/dt = -v . (a - v t)/|a - v t| per side, visible or not, the
+    dot product by ``np.einsum`` and the norm by ``np.linalg.norm``.
+    """
+    rays = real.rays
+    out = np.zeros(real.num_rays)
+    for side, layout, element in (("tx", real.tx_layout, tx_element),
+                                  ("rx", real.rx_layout, rx_element)):
+        v = rays[f"v_rel_{side}"]
+        diff = rays[f"d0_{side}"] - element_offset(layout, element) - v * t
+        out -= np.einsum("ij,ij->i", v, diff) / np.linalg.norm(diff, axis=-1)
+    return out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import irs_gbsm
-from irs_gbsm import cli, stats
+from irs_gbsm import cli, smallscale, stats
 from irs_gbsm.cli import main
 from irs_gbsm.clusters import realize_subchannel
 from irs_gbsm.config import parse_config
@@ -18,6 +18,8 @@ from irs_gbsm.output import file_sha256
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.smallscale import cir_row_count, subchannel_taps
 from tests.cir_oracle import weighted_taps
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL = {
     "seed": 77,
@@ -312,6 +314,34 @@ class TestDeterminism:
         assert run("link-budget", config_path, out) == 0
         echoed = parse_config(manifest(out)["config"])
         assert echoed == parse_config(SMALL)
+
+
+class TestBlockBound:
+    """The tap kernel's block bound is a memory knob: no output depends on it.
+
+    At a bound of 1 every element pair and every time is a block of its own;
+    at 50 a block holds a few times of one pair.
+    """
+
+    @pytest.mark.parametrize("sub, base, over", [
+        ("acf", "acf_quantized_4x4", {}),
+        ("ccf", "acf_quantized_4x4", {"ccf": {"subchannel": "BI", "axis": "rx"}}),
+        ("ccf", "acf_62ghz", {}),
+        ("simulate", "acf_quantized_4x4", {}),
+        ("doppler", "doppler_sweep", {}),
+        ("ds-cdf", "ds_cdf_sweep", {}),
+    ], ids=["acf", "ccf_swept", "ccf_one_element", "simulate", "doppler", "ds_cdf"])
+    def test_manifests_equal_at_every_bound(self, sub, base, over, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {**json.loads((CONFIGS / f"{base}.json").read_text()), **over, "trials": 16}))
+        manifests = []
+        for bound in (smallscale._BLOCK_FLOATS, 1, 50):
+            monkeypatch.setattr(smallscale, "_BLOCK_FLOATS", bound)
+            assert run(sub, path, tmp_path / str(bound)) == 0
+            manifests.append(manifest(tmp_path / str(bound)))
+        assert manifests[1] == manifests[0]
+        assert manifests[2] == manifests[0]
 
 
 class TestErrors:

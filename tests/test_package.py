@@ -187,6 +187,53 @@ def test_detects_a_dense_visibility_reader():
     assert dense_visibility_readers(module) == ["reader", "Realization", "line 11"]
 
 
+def private_imports(source: str, package: str = "irs_gbsm") -> list[str]:
+    """Single-underscore names a module imports from another module of the package.
+
+    Covers ``from .m import _x`` and ``from irs_gbsm.m import _x``, and an
+    attribute ``m._x`` read from a package module the source imports; dunders
+    such as ``__version__`` are public.
+    """
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def ours(node):
+        return node.level > 0 or (node.module or "").split(".")[0] == package
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and ours(node):
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(f"line {node.lineno}: {alias.name}")
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.split(".")[0] == package)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found, key=lambda line: (int(line.split()[1][:-1]), line))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_a_private_name_of_another(module):
+    assert private_imports((SRC / module).read_text()) == []
+
+
+def test_detects_a_private_import():
+    module = ("from . import __version__, stats\n"
+              "from .smallscale import _tap_blocks, los_phasor\n"
+              "from irs_gbsm.clusters import _draw\n"
+              "from numpy import _NoValue\n"
+              "import irs_gbsm.output as out\n"
+              "def f(real):\n    return stats._trial_sub(real), out._ROW_BLOCK, stats.run\n")
+    assert private_imports(module) == ["line 2: _tap_blocks", "line 3: _draw",
+                                       "line 7: out._ROW_BLOCK", "line 7: stats._trial_sub"]
+
+
 def load_tool(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -223,3 +270,16 @@ def test_output_comparison_reports_identity_and_the_largest_difference(tmp_path,
     out = capsys.readouterr().out
     assert "run/same.csv: row counts differ: 1 and 2" in out
     assert "run/extra.csv: missing in the first directory" in out
+
+
+def test_paired_timer_alternates_and_summarizes(capsys):
+    tool = load_tool("paired_times")
+    assert tool.main(["--pairs", "2", str(ROOT), str(ROOT), "--", "-c", "pass"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 1", "pair 2"]
+    assert lines[2].split()[:2] == ["side", "wall_s"]
+    assert [line.split()[0] for line in lines[3:5]] == ["base", "change"]
+    assert lines[5].startswith("change won: wall_s ") and lines[5].endswith("/2")
+    failing = ["-c", "raise SystemExit(3)"]
+    assert tool.main(["--pairs", "2", str(ROOT), str(ROOT), "--", *failing]) == 1
+    assert "exited with 3" in capsys.readouterr().err

@@ -13,8 +13,14 @@ from irs_gbsm.clusters import (
 )
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
-from irs_gbsm.smallscale import _block_steps, los_phasor
-from irs_gbsm import stats
+from irs_gbsm.smallscale import (
+    _block_steps,
+    element_1_taps,
+    los_phasor,
+    stacked_phasors,
+    tap_block_bytes,
+)
+from irs_gbsm import smallscale, stats
 from tests.cir_oracle import los_distance
 from tests.conftest import bootstrap_mean_abs, generate_cluster_pairs, make_config
 from tests.field_oracle import reference_ray_field, reference_single_pair
@@ -200,7 +206,8 @@ class TestCorrelationTensors:
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
-        h, x = stats._stacked(real, lags, 0.0, "rx", los_phasor(real, lags, real.fc_hz, 0.0, "rx"))
+        u = los_phasor(real, lags, real.fc_hz, 0.0, "rx")
+        h, x = stacked_phasors(real, lags, 0.0, "rx", u)
         ana, gram = stats._correlations(x)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, "rx")
         assert ana.shape == gram.shape == (h.shape[0], h.shape[0], lags.size)
@@ -233,7 +240,8 @@ class TestCorrelationTensors:
     def test_sim_tensors_are_outer_products(self):
         cfg, real = self._realization(3)
         lags = cfg.lag_grid()
-        h = stats._stacked(real, lags, 0.0, "rx", los_phasor(real, lags, real.fc_hz, 0.0, "rx"))[0]
+        u = los_phasor(real, lags, real.fc_hz, 0.0, "rx")
+        h = stacked_phasors(real, lags, 0.0, "rx", u)[0]
         ccf, gram = stats._correlations(h[None])
         np.testing.assert_allclose(ccf, h[:, 0][:, None, None] * np.conj(h)[None],
                                    rtol=1e-12)
@@ -315,8 +323,8 @@ class TestChunkedEnsemble:
             np.testing.assert_array_equal(u_iu, _los_oracle(iu, times, f, 1, 1, "tx"))
             # the cascade products with the run's phasor equal the per-trial form
             out = stats._trial_products({"BI": bi, "IU": iu}, products)
-            h_part = np.sum(stats._stacked(bi, times, f, "rx", u_bi)[0]
-                            * stats._stacked(iu, times, f, "tx", u_iu)[0] * np.exp(-1j * theta),
+            h_part = np.sum(stacked_phasors(bi, times, f, "rx", u_bi)[0]
+                            * stacked_phasors(iu, times, f, "tx", u_iu)[0] * np.exp(-1j * theta),
                             axis=0)
             np.testing.assert_array_equal(out["trial_prod"], h_part[0] * np.conj(h_part))
             np.testing.assert_array_equal(out["trial_pow"], np.abs(h_part) ** 2)
@@ -411,17 +419,18 @@ class TestCcfSpatial:
         assert peak < pair_tensor / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_field_prediction_fails_before_any_trial(self, monkeypatch):
-        # per trial process: a block of the row-0 kernel (its normalizer, 8
-        # bytes per pair, ray and time, and _TAP_BYTES per visible tap and
-        # time), the chunk's realizations (_RAY_BYTES per ray) and the process
+        # per trial process: a block of the row-0 kernel (tap_block_bytes),
+        # the chunk's realizations (_RAY_BYTES per ray) and the process
         cfg = make_config(irs={"m_x": 16, "m_y": 16}, clusters={"birth_rate": 80.0},
                           ccf={"subchannel": "BI", "axis": "rx"}, trials=512)
         rays = expected_cluster_count(cfg.irs.layout(), cfg.clusters) * 10
         taps = 80.0 / 4.0 * 10
         pairs, steps = _block_steps(rays, 2)
         assert steps == 2
-        per = int(min(pairs, 256) * 2 * (8 * rays + stats._TAP_BYTES * taps)
-                  + stats._RAY_BYTES * rays * 16)
+        block = tap_block_bytes(rays, taps, 256, 2)
+        # the normalizer's 8 bytes per pair, ray and time and _TAP_BYTES per tap and time
+        assert block == min(pairs, 256) * 2 * (8 * rays + smallscale._TAP_BYTES * taps)
+        per = int(block + stats._RAY_BYTES * rays * 16)
         one, two = per + stats._PROCESS_BYTES, 2 * (per + stats._PROCESS_BYTES)
         two += stats._PROCESS_BYTES   # the pool's parent
 
@@ -530,18 +539,17 @@ class TestDoppler:
         v = 7.0
         real = toy_realization(scatter_a=[100.0, 0, 0], scatter_z=[100.0, 0, 0],
                                rx_ref=[300.0, 0, 0], v_tx=[v, 0.0, 0.0])
-        from irs_gbsm.smallscale import ray_path_rates
-        rate = ray_path_rates(real, 1, 1, 0.0)[0]
+        rate = element_1_taps(real, 0.0)[3][0, 0]
         nu = -rate / real.wavelength
         assert nu == pytest.approx(v / real.wavelength, rel=1e-9)
 
     def test_matches_finite_difference(self, small_cfg):
         bi = realize_subchannel(small_cfg, "BI", rng_stream(2, "t", "BI"))
         t, h = 1.3, 1e-4
-        from irs_gbsm.smallscale import ray_path_rates
-        rate = ray_path_rates(bi, 1, 1, t)
-        d = reference_single_pair(bi, [t + h, t - h])["d"]
-        assert np.allclose(rate, (d[:, 0] - d[:, 1]) / (2 * h), rtol=1e-6)
+        ray, _, _, rate = element_1_taps(bi, t)
+        d = reference_single_pair(bi, [t + h, t - h])["d"][ray]
+        assert ray.size
+        assert np.allclose(rate[0], (d[:, 0] - d[:, 1]) / (2 * h), rtol=1e-6)
 
     def test_single_ray_spread_zero(self):
         assert stats.local_doppler_spread(np.array([123.4])) == 0.0
@@ -580,6 +588,8 @@ class TestDoppler:
                     sums[i] += stats.local_doppler_spread(nu, w)
                     want[i] += 1
         assert counts.tolist() == want.tolist()
+        # pair (1, 1)'s visible rays do not depend on t, so neither does the count
+        assert counts.tolist() == [counts[0]] * counts.size
         assert 0 < want.min() and want.max() <= cfg.trials
         np.testing.assert_allclose(spread, sums / want, rtol=1e-12)
 
@@ -589,6 +599,25 @@ class TestDoppler:
         _, spread, counts = stats.doppler_spread_series(cfg)
         assert counts.tolist() == [0] * counts.size
         assert spread.tolist() == [0.0] * spread.size
+
+
+def test_doppler_and_row_0_trials_make_one_kernel_call_per_subchannel(monkeypatch):
+    cfg = make_config(irs={"m_x": 3, "m_y": 3})
+    bi, iu = (realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", 0, kind))
+              for kind in ("BI", "IU"))
+    calls, kernel = [], smallscale._tap_blocks
+
+    def counted(real, *args):
+        calls.append(real.subchannel)
+        return kernel(real, *args)
+
+    monkeypatch.setattr(smallscale, "_tap_blocks", counted)
+    stats._trial_doppler({"BI": bi, "IU": iu}, {"times": np.linspace(0.0, 2.0, 11)})
+    assert sorted(calls) == ["BI", "IU"]
+    calls.clear()
+    args = stats._setup_sub(cfg, {"times": np.array([0.0, 0.3]), "kind": "BI", "sweep": "rx"})
+    stats._trial_sub({"BI": bi}, args)
+    assert calls == ["BI"]
 
 
 class TestEstimatorConsistency:
