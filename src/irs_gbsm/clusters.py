@@ -95,15 +95,6 @@ class ClusterSet:
     vel_a: np.ndarray             # (C, 3) m/s, zero vertical component
     vel_z: np.ndarray             # (C, 3)
 
-    @classmethod
-    def empty(cls, rays_per_cluster: int, sigma) -> ClusterSet:
-        """A set with no clusters (every array has a zero-length cluster axis)."""
-        none3 = np.zeros((0, 3))
-        rays3 = np.zeros((0, rays_per_cluster, 3))
-        return cls(center_a=none3, center_z=none3, angles_a=none3, angles_z=none3,
-                   sigma=tuple(sigma), scatter_a=rays3, scatter_z=rays3,
-                   virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3)
-
     def __len__(self) -> int:
         return self.virtual_delay.size
 

@@ -29,10 +29,18 @@ written CSV bytes move with it.
 One tap kernel, :func:`_tap_blocks`, serves every statistic and
 ``simulate``.  It takes a realization, element pairs as two index arrays and
 times.  It reads each pair's visible rays from the sparse visibility entries
-(``VisibilityTensor.flat``), once per block of pairs since visibility does
-not depend on t, and yields the taps' path lengths, normalized powers and
-phasors over the block's times at once.  A block's pairs x rays x times stay
-within ``_BLOCK_FLOATS``, so its memory does not grow with the array.
+(``VisibilityTensor.flat``), once for all pairs since visibility does not
+depend on t, and yields the taps' path lengths, normalized powers and
+phasors over a block's times at once.  A block's pairs x widest pair's taps
+x times stay within ``_BLOCK_FLOATS``, so its memory does not grow with the
+array, and the cost and memory of a pass are O(visible taps x T), whatever
+the realization's ray count.
+
+Every per-pair sum here has one definition, :func:`_pair_sums`: the pair's
+visible taps added in ray order, from zero.  The power normalizer, h's NLoS
+sum and the row-0 correlation sums all use it, so a pair's sum rounds the
+same in every block shape, and equals a sum over all rays with the invisible
+ones as zeros.
 
 This module owns the taps, their :class:`TapBlock` format and the blocking
 policy: no other module reads a block.  The bound is a memory knob and never
@@ -63,12 +71,12 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 
 TWO_PI = 2.0 * np.pi
 
-# cap on pairs x rays x times of a _tap_blocks block, the float64 count of its
-# zero-padded normalizer.  On the 128 x 128 config's BI clusters one subchannel_taps
-# pass at one time took 16.1 s at 0.5M, 8.2 s at 2M and 7.2 s at 4M (its columns,
-# about 420 MB, set the peak at each); at 2M a 32 x 32 surface peaks under 100 MB
-# (tracemalloc) with its columns
-_BLOCK_FLOATS = 2_000_000
+# cap on pairs x width x times of a _tap_blocks block, width the widest pair's
+# visible taps.  On the 128 x 128 config's BI clusters one subchannel_taps pass at
+# one time took 1.6-2.1 s at every bound from 60k to 2M (two sweeps), while its
+# tracemalloc peak grew: 431 MB at 60k, 439 at 125k, 454 at 250k, 482 at 500k,
+# 538 at 1M and 646 at 2M (its columns, about 420 MB, set most of it)
+_BLOCK_FLOATS = 125_000
 # bytes per visible tap and time of a row_0_tap_sums block that its arrays hold
 # at once: d, P and g of the taps, the three stacked products summed per pair
 # and their index (about ten complex arrays)
@@ -155,26 +163,32 @@ def _tap_norms(d0, v_rel, offsets, elements, pair, ray, times) -> np.ndarray:
     return _norms(d0 - offsets[elements, None], v_rel, times[:, None, None])[:, pair, ray]
 
 
-def _block_steps(n_rays: float, n_times: int) -> tuple[int, int]:
-    """Pairs and times of a :func:`_tap_blocks` block: pairs x rays x times <= _BLOCK_FLOATS.
+def _block_steps(width: float, n_times: int) -> tuple[int, int]:
+    """Pairs and times of a :func:`_tap_blocks` block: pairs x width x times <= _BLOCK_FLOATS.
 
-    All times go in one block unless a single pair's rays over them exceed the
-    bound; ``n_rays`` may be an expected (float) count.
+    ``width`` is the widest pair's visible taps, or an expected (float)
+    count.  All times go in one block unless a single pair's taps over them
+    exceed the bound.
     """
-    t_step = max(1, min(n_times, int(_BLOCK_FLOATS // max(1, n_rays))))
-    return max(1, int(_BLOCK_FLOATS // (max(1, n_rays) * t_step))), t_step
+    t_step = max(1, min(n_times, int(_BLOCK_FLOATS // max(1, width))))
+    return max(1, int(_BLOCK_FLOATS // (max(1, width) * t_step))), t_step
 
 
-def _normalized(w: np.ndarray, pair: np.ndarray, ray: np.ndarray, n_pairs: int,
-                n_rays: int) -> np.ndarray:
+def _normalized(w: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
     """Tap weights w (T, K) divided by their pair's sum at each time; 0 where it is 0.
 
-    Each sum runs pairwise over the full ray axis, zero-padded where a ray is
-    not visible, so it rounds as a sum over all the pair's rays does.
+    The sum is :func:`_pair_sums`'s: the pair's taps added in ray order from
+    zero, so it costs O(taps), whatever the realization's ray count.  Where
+    every pair holds the same taps (every element sees every cluster), the
+    block is (T, pairs, width) and ``np.add.accumulate`` along its tap axis
+    adds them in the same order, one after another, in about half the time;
+    the weights are never negative, so starting from the first tap, not from
+    +0, gives the same bits.
     """
-    full = np.zeros((w.shape[0], n_pairs, n_rays))
-    full[:, pair, ray] = w
-    total = full.sum(axis=-1)[:, pair]
+    width = pair.size // n_pairs
+    grid = pair.size and np.array_equal(pair, np.repeat(np.arange(n_pairs), width))
+    total = (np.add.accumulate(w.reshape(-1, n_pairs, width), axis=-1)[..., -1] if grid
+             else _pair_sums(w, pair, n_pairs))[:, pair]
     return np.divide(w, total, out=np.zeros(w.shape), where=total > 0)
 
 
@@ -202,30 +216,30 @@ def _tap_blocks(real: ClusterRealization, times: np.ndarray, f: float,
     """The taps of the element pairs (tx[p], rx[p]), one :class:`TapBlock` per block.
 
     ``tx`` and ``rx`` are 0-based element indices, one per pair.  Blocks of
-    pairs and times keep pairs x rays x times within ``_BLOCK_FLOATS`` and
-    run pair-major.
-    Visibility does not depend on t, so the taps are found once per block of
-    pairs.
+    pairs and times keep pairs x widest pair's taps x times within
+    ``_BLOCK_FLOATS`` and run pair-major.  Visibility does not depend on t,
+    so every pair's visible entries are looked up once, and each block's
+    taps are formed once for all its times.
     """
     rays, n_rays = real.rays, real.num_rays
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
-    # a pair's visible clusters are the entries [e n, (e + 1) n) of the sorted
-    # flat visibility, e its evolved-side element; cluster c's rays are
-    # c m ... c m + m - 1
+    # a pair's visible clusters are the entries [lo, hi) = [e n, (e + 1) n) of
+    # the sorted flat visibility, e its evolved-side element; cluster c's rays
+    # are c m ... c m + m - 1
     n, flat = real.visibility.n_clusters, real.visibility.flat
-    evolved = tx if real.evolved_side == "tx" else rx
     m = _rays_per_cluster(real)
-    p_step, t_step = _block_steps(n_rays, times.size)
+    evolved = tx if real.evolved_side == "tx" else rx
+    lo, hi = np.searchsorted(flat, [evolved * n, (evolved + 1) * n])
+    p_step, t_step = _block_steps(int((hi - lo).max(initial=0)) * m, times.size)
     for p0 in range(0, tx.size, p_step):
         pairs = slice(p0, p0 + p_step)
         b_tx, b_rx = tx[pairs], rx[pairs]
         if flat.size == real.visibility.shape[0] * real.visibility.shape[1] * n:
             # every element sees every cluster: the taps are the (pair, ray)
-            # grid, without the lookup (about 6 % of an acf-element trial)
+            # grid, formed without the ranges
             pair, ray = np.divmod(np.arange(b_tx.size * n_rays), n_rays)
         else:
-            lo, hi = np.searchsorted(flat, [evolved[pairs] * n, (evolved[pairs] + 1) * n])
-            entry, entry_pair = _ranges(lo, hi - lo)
+            entry, entry_pair = _ranges(lo[pairs], (hi - lo)[pairs])
             ray = ((flat[entry] % n)[:, None] * m + np.arange(m)).ravel()
             pair = np.repeat(entry_pair, m)
         for t0 in range(0, times.size, t_step):
@@ -237,7 +251,7 @@ def _tap_blocks(real: ClusterRealization, times: np.ndarray, f: float,
                               pair, ray, t))
             power = _normalized(
                 np.exp(-(d / SPEED_OF_LIGHT + rays["tau_v"][ray]) / real.gamma_ds),
-                pair, ray, b_tx.size, n_rays)
+                pair, b_tx.size)
             g = np.exp(1j * kappa * d)
             g *= np.sqrt(power)
             yield TapBlock(pairs, steps, pair, ray, d, power, g)
@@ -350,17 +364,16 @@ def element_1_taps(real: ClusterRealization, times):
             np.concatenate([b.power for b in blocks]), rate)
 
 
-def tap_block_bytes(n_rays: float, n_taps: float, n_pairs: int, n_times: int) -> float:
+def tap_block_bytes(n_taps: float, n_pairs: int, n_times: int) -> float:
     """Bytes a :func:`row_0_tap_sums` block holds, for ``n_pairs`` pairs over ``n_times`` times.
 
-    A block spans the pairs and times of :func:`_block_steps`, at most
-    ``n_pairs``: 8 bytes per pair, ray and time for the zero-padded
-    normalizer and ``_TAP_BYTES`` per visible tap and time, at ``n_rays``
-    rays and ``n_taps`` visible taps per pair (either may be an expected,
-    float count).
+    A block spans the pairs and times of :func:`_block_steps` at ``n_taps``
+    visible taps per pair (an expected, float count may be given), at most
+    ``n_pairs``, and holds ``_TAP_BYTES`` per tap and time: at most
+    ``_BLOCK_FLOATS`` x ``_TAP_BYTES``.
     """
-    pairs, steps = _block_steps(n_rays, n_times)
-    return min(pairs, n_pairs) * steps * (8 * n_rays + _TAP_BYTES * n_taps)
+    pairs, steps = _block_steps(n_taps, n_times)
+    return min(pairs, n_pairs) * steps * _TAP_BYTES * n_taps
 
 
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",

@@ -122,10 +122,6 @@ class CorrelationCurve:
     trials: int | None = None
     label: str = ""
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CCF and equal-time tensors of stacked phasors x[n, r, t].
@@ -532,11 +528,10 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     Raises MemoryError before any trial when the predicted peak exceeds the
     available RAM.  Each trial process holds one block of the row-0 kernel
     (``smallscale.tap_block_bytes``), at lambda_B / lambda_D clusters' rays
-    per pair; and
-    a chunk's realizations, ``_RAY_BYTES`` per ray of the expected ray count
-    of the sub-channel's chain (:func:`~irs_gbsm.clusters.expected_cluster_count`);
-    and the interpreter itself, ``_PROCESS_BYTES``, which is also all that
-    a pool's parent holds.
+    visible to each pair; a chunk's realizations, ``_RAY_BYTES`` per ray of
+    the expected ray count of the sub-channel's chain
+    (:func:`~irs_gbsm.clusters.expected_cluster_count`); and the interpreter
+    itself, ``_PROCESS_BYTES``, which is also all that a pool's parent holds.
     """
     c = cfg.ccf
     subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
@@ -547,7 +542,7 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     rays = expected_cluster_count(evolved, cfg.clusters) * cfg.clusters.rays_per_cluster
     taps = cfg.clusters.mean_count * cfg.clusters.rays_per_cluster   # visible at each pair
     e, n_t = swept.num_elements, params["times"].size
-    per_process = (tap_block_bytes(rays, taps, e, n_t)
+    per_process = (tap_block_bytes(taps, e, n_t)
                    + _RAY_BYTES * rays * min(_CHUNK, cfg.trials) + _PROCESS_BYTES)
     _check_memory(
         int(per_process), _PROCESS_BYTES, cfg.trials, threads,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irs_gbsm.clusters import _build, _draw
+from irs_gbsm.clusters import ClusterSet, _build, _draw
 from irs_gbsm.config import parse_config
 from irs_gbsm.stats import _normalize
 
@@ -42,6 +42,15 @@ def generate_cluster_pairs(params, tx_ref, rx_ref, rng, count=None):
         count = int(rng.poisson(params.mean_count))
     refs = np.array([tx_ref, rx_ref], dtype=float)
     return _build(params, refs, np.zeros((2, 3)), [_draw(params, rng, count)])[0][0]
+
+
+def empty_cluster_set(rays_per_cluster: int, sigma) -> ClusterSet:
+    """A set with no clusters (every array has a zero-length cluster axis)."""
+    none3 = np.zeros((0, 3))
+    rays3 = np.zeros((0, rays_per_cluster, 3))
+    return ClusterSet(center_a=none3, center_z=none3, angles_a=none3, angles_z=none3,
+                      sigma=tuple(sigma), scatter_a=rays3, scatter_z=rays3,
+                      virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3)
 
 
 def bootstrap_mean_abs(trial_prod, trial_pow, rng, n_boot=400):

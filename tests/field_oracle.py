@@ -3,11 +3,12 @@
 Path lengths come from ``np.linalg.norm`` of the broadcast differences, over
 every ray and element, visible or not; invisible rays get zero power and a
 zero phasor.  The sums over rays follow the kernel's definitions, so the
-results are comparable bit for bit: a power normalizer sums each (element,
-time) over the full, zero-padded ray axis (one pair's sum is pairwise over
-all its rays), and a transfer value adds the rays one by one in ray order.  The CIR export
-has its own per-tap oracle in ``cir_oracle.py``.  ``ray_path_rates`` is the
-oracle of the path rates of ``smallscale.element_1_taps``.
+results are comparable bit for bit: a power normalizer and a transfer value
+both add the rays one by one in ray order, from zero.  An invisible ray adds
+an exact zero, so each (element, time) sum is that of its visible rays
+alone.  The CIR export has its own per-tap oracle in ``cir_oracle.py``.
+``ray_path_rates`` is the oracle of the path rates of
+``smallscale.element_1_taps``.
 """
 
 import numpy as np
@@ -21,18 +22,18 @@ def visible_rays(real, tx_element: int, rx_element: int) -> np.ndarray:
     return real.visibility.matrix[element - 1, real.rays["cluster_ids"]]
 
 
-def _normalized(w):
-    """w over (rays, ...) divided by its sum over each column's full ray axis."""
-    total = np.ascontiguousarray(np.moveaxis(w, 0, -1)).sum(axis=-1)
-    return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-
-
 def _in_ray_order(terms):
     """Sum over the leading (ray) axis, one ray after another from zero."""
     total = np.zeros(terms.shape[1:], dtype=terms.dtype)
     for term in terms:
         total = total + term
     return total
+
+
+def _normalized(w):
+    """w over (rays, ...), 0 where a ray is not visible, over each column's ray-order sum."""
+    total = _in_ray_order(w)
+    return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
 
 
 def reference_single_pair(real, times, f=0.0, tx_element=1, rx_element=1):

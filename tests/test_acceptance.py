@@ -144,8 +144,8 @@ def monotonic_probes():
 # criteria
 
 def test_criterion_01_sim_analytical_agreement(baseline):
-    sim = baseline["t0"]["sim"].magnitude
-    ana = baseline["t0"]["analytical"].magnitude
+    sim = np.abs(baseline["t0"]["sim"].values)
+    ana = np.abs(baseline["t0"]["analytical"].values)
     gap = float(np.max(np.abs(sim - ana)))
     seconds = baseline["t0_seconds"]
     report(1, gap <= 0.05 and seconds <= 60.0,
@@ -154,8 +154,8 @@ def test_criterion_01_sim_analytical_agreement(baseline):
 
 
 def test_criterion_02_time_non_stationarity(baseline):
-    m0 = baseline["t0"]["sim"].magnitude[1:]   # dt in (0, 0.1]
-    m2 = baseline["t2"]["sim"].magnitude[1:]
+    m0 = np.abs(baseline["t0"]["sim"].values)[1:]   # dt in (0, 0.1]
+    m2 = np.abs(baseline["t2"]["sim"].values)[1:]
     diff = float(np.max(np.abs(m0 - m2)))
     report(2, diff > 0.02, f"Linf(|ACF(t=0)|-|ACF(t=2)|)={diff:.4f} (>0.02)")
 
@@ -176,16 +176,16 @@ def test_criterion_03_zero_lag_normalization(baseline, quant, ccf):
 
 
 def test_criterion_04_single_element_quantization_invariance(baseline):
-    gap = max(float(np.max(np.abs(baseline[anchor][kind].magnitude
-                                  - baseline["2bit"][anchor][kind].magnitude)))
+    gap = max(float(np.max(np.abs(np.abs(baseline[anchor][kind].values)
+                                  - np.abs(baseline["2bit"][anchor][kind].values))))
               for anchor in ("t0", "t2") for kind in ("sim", "analytical"))
     report(4, gap <= 1e-12,
            f"continuous vs 2-bit |ACF| gap={gap:.2e} (<=1e-12) at M_xy=1")
 
 
 def test_criterion_05_multi_element_quantization_effect(quant):
-    cont = quant["curves"]["continuous"]["sim"].magnitude
-    disc = quant["curves"]["2bit"]["sim"].magnitude
+    cont = np.abs(quant["curves"]["continuous"]["sim"].values)
+    disc = np.abs(quant["curves"]["2bit"]["sim"].values)
     gap = float(np.max(np.abs(cont - disc)))
     report(5, gap > 0.005,
            f"4x4 IRS continuous vs 2-bit Linf={gap:.4f} (>0.005) at {TRIALS} trials")
@@ -196,8 +196,8 @@ def test_criterion_06_product_decomposition(baseline):
     for anchor in ("t0", "t2"):
         sub = baseline["sub"][anchor]
         for kind in ("sim", "analytical"):
-            lhs = baseline[anchor][kind].magnitude
-            rhs = sub["BI"][kind].magnitude * sub["IU"][kind].magnitude
+            lhs = np.abs(baseline[anchor][kind].values)
+            rhs = np.abs(sub["BI"][kind].values) * np.abs(sub["IU"][kind].values)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(6, worst <= 1e-12,
            f"|R_cascade| vs |R_BI||R_IU| worst gap={worst:.2e} (<=1e-12)")

@@ -179,24 +179,26 @@ class TestExportColumns:
     # export (simulate, cluster-evolve), the per-cluster realization (acf) and
     # the per-kernel side norms (ccf, doppler, ds-cdf, link-budget)
     PINNED = {
-        # the statistics sum their rays from the taps, each pair's power
-        # normalizer pairwise over the zero-padded ray axis; the values moved by
-        # at most 3.3e-16, and the dense field kernel wrote 12fefad2...a8e3983f
-        # and 323fc6f3...f5c07c6
+        # each pair's power normalizer adds its visible taps in ray order, which
+        # moved the values by at most 3.3e-16; the normalizer summed pairwise over
+        # the zero-padded ray axis wrote 065a933a...5d1d79dd and 073856fd...95f59f13,
+        # the dense field kernel 12fefad2...a8e3983f and 323fc6f3...f5c07c6
         "acf": {
             "acf_2bit_0s_62GHz.csv":
-                "065a933ae323048947da534cca592d833a8db6d00f3542045f2aa69e5d1d79dd",
+                "9d04ff71f62d8c774a8f2fb6e9cdb9afaf737c6ad7d26d0c902b59d5984dd458",
             "acf_continuous_0s_62GHz.csv":
-                "073856fd00fcce320c5dae5c1f545d67918f6dc5995cf97bbe816da795f59f13",
+                "b7394fdabb4705902a641a8ba12ccefaff5b915cf752d02f9c8e02bfd1156e2b",
         },
         # H is the tap sum of the CIR taps, which moved its entries by at most
-        # 2.8e-16 relative; one ray_field call per (time, tx) wrote e1c184f6...2928da52
+        # 2.8e-16 relative; one ray_field call per (time, tx) wrote e1c184f6...2928da52.
+        # The ray-order normalizer moved the BI and IU amplitudes by at most 2.8e-17
+        # (the zero-padded one wrote a52beee6...e520bf94 and 7d0702e8...220e5619)
         "simulate": {
             "channel_matrix.csv":
                 "2fc1fa82b80e61ab174457d90f9110fb7c778c9e423f4a20cbdcaa603da22324",
-            "cir_bi.csv": "a52beee6ae9c97efc6e2ddc233a1a3ff0e46fe3a79e877201eb4ad77e520bf94",
+            "cir_bi.csv": "294ab7747c81b6bc82d104f450252eded7963e58616ddfb05bfeb31174b09989",
             "cir_bu.csv": "f01ac555f998cc588b90526662d070069885b5217fae740b58f6d2dab7f65ff2",
-            "cir_iu.csv": "7d0702e8ee866a00bb0232b22126b80ead5a3ba21e99d67b2182d70a220e5619",
+            "cir_iu.csv": "c58c1d01be65e9595f3ecb9733d32c79f55d6255f2ce334769501ef21f6d7c2c",
             "phase_plan.csv":
                 "f3671441c251587a346be2ab4f0fba6bccdc734e4458d44c8053d864979777a8",
         },
@@ -206,20 +208,25 @@ class TestExportColumns:
         },
         # the row-0 kernel sums its correlations from the visible taps, which
         # moved the values by at most 4.6e-17; the dense fields wrote
-        # c85ab9d6...babd025a322e and the direct sum 503dbb0c...b8dda6ff
+        # c85ab9d6...babd025a322e and the direct sum 503dbb0c...b8dda6ff.  The
+        # ray-order normalizer moved imag by 1.6e-19 (3ac3f736...26893c1f before)
         "ccf": {
             "ccf_0s_62GHz.csv":
-                "3ac3f73698d13ac2183b60c5073302ee210818dd1e106621a0be8b0b26893c1f",
+                "86bfc61873302cda2e044dbd14e75c1b597198574384532fbb160569e23c709b",
         },
         # the trials column counts the trials with a visible ray pair (36 of
-        # 40 at each time); writing cfg.trials there gave bc83e117...c42a96da
+        # 40 at each time); writing cfg.trials there gave bc83e117...c42a96da.
+        # The ray-order normalizer moved the spreads by at most 1.1e-12 Hz
+        # (8.4e-16 relative; 9ac9bba8...d08e8a05 before)
         "doppler": {
             "doppler_0s_62GHz.csv":
-                "9ac9bba8063bae6224f71d59b78421c499176d368b7e5c8330495ca8d08e8a05",
+                "be9833f35182dc56bca5f6b7a7982a707a2a9c94b3b3abb6473aa39fc1c968c7",
         },
+        # the ray-order normalizer moved ds_s by at most 3.2e-22 s (8.6e-16
+        # relative; 98925acc...88416cff before)
         "ds-cdf": {
             "ds_cdf_sigma1_0s_62GHz.csv":
-                "98925acc4889f543a0f89d5cfa50406e6bfbb8cdd862ae3e93c0541988416cff",
+                "a3479825b52ad288d7547150615af4b75c148c6fca976e46d138eb97731d91c2",
         },
         "link-budget": {
             "link_budget.csv":
@@ -234,7 +241,9 @@ class TestExportColumns:
 
     def test_single_element_acf_bytes_are_pinned(self, tmp_path):
         # a 1x1 surface runs the full-IRS ensemble at E = 1 and writes one file.
-        # Pinned at the tap kernel, which moved the values by at most 5.6e-16; the
+        # Pinned at the ray-order normalizer, which moved the values by at most
+        # 3.3e-16; the zero-padded one wrote bb13a5c2...42cb33cf, the tap kernel
+        # before it moved the values by at most 5.6e-16, and the
         # dense field kernel wrote dbc881fa...0b9b49882,
         # the product of two single-pair ACFs 1843f8d8...0c74618 and, before the
         # path lengths were summed in np.linalg.norm's order, 6c88b523...decd945
@@ -243,7 +252,7 @@ class TestExportColumns:
         assert run("acf", path, tmp_path / "acf") == 0
         assert manifest(tmp_path / "acf")["outputs"] == {
             "acf_0s_62GHz.csv":
-                "bb13a5c24709f72cf7441ac1b73216af5d53f91ce0b0b7cb3828fc3b42cb33cf"}
+                "f3f07c329b34b80625ff194d7d7c89268f02c2a3e2c6f48b9d86e6cb0d87536e"}
 
     def test_export_too_large_for_disk(self, config_path, tmp_path, monkeypatch, capsys):
         cfg = parse_config(SMALL)

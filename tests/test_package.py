@@ -93,40 +93,75 @@ def test_detects_a_default_nobody_sets():
 
 
 def public_definitions(source: str) -> list[str]:
-    """Public names a module defines at top level: functions, classes and assignments."""
+    """Public names a module defines at top level, and its classes' public methods.
+
+    Top-level names are functions, classes and assignments; a method or
+    property of a top-level class is named ``Class.method``.
+    """
     names = []
     for node in ast.parse(source).body:
         names.append(getattr(node, "name", None))
         names += [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
                   if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return [name for name in names if name and not name.startswith("_")]
 
 
-def unread(names: list[str], sources: list[str]) -> list[str]:
-    """Names that no top-level definition of ``sources`` reads, besides their own.
+def _definitions(tree: ast.Module):
+    """(own names, nodes) of each definition of a module.
 
-    Each top-level statement of a module is one definition: a ``def``, a
-    ``class`` or an assignment.  A name counts as read where a definition
-    loads it, bare or as an attribute; its own definition, imports (which
-    load nothing) and strings do not count.
+    A definition is a top-level statement, except that each method of a
+    top-level class is one of its own and the rest of the class is another;
+    every part of a class owns the class's name.
     """
-    read = set()
+    for node in tree.body:
+        own = {getattr(node, "name", None)} | {
+            t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(t, ast.Name)}
+        if not isinstance(node, ast.ClassDef):
+            yield own, [node]
+            continue
+        methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        for method in methods:
+            yield own | {method.name}, [method]
+        yield own, ([item for item in node.body if item not in methods] + node.bases
+                    + node.keywords + node.decorator_list)
+
+
+def unread(names: list[str], sources: list[str]) -> list[str]:
+    """Names that no definition of ``sources`` reads, besides their own.
+
+    A name counts as read where a definition (see :func:`_definitions`)
+    loads it, bare or as an attribute.  ``Class.method`` counts as read only
+    as an attribute, and not of a module bound by ``import`` (``np.empty``
+    reads no ``empty`` method).  Its own definition, imports (which load
+    nothing) and strings do not count.
+    """
+    read, attributes = set(), set()
     for source in sources:
-        for node in ast.parse(source).body:
-            own = {getattr(node, "name", None)} | {
-                t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
-                if isinstance(t, ast.Name)}
-            for sub in ast.walk(node):
-                if isinstance(getattr(sub, "ctx", None), ast.Load):
-                    name = getattr(sub, "id", None) or getattr(sub, "attr", None)
-                    if name not in own:
-                        read.add(name)
-    return sorted(name for name in names if name not in read)
+        tree = ast.parse(source)
+        modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        for own, nodes in _definitions(tree):
+            for sub in (sub for node in nodes for sub in ast.walk(node)):
+                if not isinstance(getattr(sub, "ctx", None), ast.Load):
+                    continue
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in own:
+                    continue
+                read.add(name)
+                if getattr(getattr(sub, "value", None), "id", None) not in modules:
+                    attributes.add(getattr(sub, "attr", None))
+    return sorted(name for name in names if (name.rpartition(".")[2] not in attributes
+                                             if "." in name else name not in read))
 
 
 # public names that no program path reads yet, each with the ROADMAP item that
 # wires it in or removes it; the list only shrinks
 UNWIRED = {
+    "VisibilityTensor.matrix": "item 1",
     "acf_subchannel": "items 2-3",
     "apply_steering": "item 3",
     "steering_vector": "item 3",
@@ -150,11 +185,32 @@ def test_detects_a_name_no_definition_reads():
               "LIMIT = LIMIT + 1\n")
     names = ["recursive", "caller", "Thing", "called", "imported_only", "mentioned", "LIMIT"]
     assert public_definitions(module + "_private = 1\nlimit: int = 2\n") == [
-        "recursive", "caller", "Thing", "called", "LIMIT", "limit"]
+        "recursive", "caller", "Thing", "Thing.make", "called", "LIMIT", "limit"]
     assert unread(names, [module]) == ["LIMIT", "caller", "imported_only", "mentioned",
                                        "recursive"]
     assert unread(names, [module, "total = recursive(3) + LIMIT\n"]) == [
         "caller", "imported_only", "mentioned"]
+
+
+def test_detects_a_method_no_definition_reads():
+    module = ("import numpy as np\n"
+              "class Curve:\n"
+              "    @property\n    def magnitude(self):\n        return np.abs(self.values)\n"
+              "    @classmethod\n    def empty(cls):\n        return cls(np.empty(0))\n"
+              "    def rows(self):\n        return self.rows() if self else self.scaled(2)\n"
+              "    def scaled(self, k):\n        return Curve(k)\n"
+              "    def _hidden(self):\n        return 0\n"
+              "def write(curve, magnitude):\n    return magnitude + curve.size\n")
+    names = public_definitions(module)
+    assert names == ["Curve", "Curve.magnitude", "Curve.empty", "Curve.rows", "Curve.scaled",
+                     "write"]
+    # a bare name, an attribute of an imported module (np.empty) and the
+    # method's own body read no method, and the class's own body does not
+    # read the class; another method's body reads a method
+    assert unread(names, [module]) == ["Curve", "Curve.empty", "Curve.magnitude",
+                                       "Curve.rows", "write"]
+    assert unread(names, [module, "def main(c):\n    return c.magnitude, write(c, 0)\n"]) == [
+        "Curve", "Curve.empty", "Curve.rows"]
 
 
 def dense_visibility_readers(source: str) -> list[str]:
@@ -259,11 +315,17 @@ def test_output_comparison_reports_identity_and_the_largest_difference(tmp_path,
         (root / "run" / "same.csv").write_text("t,x\n0.0,1.0\n")
     (a / "run" / "acf.csv").write_text("dt_s,real,kind\n0.0,1.0,sim\n0.5,0.25,sim\n")
     (b / "run" / "acf.csv").write_text("dt_s,real,kind\n0.0,1.0,sim\n0.5,0.2500001,ana\n")
+    (a / "run" / "hz.csv").write_text("spread_hz,zero\n2000.0,0.0\n1000.0,0.0\n")
+    (b / "run" / "hz.csv").write_text("spread_hz,zero\n2000.0,-0.0\n1000.5,0.0\n")
     tool = load_tool("compare_outputs")
     assert tool.main([str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "run/acf.csv: max |d|: dt_s 0, real 1e-07, kind 1 cells"
-    assert lines[1] == "run/same.csv: identical"
+    # the largest |d|, then that over the column's largest |value| on either
+    # side; a column of zeros on both sides reads 0
+    assert lines[0] == ("run/acf.csv: max |d|: dt_s 0 (0 rel), real 1e-07 (1e-07 rel), "
+                        "kind 1 cells")
+    assert lines[1] == "run/hz.csv: max |d|: spread_hz 0.5 (0.00025 rel), zero 0 (0 rel)"
+    assert lines[2] == "run/same.csv: identical"
     (b / "run" / "same.csv").write_text("t,x\n0.0,1.0\n1.0,2.0\n")
     (b / "run" / "extra.csv").write_text("t\n")
     assert tool.main([str(a), str(b)]) == 1

@@ -23,7 +23,7 @@ from irs_gbsm.smallscale import (
     subchannel_taps,
 )
 from tests.cir_oracle import transfer_function, weighted_taps
-from tests.conftest import make_config
+from tests.conftest import empty_cluster_set, make_config
 from tests.field_oracle import (
     ray_path_rates,
     reference_ray_field,
@@ -337,7 +337,7 @@ def _realizations(cfg, kind, count, empty=False):
     for k in range(count):
         real = realize_subchannel(cfg, kind, rng_stream(cfg.seed, "trial", k, kind))
         if empty:
-            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+            real = dataclasses.replace(real, clusters=empty_cluster_set(
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
             assert real.num_rays == 0
         yield real
@@ -528,3 +528,27 @@ class TestFieldKernels:
         h = subchannel_taps(real, 0.0)[1][0, 0, 0]
         w_los = np.sqrt(2.0 / 3.0)
         assert abs(h) == pytest.approx(w_los, abs=1e-12)
+
+
+class TestBlockPolicy:
+    def test_blocks_are_sized_by_the_widest_pair_taps(self, monkeypatch):
+        # a fast-turning 16 x 16 surface: its realization holds about 150 times
+        # more rays than any element sees, so blocks sized by the ray count
+        # would give every pair a block of its own
+        cfg = make_config(irs={"m_x": 16, "m_y": 16},
+                          clusters={"birth_rate": 80.0, "correlation_factor_m": 0.05})
+        real = realize_subchannel(cfg, "BI", rng_stream(cfg.seed, "policy"))
+        tx, rx = smallscale._sweep_pairs(real, "rx")
+        n = real.visibility.n_clusters
+        # each IRS element's visible clusters, from the sparse entries e n + c
+        widest = np.bincount(real.visibility.flat // n).max() * (real.num_rays // n)
+        assert real.evolved_side == "rx" and real.num_rays > 100 * widest
+        times, bound = np.array([0.0, 0.5]), 30_000
+        monkeypatch.setattr(smallscale, "_BLOCK_FLOATS", bound)
+        blocks = list(_tap_blocks(real, times, 0.0, tx, rx))
+        per_block = bound // (widest * times.size)
+        assert len({b.pairs.start for b in blocks}) == -(-rx.size // per_block)
+        for b in blocks:
+            n_pairs, n_times = len(range(rx.size)[b.pairs]), len(range(times.size)[b.steps])
+            assert n_pairs * widest * n_times <= bound
+            assert b.ray.size <= n_pairs * widest

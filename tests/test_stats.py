@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from irs_gbsm.assembly import phase_model_for
-from irs_gbsm.clusters import (
-    ClusterSet,
-    expected_cluster_count,
-    realize_subchannel,
-)
+from irs_gbsm.clusters import expected_cluster_count, realize_subchannel
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
 from irs_gbsm.smallscale import (
@@ -22,7 +18,12 @@ from irs_gbsm.smallscale import (
 )
 from irs_gbsm import smallscale, stats
 from tests.cir_oracle import los_distance
-from tests.conftest import bootstrap_mean_abs, generate_cluster_pairs, make_config
+from tests.conftest import (
+    bootstrap_mean_abs,
+    empty_cluster_set,
+    generate_cluster_pairs,
+    make_config,
+)
 from tests.field_oracle import reference_ray_field, reference_single_pair
 
 TRIALS = 300
@@ -40,20 +41,20 @@ class TestAcfSubchannel:
 
     def test_static_channel_fully_correlated(self, static_cfg):
         out = stats.acf_subchannel(with_trials(static_cfg, 50), "IU", 0.0)
-        assert np.allclose(out["sim"].magnitude, 1.0, atol=1e-12)
-        assert np.allclose(out["analytical"].magnitude, 1.0, atol=1e-12)
+        assert np.allclose(np.abs(out["sim"].values), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(out["analytical"].values), 1.0, atol=1e-12)
 
     def test_magnitude_bounded(self, small_cfg):
         for kind in ("BI", "IU", "BU"):
             out = stats.acf_subchannel(with_trials(small_cfg, 100), kind, 0.0)
-            assert np.all(out["sim"].magnitude <= 1 + 1e-9)
-            assert np.all(out["analytical"].magnitude <= 1 + 1e-9)
+            assert np.all(np.abs(out["sim"].values) <= 1 + 1e-9)
+            assert np.all(np.abs(out["analytical"].values) <= 1 + 1e-9)
 
     def test_sim_approaches_analytical(self, small_cfg):
         # the direct estimator carries a ~1/sqrt(N) noise floor at fully
         # decorrelated lags, so bound the typical and the worst-case gap
         out = stats.acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
-        gap = np.abs(out["sim"].magnitude - out["analytical"].magnitude)
+        gap = np.abs(np.abs(out["sim"].values) - np.abs(out["analytical"].values))
         assert gap.mean() < 0.05
         assert gap.max() < 6.0 / np.sqrt(TRIALS)
 
@@ -99,14 +100,14 @@ class TestAcfSingleElement:
         oracle, bi, iu = product_form(cfg, 0.0, cfg.irs.phase_bits)
         for kind in ("sim", "analytical"):
             np.testing.assert_allclose(full[kind].values, oracle[kind], rtol=0, atol=1e-12)
-            rhs = bi[kind].magnitude * iu[kind].magnitude
-            assert np.allclose(full[kind].magnitude, rhs, atol=1e-12)
+            rhs = np.abs(bi[kind].values) * np.abs(iu[kind].values)
+            assert np.allclose(np.abs(full[kind].values), rhs, atol=1e-12)
 
     def test_quantization_invariance(self, small_cfg):
         out = stats.acf_full_irs(with_trials(small_cfg, 100), 0.0, bits_variants=(None, 2))
         for kind in ("sim", "analytical"):
-            assert np.allclose(out["continuous"][kind].magnitude, out["2bit"][kind].magnitude,
-                               atol=1e-12)
+            assert np.allclose(np.abs(out["continuous"][kind].values),
+                               np.abs(out["2bit"][kind].values), atol=1e-12)
         assert not np.allclose(out["continuous"]["sim"].values, out["2bit"]["sim"].values,
                                atol=1e-6)
 
@@ -114,7 +115,7 @@ class TestAcfSingleElement:
         out = stats.acf_full_irs(with_trials(small_cfg, 100), 2.0)["continuous"]
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=3 / np.sqrt(100))
-        assert np.all(out["sim"].magnitude <= 1 + 1e-9)
+        assert np.all(np.abs(out["sim"].values) <= 1 + 1e-9)
 
 
 class TestAcfFullIrs:
@@ -131,7 +132,7 @@ class TestAcfFullIrs:
         for label in ("continuous", "2bit"):
             assert out[label]["sim"].values[0] == pytest.approx(1.0, abs=1e-9)
             assert out[label]["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
-            assert np.all(out[label]["sim"].magnitude <= 1 + 1e-9)
+            assert np.all(np.abs(out[label]["sim"].values) <= 1 + 1e-9)
 
     def test_trial_products_match_combined_estimator_scale(self):
         cfg = make_config(irs={"m_x": 2, "m_y": 2}, rician_k_db=5.0, trials=64)
@@ -202,7 +203,7 @@ class TestCorrelationTensors:
     def test_sub_arrays_match_einsum_oracle(self, case):
         cfg, real = self._realization(1 if case == "single_element" else 3)
         if case == "zero_rays":
-            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+            real = dataclasses.replace(real, clusters=empty_cluster_set(
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         assert (real.num_rays == 0) == (case == "zero_rays")
         lags = cfg.lag_grid()
@@ -221,7 +222,7 @@ class TestCorrelationTensors:
     def test_trial_sub_is_row_0_of_the_oracle(self, case, sweep):
         cfg, real = self._realization(3)
         if case == "zero_rays":
-            real = dataclasses.replace(real, clusters=ClusterSet.empty(
+            real = dataclasses.replace(real, clusters=empty_cluster_set(
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         lags = cfg.lag_grid()
         args = stats._setup_sub(cfg, {"times": lags, "kind": "BI", "sweep": sweep})
@@ -379,8 +380,8 @@ class TestCcfSpatial:
         out = stats.ccf_spatial(cfg)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.all(out["sim"].magnitude <= 1 + 1e-9)
-        assert np.all(out["analytical"].magnitude <= 1 + 1e-9)
+        assert np.all(np.abs(out["sim"].values) <= 1 + 1e-9)
+        assert np.all(np.abs(out["analytical"].values) <= 1 + 1e-9)
 
     def test_separation_grid_in_meters(self):
         # on a linear array at default angles the distance from element 1 is
@@ -425,11 +426,12 @@ class TestCcfSpatial:
                           ccf={"subchannel": "BI", "axis": "rx"}, trials=512)
         rays = expected_cluster_count(cfg.irs.layout(), cfg.clusters) * 10
         taps = 80.0 / 4.0 * 10
-        pairs, steps = _block_steps(rays, 2)
+        pairs, steps = _block_steps(taps, 2)
         assert steps == 2
-        block = tap_block_bytes(rays, taps, 256, 2)
-        # the normalizer's 8 bytes per pair, ray and time and _TAP_BYTES per tap and time
-        assert block == min(pairs, 256) * 2 * (8 * rays + smallscale._TAP_BYTES * taps)
+        block = tap_block_bytes(taps, 256, 2)
+        # _TAP_BYTES per visible tap and time, within the block bound
+        assert block == min(pairs, 256) * 2 * smallscale._TAP_BYTES * taps
+        assert block <= smallscale._BLOCK_FLOATS * smallscale._TAP_BYTES
         per = int(block + stats._RAY_BYTES * rays * 16)
         one, two = per + stats._PROCESS_BYTES, 2 * (per + stats._PROCESS_BYTES)
         two += stats._PROCESS_BYTES   # the pool's parent
@@ -451,7 +453,7 @@ class TestCcfSpatial:
         cfg = make_config(bs={"num_elements": 6}, ccf={"subchannel": "BU", "axis": "tx"},
                           trials=400)
         out = stats.ccf_spatial(cfg)
-        gap = np.max(np.abs(out["sim"].magnitude - out["analytical"].magnitude))
+        gap = np.max(np.abs(np.abs(out["sim"].values) - np.abs(out["analytical"].values)))
         assert gap < 0.2
 
 
@@ -629,8 +631,8 @@ class TestEstimatorConsistency:
         gaps = []
         for n in (100, 1000, 10000):
             out = stats.acf_subchannel(with_trials(cfg, n), "BI", 0.0)
-            gaps.append(np.mean(np.abs(out["sim"].magnitude
-                                       - out["analytical"].magnitude)))
+            gaps.append(np.mean(np.abs(np.abs(out["sim"].values)
+                                       - np.abs(out["analytical"].values))))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[0] / gaps[2] > 3.0
 

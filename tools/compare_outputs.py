@@ -4,8 +4,10 @@
 
 Every ``*.csv`` under DIR_A (searched recursively) is compared with the file
 of the same relative path under DIR_B.  A file whose bytes agree prints
-"identical"; otherwise each numeric column prints its largest |a - b| and
-each other column the number of cells that differ.  A file missing on one
+"identical"; otherwise each numeric column prints its largest |a - b| and,
+in parentheses, that difference over the column's largest |value| on either
+side (so columns in Hz and in unit amplitudes read on one scale), and each
+other column the number of cells that differ.  A file missing on one
 side, or with another header or row count, prints why and makes the exit
 status 1.  Standard library and numpy only.
 """
@@ -42,7 +44,9 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
     for name, col_a, col_b in zip(rows_a[0], zip(*rows_a[1:]), zip(*rows_b[1:])):
         x, y = _numeric(col_a), _numeric(col_b)
         if x is not None and y is not None:
-            parts.append(f"{name} {np.max(np.abs(x - y), initial=0.0):.3g}")
+            diff = np.max(np.abs(x - y), initial=0.0)
+            scale = max(np.max(np.abs(x), initial=0.0), np.max(np.abs(y), initial=0.0))
+            parts.append(f"{name} {diff:.3g} ({diff / scale if scale else 0.0:.3g} rel)")
         else:
             parts.append(f"{name} {sum(p != q for p, q in zip(col_a, col_b))} cells")
     return True, "max |d|: " + ", ".join(parts)
