@@ -53,7 +53,6 @@ from .rng import rng_stream
 from .stats import (
     CorrelationCurve,
     acf_full_irs,
-    acf_subchannel,
     ccf_spatial,
     doppler_frequency,
     ds_cdf,

@@ -53,7 +53,7 @@ rest of the package reads the taps through
 - :func:`stacked_phasors`: the dense stacked phasors x and transfer values h
   of element 1's sweep, which ``stats`` contracts into the full-IRS tensors;
 - :func:`row_0_tap_sums`: per-pair sums over the taps of element 1's sweep,
-  row 0 of the same contractions, for the sub-channel ACF and spatial CCF;
+  row 0 of the same contractions, for the spatial CCF;
 - :func:`element_1_taps`: the delays, powers and path rates of element pair
   (1, 1) over a time grid, for the Doppler and delay spreads;
 - :func:`tap_block_bytes`: the bytes of one :func:`row_0_tap_sums` block,

@@ -7,9 +7,9 @@ Every statistic is a function of one config: the lags are
 ``cfg.lag_grid()``, the frequency offset ``cfg.eval_offset_hz``, the trial
 count and seed ``cfg.trials`` and ``cfg.seed``, and the ``ccf``,
 ``doppler`` and ``ds_cdf`` sections set those statistics.  Element 1 carries
-each fixed side of a link.  A caller varies only the sub-channel, the
-anchor time t, the phase resolutions of the full-IRS ACF, whether it forms
-the analytical tensors, and the worker count; anything else is a new config
+each fixed side of a link.  A caller varies only the anchor time t, the
+phase resolutions of the full-IRS ACF, whether it forms the analytical
+tensors, and the worker count; anything else is a new config
 (``dataclasses.replace(cfg, trials=n)``), so a result is always the one its
 config describes.
 
@@ -42,16 +42,21 @@ exp(j kappa d_n) vlink_n, each pair's rays added in ray order as
 the dense x; the full-IRS ACF combines them over IRS element pairs (r1, r2)
 with the reflection-phase factor exp(-j(theta_r1(t) - theta_r2(t + dt))), so
 one ensemble serves any phase resolution; a 1 x 1 surface is its E = 1 case,
-R_BI R_IU exp(-j(theta(t) - theta(t + dt))).  ``_trial_sub`` forms only row 0,
-element 1 at t against every element and time, for the sub-channel ACF and
-the spatial CCF.  It reads each element's sums over its visible taps
+R_BI R_IU exp(-j(theta(t) - theta(t + dt))).  Entry (1, 1) of a sub-channel's
+tensors is that sub-channel's own ACF, R_BI or R_IU, which ``acf_full_irs``
+returns as its factors.  ``_trial_sub`` forms only row 0, element 1 at t
+against every element and time, for the spatial CCF.  It reads each
+element's sums over its visible taps
 (``smallscale.row_0_tap_sums``), so a CCF across a large array costs
 O(visible taps x T) and never holds an N x E x T array.  The Doppler and
 delay spreads read the taps of element pair (1, 1)
 (``smallscale.element_1_taps``), over all their times at once.
 The simulated curves use the same two contractions of the transfer values
 h.  Every correlation is normalized by sqrt(R0(anchor1) * R0(anchor2)),
-making the zero-lag value exactly 1.
+which makes the zero-lag value 1 up to rounding: the product at the anchor
+and its power are formed by different operations (a complex product or a
+GEMM against |h|^2 or a diagonal), so the written value may read
+1.0000000000000002, with an imaginary part of order 1e-17.
 
 Per trial, ``_correlations`` contracts with BLAS (GEMM), O(N E^2 T) work for
 N rays, E elements and T lags, and the full-IRS run holds 8 complex
@@ -250,10 +255,13 @@ def doppler_frequency(bi: ClusterRealization, iu: ClusterRealization, t):
 
 
 def _weighted_spread(weights: np.ndarray, x: np.ndarray) -> float:
-    """sqrt(max(sum w x^2 - (sum w x)^2, 0)) for weights w that sum to 1."""
-    mean = float(np.dot(weights, x))
-    second = float(np.dot(weights, x**2))
-    return float(np.sqrt(max(second - mean**2, 0.0)))
+    """sqrt(sum w (x - mean)^2), mean = sum w x, for weights w that sum to 1.
+
+    The centred form: sum w x^2 - mean^2 cancels when the mean is many spreads
+    (a delay spread of ns at a mean delay of us).
+    """
+    mean = np.dot(weights, x)
+    return float(np.sqrt(np.dot(weights, (x - mean) ** 2)))
 
 
 def local_doppler_spread(nu: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -274,7 +282,7 @@ def _trial_doppler(reals: dict, args: dict) -> dict:
 
 
 def rms_delay_spread(delays, powers) -> float:
-    """sqrt(sum P tau^2 - (sum P tau)^2) for normalized tap powers."""
+    """sqrt(sum P (tau - mean)^2), mean = sum P tau, for normalized tap powers."""
     delays = np.asarray(delays, dtype=float)
     powers = np.asarray(powers, dtype=float)
     if delays.size == 0:
@@ -383,24 +391,6 @@ def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
 # public statistics: each reads its scenario, lags, frequency offset, trial
 # count and seed from the config; callers vary only what is listed
 
-def acf_subchannel(cfg: ScenarioConfig, subchannel: str, t: float,
-                   threads: int = 1) -> dict[str, CorrelationCurve]:
-    """Simulated and analytical time ACF of element pair (1, 1) of one sub-channel.
-
-    Lags ``cfg.lag_grid()``, frequency offset ``cfg.eval_offset_hz``.
-    """
-    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
-    params = {"times": t + lags, "kind": subchannel, "sweep": None}
-    acc, n = run_ensemble(cfg, "sub", params, threads)
-    sim = CorrelationCurve(t, f, (1, 1), lags,
-                           _normalize(acc["prod"][0] / n, acc["pow"][0] / n),
-                           "sim", n, subchannel)
-    ana = CorrelationCurve(t, f, (1, 1), lags,
-                           _normalize(acc["ana"][0] / n, acc["ana0"][0] / n),
-                           "analytical", n, subchannel)
-    return {"sim": sim, "analytical": ana}
-
-
 def _combine_full(ccf_bi, gram_bi, ccf_iu, gram_iu, theta) -> np.ndarray:
     """Double sum over IRS element pairs with the reflection-phase factors."""
     phase = np.exp(-1j * (theta[:, None, 0:1] - theta[None, :, :]))
@@ -473,11 +463,16 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
     USER element 1 on ``cfg.lag_grid()``; each entry of ``bits_variants``
     (None = continuous, int = quantizer bits) is then combined with its own
     phase factors.  ``bits_variants=None`` runs the configured resolution
-    only.  Returns {variant_label: {"sim": curve, "analytical": curve}}.
-    ``analytical=False`` skips the per-ray analytical tensors: their GEMMs,
-    O(N E^2 T) per trial for N rays, are most of a large surface's cost and
-    they double the accumulators.  Raises MemoryError before any trial when
-    the predicted tensors exceed the available RAM.
+    only.  Returns {variant_label: {"sim": curve, "analytical": curve,
+    "factors": {"BI": {"sim": curve, "analytical": curve}, "IU": {...}}}}.
+    The factors are the time ACFs of element pair (1, 1) of BI and IU, entry
+    (1, 1) of the same accumulators, normalized alone; they do not depend on
+    the phase resolution, so every variant holds the same objects.
+    ``analytical=False`` skips the per-ray analytical tensors (and the
+    analytical factors): their GEMMs, O(N E^2 T) per trial for N rays, are
+    most of a large surface's cost and they double the accumulators.  Raises
+    MemoryError before any trial when the predicted tensors exceed the
+    available RAM.
     """
     if bits_variants is None:
         bits_variants = (cfg.irs.phase_bits,)
@@ -491,19 +486,17 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
     params = {"times": times, "analytical": analytical}
     acc, n = run_ensemble(cfg, "cascade", params, threads)
 
+    prefixes = {"sim": "sim", "analytical": "ana"} if analytical else {"sim": "sim"}
+    # entry (1, 1) of a sub-channel's tensors is its own element-pair (1, 1) ACF
+    factors = {sub: {kind: CorrelationCurve(t, f, (1, 1), lags, _normalize(
+        acc[f"{p}_ccf_{sub.lower()}"][0, 0] / n, acc[f"{p}_gram_{sub.lower()}"][0, 0].real / n),
+        kind, n, sub) for kind, p in prefixes.items()} for sub in ("BI", "IU")}
     out: dict = {}
     for label, theta in thetas.items():
-        sim_vals = _combine_full(acc["sim_ccf_bi"] / n, acc["sim_gram_bi"] / n,
-                                 acc["sim_ccf_iu"] / n, acc["sim_gram_iu"] / n, theta)
-        out[label] = {
-            "sim": CorrelationCurve(t, f, (1, 1), lags, sim_vals, "sim", n, label),
-        }
-        if analytical:
-            ana_vals = _combine_full(acc["ana_ccf_bi"] / n, acc["ana_gram_bi"] / n,
-                                     acc["ana_ccf_iu"] / n, acc["ana_gram_iu"] / n,
-                                     theta)
-            out[label]["analytical"] = CorrelationCurve(
-                t, f, (1, 1), lags, ana_vals, "analytical", n, label)
+        out[label] = {kind: CorrelationCurve(t, f, (1, 1), lags, _combine_full(
+            *(acc[f"{p}_{key}"] / n for key in ("ccf_bi", "gram_bi", "ccf_iu", "gram_iu")),
+            theta), kind, n, label) for kind, p in prefixes.items()}
+        out[label]["factors"] = factors
     return out
 
 

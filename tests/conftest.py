@@ -5,7 +5,7 @@ import pytest
 
 from irs_gbsm.clusters import ClusterSet, _build, _draw
 from irs_gbsm.config import parse_config
-from irs_gbsm.stats import _normalize
+from irs_gbsm.stats import CorrelationCurve, _normalize, run_ensemble
 
 
 def make_config(**overrides):
@@ -51,6 +51,23 @@ def empty_cluster_set(rays_per_cluster: int, sigma) -> ClusterSet:
     return ClusterSet(center_a=none3, center_z=none3, angles_a=none3, angles_z=none3,
                       sigma=tuple(sigma), scatter_a=rays3, scatter_z=rays3,
                       virtual_delay=np.zeros(0), vel_a=none3, vel_z=none3)
+
+
+def acf_subchannel(cfg, subchannel, t):
+    """Simulated and analytical time ACF of element pair (1, 1) of one sub-channel.
+
+    The oracle of the ``"factors"`` that ``stats.acf_full_irs`` returns for BI
+    and IU, and the ACF of BU, which no cascade holds.  It runs its own
+    ensemble on the same trial streams through the row-0 kernel
+    (``smallscale.row_0_tap_sums`` per-pair sums), not the stacked phasors
+    and GEMMs of the cascade.  Returns {"sim": curve, "analytical": curve}.
+    """
+    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
+    acc, n = run_ensemble(cfg, "sub", {"times": t + lags, "kind": subchannel, "sweep": None})
+    return {kind: CorrelationCurve(t, f, (1, 1), lags,
+                                   _normalize(acc[prod][0] / n, acc[power][0] / n),
+                                   kind, n, subchannel)
+            for kind, prod, power in (("sim", "prod", "pow"), ("analytical", "ana", "ana0"))}
 
 
 def bootstrap_mean_abs(trial_prod, trial_pow, rng, n_boot=400):

@@ -86,20 +86,23 @@ def mono_config(m_xy: int, k_db: float):
     })
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    # the 1x1 cascade ACF, continuous and 2-bit, and on the same trial streams
-    # the two sub-channel ACFs of the product form R_BI R_IU
-    cfg = parse_config(BASELINE)
+def baseline_ensembles(cfg):
+    """The 1x1 cascade ACF at t = 0 and t = 2 s, continuous and 2-bit.
+
+    Each anchor's ensemble also holds the two sub-channel ACFs of the
+    product form R_BI R_IU, its ``"factors"``; the t = 0 run is timed alone.
+    """
     start = time.monotonic()
     at_t0 = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2))
     elapsed = time.monotonic() - start
     at_t2 = stats.acf_full_irs(cfg, 2.0, bits_variants=(None, 2))
-    subchannels = {anchor: {kind: stats.acf_subchannel(cfg, kind, t) for kind in ("BI", "IU")}
-                   for anchor, t in (("t0", 0.0), ("t2", 2.0))}
     return {"cfg": cfg, "t0": at_t0["continuous"], "t2": at_t2["continuous"],
-            "2bit": {"t0": at_t0["2bit"], "t2": at_t2["2bit"]},
-            "sub": subchannels, "t0_seconds": elapsed}
+            "2bit": {"t0": at_t0["2bit"], "t2": at_t2["2bit"]}, "t0_seconds": elapsed}
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return baseline_ensembles(parse_config(BASELINE))
 
 
 @pytest.fixture(scope="module")
@@ -194,13 +197,28 @@ def test_criterion_05_multi_element_quantization_effect(quant):
 def test_criterion_06_product_decomposition(baseline):
     worst = 0.0
     for anchor in ("t0", "t2"):
-        sub = baseline["sub"][anchor]
+        sub = baseline[anchor]["factors"]
         for kind in ("sim", "analytical"):
             lhs = np.abs(baseline[anchor][kind].values)
             rhs = np.abs(sub["BI"][kind].values) * np.abs(sub["IU"][kind].values)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(6, worst <= 1e-12,
            f"|R_cascade| vs |R_BI||R_IU| worst gap={worst:.2e} (<=1e-12)")
+
+
+def test_baseline_runs_two_ensembles(monkeypatch):
+    # one cascade ensemble per anchor serves the ACFs and their factors
+    calls = []
+    run = stats.run_ensemble
+
+    def counted(cfg, stat, *args, **kwargs):
+        calls.append(stat)
+        return run(cfg, stat, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "run_ensemble", counted)
+    out = baseline_ensembles(dataclasses.replace(parse_config(BASELINE), trials=32))
+    assert calls == ["cascade", "cascade"]
+    assert sorted(out["t2"]["factors"]) == ["BI", "IU"]
 
 
 def test_criterion_07_size_and_k_monotonicity(monotonic_probes):

@@ -217,16 +217,20 @@ class TestExportColumns:
         # the trials column counts the trials with a visible ray pair (36 of
         # 40 at each time); writing cfg.trials there gave bc83e117...c42a96da.
         # The ray-order normalizer moved the spreads by at most 1.1e-12 Hz
-        # (8.4e-16 relative; 9ac9bba8...d08e8a05 before)
+        # (8.4e-16 relative; 9ac9bba8...d08e8a05 before).  The centred spread
+        # sqrt(sum w (nu - mean)^2) moved them by at most 9.1e-13 Hz (6.7e-16
+        # relative; the uncentred form wrote be9833f3...a39fc1c968c7)
         "doppler": {
             "doppler_0s_62GHz.csv":
-                "be9833f35182dc56bca5f6b7a7982a707a2a9c94b3b3abb6473aa39fc1c968c7",
+                "e2482cf63fd92cb427efb23566bda6a30d9df4a8d4fd0efd7edb19df001cbf54",
         },
         # the ray-order normalizer moved ds_s by at most 3.2e-22 s (8.6e-16
-        # relative; 98925acc...88416cff before)
+        # relative; 98925acc...88416cff before).  The centred spread moved it by
+        # at most 2.5e-20 s (6.7e-14 of the column's largest value), the
+        # cancellation of sum P tau^2 - mean^2 (a3479825...eb97731d91c2 before)
         "ds-cdf": {
             "ds_cdf_sigma1_0s_62GHz.csv":
-                "a3479825b52ad288d7547150615af4b75c148c6fca976e46d138eb97731d91c2",
+                "61b01158c07cf4e6447f50ffdf800f0a1e60f503f00521c1ad216e2238851929",
         },
         "link-budget": {
             "link_budget.csv":

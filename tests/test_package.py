@@ -162,7 +162,6 @@ def unread(names: list[str], sources: list[str]) -> list[str]:
 # wires it in or removes it; the list only shrinks
 UNWIRED = {
     "VisibilityTensor.matrix": "item 1",
-    "acf_subchannel": "items 2-3",
     "apply_steering": "item 3",
     "steering_vector": "item 3",
     "cascade_trial_products": "items 2-3",

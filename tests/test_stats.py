@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from irs_gbsm.smallscale import (
 from irs_gbsm import smallscale, stats
 from tests.cir_oracle import los_distance
 from tests.conftest import (
+    acf_subchannel,
     bootstrap_mean_abs,
     empty_cluster_set,
     generate_cluster_pairs,
@@ -35,25 +38,29 @@ def with_trials(cfg, n):
 
 class TestAcfSubchannel:
     def test_zero_lag_is_one(self, small_cfg):
-        out = stats.acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
+        out = acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
         assert out["analytical"].values[0] == pytest.approx(1.0, abs=1e-9)
         assert out["sim"].values[0] == pytest.approx(1.0, abs=3 / np.sqrt(TRIALS))
 
     def test_static_channel_fully_correlated(self, static_cfg):
-        out = stats.acf_subchannel(with_trials(static_cfg, 50), "IU", 0.0)
+        out = acf_subchannel(with_trials(static_cfg, 50), "IU", 0.0)
         assert np.allclose(np.abs(out["sim"].values), 1.0, atol=1e-12)
         assert np.allclose(np.abs(out["analytical"].values), 1.0, atol=1e-12)
 
     def test_magnitude_bounded(self, small_cfg):
-        for kind in ("BI", "IU", "BU"):
-            out = stats.acf_subchannel(with_trials(small_cfg, 100), kind, 0.0)
+        # BI and IU are the factors of the cascade ensemble; BU, which no
+        # cascade holds, comes from the oracle
+        cfg = with_trials(small_cfg, 100)
+        curves = dict(stats.acf_full_irs(cfg, 0.0)["continuous"]["factors"],
+                      BU=acf_subchannel(cfg, "BU", 0.0))
+        for out in curves.values():
             assert np.all(np.abs(out["sim"].values) <= 1 + 1e-9)
             assert np.all(np.abs(out["analytical"].values) <= 1 + 1e-9)
 
     def test_sim_approaches_analytical(self, small_cfg):
         # the direct estimator carries a ~1/sqrt(N) noise floor at fully
         # decorrelated lags, so bound the typical and the worst-case gap
-        out = stats.acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
+        out = acf_subchannel(with_trials(small_cfg, TRIALS), "BI", 0.0)
         gap = np.abs(np.abs(out["sim"].values) - np.abs(out["analytical"].values))
         assert gap.mean() < 0.05
         assert gap.max() < 6.0 / np.sqrt(TRIALS)
@@ -77,14 +84,15 @@ class TestAcfSubchannel:
         assert expect[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def product_form(cfg, t, bits):
+def product_form(cfg, factors, t, bits):
     """1x1 cascade ACF as R_BI R_IU exp(-j(theta(t) - theta(t + dt))) (the oracle).
 
-    Built from two sub-channel ensembles on the trial streams of the cascade.
-    Returns ({"sim": values, "analytical": values}, BI curves, IU curves).
+    Built from the ``"factors"`` of an ``acf_full_irs`` result, which the
+    oracle test below holds to two sub-channel ensembles on the same trial
+    streams.  Returns ({"sim": values, "analytical": values}, BI curves, IU
+    curves).
     """
-    bi = stats.acf_subchannel(cfg, "BI", t)
-    iu = stats.acf_subchannel(cfg, "IU", t)
+    bi, iu = factors["BI"], factors["IU"]
     theta = dataclasses.replace(phase_model_for(cfg), bits=bits).applied_profile(
         t + bi["sim"].lags)[0]
     factor = np.exp(-1j * (theta[0] - theta))
@@ -97,7 +105,7 @@ class TestAcfSingleElement:
     def test_product_decomposition_exact(self, small_cfg):
         cfg = with_trials(small_cfg, TRIALS)
         full = stats.acf_full_irs(cfg, 0.0)["continuous"]
-        oracle, bi, iu = product_form(cfg, 0.0, cfg.irs.phase_bits)
+        oracle, bi, iu = product_form(cfg, full["factors"], 0.0, cfg.irs.phase_bits)
         for kind in ("sim", "analytical"):
             np.testing.assert_allclose(full[kind].values, oracle[kind], rtol=0, atol=1e-12)
             rhs = np.abs(bi[kind].values) * np.abs(iu[kind].values)
@@ -122,7 +130,7 @@ class TestAcfFullIrs:
     def test_reduces_to_single_element(self, small_cfg):
         cfg = with_trials(small_cfg, 60)
         full = stats.acf_full_irs(cfg, 0.0, bits_variants=(None,))
-        oracle, _, _ = product_form(cfg, 0.0, None)
+        oracle, _, _ = product_form(cfg, full["continuous"]["factors"], 0.0, None)
         for kind in ("sim", "analytical"):
             assert np.allclose(full["continuous"][kind].values, oracle[kind], atol=1e-12)
 
@@ -155,7 +163,30 @@ class TestAcfFullIrs:
         monkeypatch.setattr(stats, "run_ensemble", spy)
         out = stats.acf_full_irs(cfg, 0.0, bits_variants=(None, 2))
         assert seen == [[]]
-        assert sorted(out["2bit"]) == ["analytical", "sim"]
+        assert sorted(out["2bit"]) == ["analytical", "factors", "sim"]
+        assert out["2bit"]["factors"] is out["continuous"]["factors"]
+
+    @pytest.mark.parametrize("irs, k_db", [({"m_x": 1, "m_y": 1}, None),
+                                           ({"m_x": 2, "m_y": 3}, 5.0)])
+    def test_factors_equal_the_subchannel_oracle(self, irs, k_db):
+        # entry (1, 1) of the cascade's tensors is the sub-channel ACF at any E
+        cfg = make_config(irs=irs, rician_k_db=k_db, trials=TRIALS)
+        factors = stats.acf_full_irs(cfg, 0.5)["continuous"]["factors"]
+        for sub in ("BI", "IU"):
+            oracle = acf_subchannel(cfg, sub, 0.5)
+            for kind in ("sim", "analytical"):
+                curve = factors[sub][kind]
+                assert (curve.kind, curve.label, curve.trials) == (kind, sub, TRIALS)
+                np.testing.assert_array_equal(curve.lags, oracle[kind].lags)
+                np.testing.assert_allclose(curve.values, oracle[kind].values,
+                                           rtol=0, atol=1e-14)
+
+    def test_factors_without_analytical_tensors(self):
+        cfg = make_config(irs={"m_x": 2, "m_y": 2}, trials=20)
+        out = stats.acf_full_irs(cfg, 0.0, analytical=False)["continuous"]
+        assert sorted(out) == ["factors", "sim"]
+        assert {sub: sorted(curves) for sub, curves in out["factors"].items()} == {
+            "BI": ["sim"], "IU": ["sim"]}
 
     def test_footprint_prediction(self, monkeypatch):
         # 2 x 8 tensors of E^2 T complex per process: 5.25 GiB at E=1024, T=21
@@ -344,13 +375,16 @@ class TestChunkedEnsemble:
     @pytest.mark.parametrize("threads, trials, workers", [(32, 300, 2), (2, 600, 2)])
     def test_pool_has_no_more_workers_than_blocks(self, in_process_pool, threads, trials,
                                                   workers):
-        cfg = make_config(acf={"num_lags": 5}, trials=trials)
-        pooled = stats.acf_subchannel(cfg, "BI", 0.0, threads=threads)
+        cfg = make_config(irs={"m_x": 1, "m_y": 1}, acf={"num_lags": 5}, trials=trials)
+        pooled = stats.acf_full_irs(cfg, 0.0, threads=threads)["continuous"]
         assert in_process_pool == [workers]
-        serial = stats.acf_subchannel(cfg, "BI", 0.0, threads=1)
+        serial = stats.acf_full_irs(cfg, 0.0, threads=1)["continuous"]
         assert in_process_pool == [workers]
         for kind in ("sim", "analytical"):
             np.testing.assert_array_equal(pooled[kind].values, serial[kind].values)
+            for sub in ("BI", "IU"):
+                np.testing.assert_array_equal(pooled["factors"][sub][kind].values,
+                                              serial["factors"][sub][kind].values)
 
     def test_pooled_trial_rows_follow_block_order(self, in_process_pool):
         # 300 trials are two blocks; their rows are joined in block order
@@ -488,6 +522,17 @@ class TestRmsDelaySpread:
             mean = np.sum(p * tau)
             oracle = np.sqrt(np.sum(p * (tau - mean) ** 2))
             assert stats.rms_delay_spread(tau, p) == pytest.approx(oracle, abs=1e-12)
+
+    def test_spread_far_from_zero_matches_exact_arithmetic(self):
+        # ns of spread at a us of mean delay: sum P tau^2 - mean^2 lost 2.3e-10
+        # of it to cancellation; the centred form loses nothing here
+        tau = [1.19e-6 + d for d in (0.0, 1e-9, 2.5e-9)]
+        p = [0.25, 0.5, 0.25]
+        exact_tau, exact_p = [Fraction(v) for v in tau], [Fraction(v) for v in p]
+        mean = sum(w * v for w, v in zip(exact_p, exact_tau))
+        oracle = math.sqrt(sum(w * (v - mean) ** 2 for w, v in zip(exact_p, exact_tau)))
+        spread = stats.rms_delay_spread(tau, p)
+        assert abs(spread - oracle) <= 1e-13 * oracle
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -630,7 +675,7 @@ class TestEstimatorConsistency:
         cfg = make_config(acf={"num_lags": 16})
         gaps = []
         for n in (100, 1000, 10000):
-            out = stats.acf_subchannel(with_trials(cfg, n), "BI", 0.0)
+            out = acf_subchannel(with_trials(cfg, n), "BI", 0.0)
             gaps.append(np.mean(np.abs(np.abs(out["sim"].values)
                                        - np.abs(out["analytical"].values))))
         assert gaps[2] < gaps[1] < gaps[0]
