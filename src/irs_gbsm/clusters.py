@@ -224,16 +224,12 @@ class VisibilityTensor:
     that shape, i.e. ``np.flatnonzero(grid)``, and is all that is stored.
     ``grid`` and ``matrix`` are a read-only dense view, built from ``flat``
     when first read and cached (about 97 MB at 128 x 128, so paths that only
-    count or list the entries never read it); a single-row array caches the
-    chain's own (m_x, n) state, which already is that view.  Flat element
-    order matches the row-major IRS flat index.
+    count or list the entries never read it).  Flat element order matches
+    the row-major IRS flat index.
     """
 
     shape: tuple[int, int, int]
     flat: np.ndarray
-    birth_rate: float
-    death_rate: float
-    correlation_factor: float
     initial_count: int
 
     @property
@@ -369,15 +365,7 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
         flat += cs
         flat.sort()
     flat.flags.writeable = False
-    tensor = VisibilityTensor(shape=(m_x, m_y, state.shape[1]), flat=flat,
-                              birth_rate=params.birth_rate, death_rate=params.death_rate,
-                              correlation_factor=params.correlation_factor_m,
-                              initial_count=n0)
-    if m_y == 1:
-        # the (m_x, n) state already is the dense view: cache it, not a copy
-        state.flags.writeable = False
-        tensor.__dict__["grid"] = state.reshape(m_x, 1, -1)
-    return tensor
+    return VisibilityTensor(shape=(m_x, m_y, state.shape[1]), flat=flat, initial_count=n0)
 
 
 def lag1_autocorrelation(tensor: VisibilityTensor) -> float:

@@ -154,20 +154,15 @@ class SteeringVector:
 
 
 def steering_vector(layout: TerminalLayout, direction: tuple[float, float],
-                    wavelength: float, doppler: float = 0.0, t: float = 0.0,
-                    reference: np.ndarray | None = None) -> SteeringVector:
+                    wavelength: float, doppler: float = 0.0, t: float = 0.0) -> SteeringVector:
     """Steering coefficients c_m = exp(j 2 pi <e, r_m>/lambda + j 2 pi nu t).
 
     ``direction`` is the (azimuth, elevation) pair of the departure direction;
-    e = (cos el cos az, cos el sin az, sin el).  r_m is the element position
-    minus the ``reference`` offset (d_x, d_y, d_z), default zero.
+    e = (cos el cos az, cos el sin az, sin el).  r_m is the element offset.
     """
     az, el = direction
     e = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
-    r_m = layout.offsets
-    if reference is not None:
-        r_m = r_m - np.asarray(reference, dtype=float)
-    coeff = np.exp(1j * (TWO_PI / wavelength) * (r_m @ e) + 1j * TWO_PI * doppler * t)
+    coeff = np.exp(1j * (TWO_PI / wavelength) * (layout.offsets @ e) + 1j * TWO_PI * doppler * t)
     return SteeringVector(coeff, (az, el), doppler)
 
 

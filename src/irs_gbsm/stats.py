@@ -118,9 +118,6 @@ _RAY_BYTES = 300
 class CorrelationCurve:
     """One correlation statistic over a lag grid (time lag or element spacing)."""
 
-    anchor_t: float
-    anchor_f: float
-    elements: tuple
     lags: np.ndarray
     values: np.ndarray
     kind: str                  # "sim" | "analytical"
@@ -381,9 +378,9 @@ def run_ensemble(cfg: ScenarioConfig, stat: str, params: dict,
         return _reduce(pool.map(_block_worker, payloads), np.concatenate), cfg.trials
 
 
-def _normalize(prod: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """prod / sqrt(power[0] * power), guarding empty-channel zeros."""
-    denom = np.sqrt(power[0] * power)
+def _normalize(prod: np.ndarray, anchor, power: np.ndarray) -> np.ndarray:
+    """prod / sqrt(anchor * power), guarding empty-channel zeros."""
+    denom = np.sqrt(anchor * power)
     return np.divide(prod, denom, out=np.zeros_like(prod), where=denom > 0)
 
 
@@ -397,7 +394,7 @@ def _combine_full(ccf_bi, gram_bi, ccf_iu, gram_iu, theta) -> np.ndarray:
     phase0 = np.exp(-1j * (theta[:, None, :] - theta[None, :, :]))
     r_vals = np.einsum("rst,rst,rst->t", ccf_bi, ccf_iu, phase)
     a0 = np.real(np.einsum("rst,rst,rst->t", gram_bi, gram_iu, phase0))
-    return _normalize(r_vals, a0)
+    return _normalize(r_vals, a0[0], a0)
 
 
 _MEMINFO = "/proc/meminfo"
@@ -476,7 +473,7 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
     """
     if bits_variants is None:
         bits_variants = (cfg.irs.phase_bits,)
-    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
+    lags = cfg.lag_grid()
     times = t + lags
     model = phase_model_for(cfg)
     thetas = {resolution_label(bits): dataclasses.replace(model, bits=bits)
@@ -488,12 +485,15 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
 
     prefixes = {"sim": "sim", "analytical": "ana"} if analytical else {"sim": "sim"}
     # entry (1, 1) of a sub-channel's tensors is its own element-pair (1, 1) ACF
-    factors = {sub: {kind: CorrelationCurve(t, f, (1, 1), lags, _normalize(
-        acc[f"{p}_ccf_{sub.lower()}"][0, 0] / n, acc[f"{p}_gram_{sub.lower()}"][0, 0].real / n),
-        kind, n, sub) for kind, p in prefixes.items()} for sub in ("BI", "IU")}
+    factors: dict = {"BI": {}, "IU": {}}
+    for sub in factors:
+        for kind, p in prefixes.items():
+            power = acc[f"{p}_gram_{sub.lower()}"][0, 0].real / n
+            factors[sub][kind] = CorrelationCurve(lags, _normalize(
+                acc[f"{p}_ccf_{sub.lower()}"][0, 0] / n, power[0], power), kind, n, sub)
     out: dict = {}
     for label, theta in thetas.items():
-        out[label] = {kind: CorrelationCurve(t, f, (1, 1), lags, _combine_full(
+        out[label] = {kind: CorrelationCurve(lags, _combine_full(
             *(acc[f"{p}_{key}"] / n for key in ("ccf_bi", "gram_bi", "ccf_iu", "gram_iu")),
             theta), kind, n, label) for kind, p in prefixes.items()}
         out[label]["factors"] = factors
@@ -527,7 +527,7 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     itself, ``_PROCESS_BYTES``, which is also all that a pool's parent holds.
     """
     c = cfg.ccf
-    subchannel, axis, t, f = c["subchannel"], c["axis"], c["t_s"], cfg.eval_offset_hz
+    subchannel, axis, t = c["subchannel"], c["axis"], c["t_s"]
     params = {"times": t + np.array([0.0, c["dt_s"]]), "kind": subchannel, "sweep": axis}
     link = cfg.links[subchannel]
     swept = link.rx_layout if axis == "rx" else link.tx_layout
@@ -545,19 +545,10 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
         "or run with a smaller --threads (each worker process forms its own fields)")
     acc, n = run_ensemble(cfg, "sub", params, threads)
     seps = np.linalg.norm(swept.offsets - swept.offsets[0], axis=1)
-
-    def norm(vals, power):
-        denom = np.sqrt((power[0, 0] / n) * (power[:, 1] / n))
-        return np.divide(vals[:, 1] / n, denom, out=np.zeros(vals.shape[0], dtype=vals.dtype),
-                         where=denom > 0)
-
-    sim_vals = norm(acc["prod"], acc["pow"])
-    ana_vals = norm(acc["ana"], acc["ana0"])
-    return {
-        "sim": CorrelationCurve(t, f, (subchannel, axis), seps, sim_vals, "sim", n),
-        "analytical": CorrelationCurve(t, f, (subchannel, axis), seps, ana_vals,
-                                       "analytical", n),
-    }
+    # rows are elements, columns the times t and t + dt: element 1 at t is the anchor
+    return {kind: CorrelationCurve(seps, _normalize(
+        acc[prod][:, 1] / n, acc[power][0, 0] / n, acc[power][:, 1] / n), kind, n)
+        for kind, prod, power in (("sim", "prod", "pow"), ("analytical", "ana", "ana0"))}
 
 
 def doppler_spread_series(cfg: ScenarioConfig, threads: int = 1

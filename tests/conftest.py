@@ -62,12 +62,11 @@ def acf_subchannel(cfg, subchannel, t):
     (``smallscale.row_0_tap_sums`` per-pair sums), not the stacked phasors
     and GEMMs of the cascade.  Returns {"sim": curve, "analytical": curve}.
     """
-    lags, f = cfg.lag_grid(), cfg.eval_offset_hz
+    lags = cfg.lag_grid()
     acc, n = run_ensemble(cfg, "sub", {"times": t + lags, "kind": subchannel, "sweep": None})
-    return {kind: CorrelationCurve(t, f, (1, 1), lags,
-                                   _normalize(acc[prod][0] / n, acc[power][0] / n),
-                                   kind, n, subchannel)
-            for kind, prod, power in (("sim", "prod", "pow"), ("analytical", "ana", "ana0"))}
+    return {kind: CorrelationCurve(lags, _normalize(
+        acc[prod][0] / n, acc[power][0, 0] / n, acc[power][0] / n), kind, n, subchannel)
+        for kind, prod, power in (("sim", "prod", "pow"), ("analytical", "ana", "ana0"))}
 
 
 def bootstrap_mean_abs(trial_prod, trial_pow, rng, n_boot=400):
@@ -78,7 +77,7 @@ def bootstrap_mean_abs(trial_prod, trial_pow, rng, n_boot=400):
         idx = rng.integers(0, n, n)
         prod = trial_prod[idx].mean(axis=0)
         power = trial_pow[idx].mean(axis=0)
-        out[b] = np.abs(_normalize(prod, power)).mean()
+        out[b] = np.abs(_normalize(prod, power[0], power)).mean()
     return out
 
 

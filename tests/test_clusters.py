@@ -173,6 +173,14 @@ class TestVisibilityEvolution:
         # C order of the grid: x, then y, then cluster
         flat = np.ravel_multi_index((x - 1, y - 1, cid), tensor.grid.shape)
         assert np.array_equal(flat, np.flatnonzero(tensor.grid))
+        # a linear array's chain keeps no dense view either: one column, y = 1
+        linear = evolve_visibility(TerminalLayout.linear("BS", 16, 2.5e-3, 0.0, 0.0),
+                                   cluster_params(), rng_stream(16, "e"))
+        assert "grid" not in linear.__dict__
+        x, y, cid, _ = linear.columns()
+        assert (y == 1).all() and x.max() <= 16
+        assert np.array_equal(np.flatnonzero(linear.grid),
+                              np.ravel_multi_index((x - 1, y - 1, cid), linear.shape))
 
 
 def reference_chain(layout, params, rng):
@@ -303,8 +311,7 @@ def corrcoef_lag1(grid):
 
 
 def tensor_of(grid):
-    return VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid), birth_rate=1,
-                            death_rate=1, correlation_factor=1, initial_count=0)
+    return VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid), initial_count=0)
 
 
 class TestLag1Oracle:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,8 +10,13 @@ import pytest
 
 from irs_gbsm.config import (
     SCHEMA,
+    ClusterParams,
     ConfigError,
     DEFAULTS,
+    IrsConfig,
+    LargeScaleConfig,
+    ScenarioConfig,
+    TerminalConfig,
     _merge,
     _schema_errors,
     parse_config,
@@ -84,6 +90,24 @@ class TestParsing:
             "427fa0b015b311f50c7796f0a3a0ddcaf6cdc8021097d90d1b2b136faf4a71f5")
         assert digest(DEFAULTS) == (
             "2218abd0818ffa69088c6449b61f6e13f8d1c22a286ee5ba9f629b0c5880543f")
+
+    @pytest.mark.parametrize("section", [ScenarioConfig, TerminalConfig, IrsConfig,
+                                         ClusterParams, LargeScaleConfig])
+    def test_sections_declare_their_keys_without_python_defaults(self, section):
+        # each field declares its key once, in its metadata; a section built
+        # by hand still needs every value
+        for f in dataclasses.fields(section):
+            assert "key" in f.metadata, f.name
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
+        with pytest.raises(TypeError):
+            section()
+
+    def test_typed_sections_hold_no_list(self):
+        cfg = parse_config({"clusters": {"sigma_xyz_m": [1.0, 2.0, 3.0]}})
+        assert cfg.clusters.sigma_xyz_m == (1.0, 2.0, 3.0)
+        assert serialize_config(cfg)["clusters"]["sigma_xyz_m"] == [1.0, 2.0, 3.0]
+        assert isinstance(cfg.geometry["d_bi_m"], list)
 
 
 class TestValidationErrors:

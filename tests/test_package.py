@@ -76,7 +76,7 @@ def unset_defaults(module: str, callers: list[str]) -> list[str]:
             if (name, param) not in found]
 
 
-@pytest.mark.parametrize("module", ["stats.py", "assembly.py", "smallscale.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_every_default_of_a_statistic_is_set_somewhere(module):
     sources = [p.read_text() for root in (SRC, SRC.parents[1] / "tests")
                for p in sorted(root.glob("*.py"))]

@@ -55,7 +55,6 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
         v_tx=np.asarray(v_tx, dtype=float), v_rx=np.asarray(v_rx, dtype=float),
         clusters=clusters,
         visibility=VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid),
-                                    birth_rate=1, death_rate=1, correlation_factor=1,
                                     initial_count=grid.shape[2]),
         evolved_side="rx", k_factor=k_factor, gamma_ds=gamma_ds, fc_hz=FC)
 
