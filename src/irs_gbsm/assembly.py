@@ -38,19 +38,24 @@ def phase_model_for(cfg: ScenarioConfig) -> IrsPhaseModel:
         bits=cfg.irs.phase_bits)
 
 
-def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
-    """Sampled shadow fading and deterministic path loss for both links at t = 0.
+def path_losses(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(r_t, r_r, PL_BIU, PL_BU in dB): the deterministic path loss of both links at t = 0.
 
-    The cascaded path loss evaluates the optimal-phase expression with the
-    exact per-element distances (``IrsPhaseModel.legs``); the direct path
-    loss uses the QuaDRiGa-style formula on the BS-USER distance.
+    r_t and r_r are the exact per-element distances (``IrsPhaseModel.legs``),
+    at which the cascaded path gain PL_BIU evaluates the optimal-phase
+    expression; the direct path loss uses the QuaDRiGa-style formula on the
+    BS-USER distance.
     """
-    irs_layout = cfg.irs.layout()
     r_t, r_r = phase_model_for(cfg).legs(0.0)
-    pl_biu = cascaded_path_loss(irs_layout, r_t, r_r, cfg.wavelength)
+    pl_biu = cascaded_path_loss(cfg.irs.layout(), r_t, r_r, cfg.wavelength)
     d_bu_km = np.linalg.norm(cfg.scene().d_bu) / 1e3
+    return r_t, r_r, pl_biu, path_loss_bu_db(d_bu_km, cfg.fc_ghz, cfg.large_scale.params("bu"))
+
+
+def large_scale_factors(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    """Sampled shadow fading and deterministic path loss (:func:`path_losses`) at t = 0."""
+    _, _, pl_biu, pl_bu_db = path_losses(cfg)
     ls = cfg.large_scale
-    pl_bu_db = path_loss_bu_db(d_bu_km, cfg.fc_ghz, ls.params("bu"))
     sf = {k: float(sample_shadow_fading(ls.params(k), rng)) for k in ("bi", "iu", "bu")}
     return {
         "sf_bi": sf["bi"], "sf_iu": sf["iu"], "sf_bu": sf["bu"],

@@ -23,12 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .assembly import cascade, large_scale_factors, phase_model_for
+from .assembly import cascade, large_scale_factors, path_losses, phase_model_for
 from .clusters import evolve_visibility, realize_subchannel
 from .config import ConfigError, ScenarioConfig, parse_config, serialize_config
-from .irs import (cascaded_path_loss, optimal_phase, quantize_phase, received_power,
-                  resolution_label)
-from .largescale import db_to_linear, path_loss_bu_db
+from .irs import optimal_phase, quantize_phase, received_power, resolution_label
+from .largescale import db_to_linear
 from .output import curve_rows, stat_filename, write_csv, write_manifest
 from .rng import rng_stream
 from .smallscale import CIR_HEADER, cir_row_count, subchannel_taps
@@ -86,7 +85,6 @@ def _run_ds_cdf(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     t = cfg.ds_cdf["t_s"]
     for scale, values in samples.items():
         xs, levels = stats.empirical_cdf(values)
-        xs, levels = np.asarray(xs, dtype=float), np.asarray(levels, dtype=float)
         n = xs.size
         path = outdir / stat_filename(f"ds_cdf_sigma{scale:g}", t, cfg.fc_ghz)
         outputs.append(write_csv(
@@ -108,13 +106,10 @@ def _run_cluster_evolve(cfg: ScenarioConfig, outdir: Path, threads: int) -> list
 def _run_link_budget(cfg: ScenarioConfig, outdir: Path, threads: int) -> list[Path]:
     del threads
     layout = cfg.irs.layout()
-    r_t, r_r = phase_model_for(cfg).legs(0.0)
+    r_t, r_r, pl_biu, pl_bu_db = path_losses(cfg)
     wl = cfg.wavelength
     phases = optimal_phase(r_t, r_r, wl)
     p_t = 1.0
-    pl_biu = cascaded_path_loss(layout, r_t, r_r, wl)
-    pl_bu_db = path_loss_bu_db(float(np.linalg.norm(cfg.scene().d_bu)) / 1e3, cfg.fc_ghz,
-                               cfg.large_scale.params("bu"))
     rows = [
         ("fc_ghz", cfg.fc_ghz),
         ("wavelength_m", wl),

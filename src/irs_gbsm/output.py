@@ -112,10 +112,9 @@ def stat_filename(stat: str, t: float, fc_ghz: float) -> str:
 def curve_rows(curves):
     """Long-format rows (grid, real, imag, magnitude, kind, trials)."""
     for curve in curves:
-        trials = curve.trials if curve.trials is not None else 0
         for lag, value in zip(curve.lags, curve.values):
             yield (float(lag), float(np.real(value)), float(np.imag(value)),
-                   float(np.abs(value)), curve.kind, trials)
+                   float(np.abs(value)), curve.kind, curve.trials)
 
 
 def write_manifest(outdir: Path, subcommand: str, config_dict: dict,

@@ -77,13 +77,16 @@ measured about 15 MB more peak RSS on the ``acf-element`` benchmark
 scenario.  The field maths is not batched across trials; there the complex
 exponentials over rays x lags set the cost.  Values that do not depend on a
 trial's draws, the LoS phasors and the reflection phasors exp(-j theta),
-are computed once per run by the statistic's setup function and passed to
-the kernels.
+are computed once per run, with the rest of the kernel's arguments, and
+passed to every trial.  A pooled run sends each worker the config, the
+kernel (a module-level function, pickled by reference) and those arguments
+as they are.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 
@@ -91,7 +94,7 @@ import numpy as np
 
 from .assembly import phase_model_for
 from .clusters import ClusterRealization, expected_cluster_count, realize_subchannels
-from .config import ScenarioConfig, parse_config, serialize_config
+from .config import ScenarioConfig
 from .irs import resolution_label
 from .rng import rng_stream
 from .smallscale import (
@@ -121,8 +124,7 @@ class CorrelationCurve:
     lags: np.ndarray
     values: np.ndarray
     kind: str                  # "sim" | "analytical"
-    trials: int | None = None
-    label: str = ""
+    trials: int
 
 
 def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +145,13 @@ def _correlations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# per-trial kernels: each takes one trial's realizations {kind: realization}
-# and the run's arguments, which a setup function builds once per run from
-# the statistic's parameters and the config.  ``realize`` names the
-# sub-channels a trial draws; ``los`` holds the draw-independent LoS phasors
-# (see ``los_phasor``).  Every kernel works on element 1 of each fixed side.
+# per-trial kernels: each is a module-level function of one trial's
+# realizations {kind: realization} and the run's arguments, a dict that the
+# statistic builds once per run (``_sub_args``, ``_cascade_args``,
+# ``_products_args``) and hands to ``run_ensemble`` with the kernel.
+# ``realize`` names the sub-channels a trial draws; ``los`` holds the
+# draw-independent LoS phasors (see ``los_phasor``).  Every kernel works on
+# element 1 of each fixed side.
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False  # shared by every trial of the run
@@ -159,10 +163,9 @@ def _los(cfg: ScenarioConfig, kind: str, times, sweep: str | None) -> np.ndarray
                               sweep=sweep))
 
 
-def _setup_sub(cfg: ScenarioConfig, params: dict) -> dict:
-    kind = params["kind"]
-    return {**params, "f": cfg.eval_offset_hz, "realize": (kind,),
-            "los": _los(cfg, kind, params["times"], params["sweep"])}
+def _sub_args(cfg: ScenarioConfig, times, kind: str, sweep: str | None) -> dict:
+    return {"times": times, "kind": kind, "sweep": sweep, "f": cfg.eval_offset_hz,
+            "realize": (kind,), "los": _los(cfg, kind, times, sweep)}
 
 
 def _trial_sub(reals: dict, args: dict) -> dict:
@@ -185,23 +188,21 @@ def _trial_sub(reals: dict, args: dict) -> dict:
         ("ana", w_los * u[0, 0] * np.conj(x0) + cross), ("ana0", np.abs(x0) ** 2 + power.real))}
 
 
-def _setup_cascade(cfg: ScenarioConfig, params: dict) -> dict:
-    times = params["times"]
-    return {**params, "f": cfg.eval_offset_hz, "realize": ("BI", "IU"),
-            "los_bi": _los(cfg, "BI", times, "rx"),
-            "los_iu": _los(cfg, "IU", times, "tx")}
+def _cascade_args(cfg: ScenarioConfig, times) -> dict:
+    return {"times": times, "f": cfg.eval_offset_hz, "realize": ("BI", "IU"),
+            "los_bi": _los(cfg, "BI", times, "rx"), "los_iu": _los(cfg, "IU", times, "tx")}
 
 
-def _setup_products(cfg: ScenarioConfig, params: dict) -> dict:
-    theta = phase_model_for(cfg).applied_profile(params["times"])
-    return {**_setup_cascade(cfg, params), "phasor": _frozen(np.exp(-1j * theta))}
+def _products_args(cfg: ScenarioConfig, times) -> dict:
+    theta = phase_model_for(cfg).applied_profile(times)
+    return {**_cascade_args(cfg, times), "phasor": _frozen(np.exp(-1j * theta))}
 
 
-def _cascade_transfers(reals: dict, args: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer values (E, T) of BI to every IRS element and of IU from it."""
+def _cascade_phasors(reals: dict, args: dict) -> tuple[tuple, tuple]:
+    """(h, x) of BI to every IRS element and of IU from it (``stacked_phasors``)."""
     times, f = args["times"], args["f"]
-    return (stacked_phasors(reals["BI"], times, f, "rx", args["los_bi"])[0],
-            stacked_phasors(reals["IU"], times, f, "tx", args["los_iu"])[0])
+    return (stacked_phasors(reals["BI"], times, f, "rx", args["los_bi"]),
+            stacked_phasors(reals["IU"], times, f, "tx", args["los_iu"]))
 
 
 def _trial_cascade(reals: dict, args: dict) -> dict:
@@ -210,15 +211,11 @@ def _trial_cascade(reals: dict, args: dict) -> dict:
     The sim tensors contract the transfer values; with ``analytical`` the
     stacked phasors give the analytical tensors as well.
     """
+    (h_bi, x_bi), (h_iu, x_iu) = _cascade_phasors(reals, args)
     out = {}
     if args["analytical"]:
-        times, f = args["times"], args["f"]
-        h_bi, x_bi = stacked_phasors(reals["BI"], times, f, "rx", args["los_bi"])
-        h_iu, x_iu = stacked_phasors(reals["IU"], times, f, "tx", args["los_iu"])
         out["ana_ccf_bi"], out["ana_gram_bi"] = _correlations(x_bi)
         out["ana_ccf_iu"], out["ana_gram_iu"] = _correlations(x_iu)
-    else:
-        h_bi, h_iu = _cascade_transfers(reals, args)
     out["sim_ccf_bi"], out["sim_gram_bi"] = _correlations(h_bi[None])
     out["sim_ccf_iu"], out["sim_gram_iu"] = _correlations(h_iu[None])
     return out
@@ -226,7 +223,7 @@ def _trial_cascade(reals: dict, args: dict) -> dict:
 
 def _trial_products(reals: dict, args: dict) -> dict:
     """Direct cascade product h(t) h*(t + dt) and power |h(t + dt)|^2, each (T,)."""
-    h_bi, h_iu = _cascade_transfers(reals, args)
+    (h_bi, _), (h_iu, _) = _cascade_phasors(reals, args)
     h = np.sum(h_bi * h_iu * args["phasor"], axis=0)
     return {"trial_prod": h[0] * np.conj(h), "trial_pow": np.abs(h) ** 2}
 
@@ -297,16 +294,6 @@ def _trial_ds(reals: dict, args: dict) -> dict:
     return {"trial_ds": np.array([rms_delay_spread(delays[keep], powers[keep])])}
 
 
-# statistic -> (setup, per-trial kernel)
-_STATS = {
-    "sub": (_setup_sub, _trial_sub),
-    "cascade": (_setup_cascade, _trial_cascade),
-    "products": (_setup_products, _trial_products),
-    "doppler": (lambda cfg, params: {**params, "realize": ("BI", "IU")}, _trial_doppler),
-    "ds": (lambda cfg, params: {**params, "realize": ("BI",)}, _trial_ds),
-}
-
-
 # ---------------------------------------------------------------------------
 # ensemble runner: fixed 256-trial blocks, deterministic reduction order
 
@@ -330,9 +317,8 @@ def _reduce(parts, join) -> dict:
     return acc
 
 
-def _trials(cfg: ScenarioConfig, stat: str, args: dict, lo: int, hi: int):
+def _trials(cfg: ScenarioConfig, kernel, args: dict, lo: int, hi: int):
     """Per-trial outputs of trials lo..hi-1, realized _CHUNK trials at a time."""
-    kernel = _STATS[stat][1]
     for start in range(lo, hi, _CHUNK):
         ks = range(start, min(start + _CHUNK, hi))
         chunk = {kind: realize_subchannels(cfg, kind,
@@ -342,40 +328,42 @@ def _trials(cfg: ScenarioConfig, stat: str, args: dict, lo: int, hi: int):
             yield kernel({kind: reals[i] for kind, reals in chunk.items()}, args)
 
 
-def _block_sums(cfg: ScenarioConfig, stat: str, args: dict, lo: int, hi: int) -> dict:
-    return _reduce(_trials(cfg, stat, args, lo, hi), np.stack)
-
-
-def _block_worker(payload: dict) -> dict:
-    cfg = parse_config(payload["cfg"])
-    return _block_sums(cfg, payload["stat"], payload["args"], payload["lo"], payload["hi"])
+def _block_sums(cfg: ScenarioConfig, kernel, args: dict, block: tuple[int, int]) -> dict:
+    return _reduce(_trials(cfg, kernel, args, *block), np.stack)
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
 
 
-def run_ensemble(cfg: ScenarioConfig, stat: str, params: dict,
-                 threads: int = 1) -> tuple[dict, int]:
-    """Accumulate per-trial outputs of cfg.trials trials; returns (reduced, trials).
+def _workers(trials: int, threads: int) -> int:
+    """Trial processes of a run: ``threads`` (at least 1), never more than its blocks.
 
-    Trial k draws from the streams (cfg.seed, "trial", k, kind).  Keys
-    starting with ``trial_`` stack one row per trial; all other keys sum.
-    Block partials are folded in block order as they arrive, so results are
-    independent of ``threads``.
+    One means that the caller runs every block itself and starts no pool.
     """
-    args = _STATS[stat][0](cfg, params)
-    blocks = _blocks(cfg.trials)
-    if threads <= 1 or len(blocks) == 1:
-        parts = (_block_sums(cfg, stat, args, lo, hi) for lo, hi in blocks)
-        return _reduce(parts, np.concatenate), cfg.trials
-    payloads = [{"cfg": serialize_config(cfg), "stat": stat, "args": args,
-                 "lo": lo, "hi": hi} for lo, hi in blocks]
+    return min(max(threads, 1), len(_blocks(trials)))
+
+
+def run_ensemble(cfg: ScenarioConfig, kernel, args: dict,
+                 threads: int = 1) -> tuple[dict, int]:
+    """Accumulate ``kernel(reals, args)`` over cfg.trials trials; returns (reduced, trials).
+
+    ``kernel`` is a module-level per-trial kernel and ``args`` its arguments,
+    built once per run.  Trial k draws from the streams (cfg.seed, "trial",
+    k, kind) of each kind in ``args["realize"]``.  Keys starting with
+    ``trial_`` stack one row per trial; all other keys sum.  Block partials
+    are folded in block order as they arrive, so results are independent of
+    ``threads``.
+    """
+    sums = functools.partial(_block_sums, cfg, kernel, args)
+    workers = _workers(cfg.trials, threads)
+    if workers <= 1:
+        return _reduce(map(sums, _blocks(cfg.trials)), np.concatenate), cfg.trials
     # imported here, so a run that does not pool never loads multiprocessing;
     # the executor forks all max_workers at once, so it gets no more than blocks
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        return _reduce(pool.map(_block_worker, payloads), np.concatenate), cfg.trials
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _reduce(pool.map(sums, _blocks(cfg.trials)), np.concatenate), cfg.trials
 
 
 def _normalize(prod: np.ndarray, anchor, power: np.ndarray) -> np.ndarray:
@@ -424,10 +412,8 @@ def _check_memory(per_process: int, parent: int, trials: int, threads: int,
     ``parent`` bytes more while it folds the blocks.  The sum is checked
     against the RAM that is available now.
     """
-    blocks = len(_blocks(trials))
-    pooled = threads > 1 and blocks > 1
-    workers = min(threads, blocks) if pooled else 1
-    need = per_process * workers + (parent if pooled else 0)
+    workers = _workers(trials, threads)
+    need = per_process * workers + (parent if workers > 1 else 0)
     ram = _available_ram_bytes()
     if need > ram:
         raise MemoryError(
@@ -480,8 +466,8 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
               .applied_profile(times) for bits in bits_variants}
     _check_tensor_footprint(cfg.irs.m_x * cfg.irs.m_y, lags.size, analytical,
                             cfg.trials, threads)
-    params = {"times": times, "analytical": analytical}
-    acc, n = run_ensemble(cfg, "cascade", params, threads)
+    args = {**_cascade_args(cfg, times), "analytical": analytical}
+    acc, n = run_ensemble(cfg, _trial_cascade, args, threads)
 
     prefixes = {"sim": "sim", "analytical": "ana"} if analytical else {"sim": "sim"}
     # entry (1, 1) of a sub-channel's tensors is its own element-pair (1, 1) ACF
@@ -490,12 +476,12 @@ def acf_full_irs(cfg: ScenarioConfig, t: float, bits_variants: tuple | None = No
         for kind, p in prefixes.items():
             power = acc[f"{p}_gram_{sub.lower()}"][0, 0].real / n
             factors[sub][kind] = CorrelationCurve(lags, _normalize(
-                acc[f"{p}_ccf_{sub.lower()}"][0, 0] / n, power[0], power), kind, n, sub)
+                acc[f"{p}_ccf_{sub.lower()}"][0, 0] / n, power[0], power), kind, n)
     out: dict = {}
     for label, theta in thetas.items():
         out[label] = {kind: CorrelationCurve(lags, _combine_full(
             *(acc[f"{p}_{key}"] / n for key in ("ccf_bi", "gram_bi", "ccf_iu", "gram_iu")),
-            theta), kind, n, label) for kind, p in prefixes.items()}
+            theta), kind, n) for kind, p in prefixes.items()}
         out[label]["factors"] = factors
     return out
 
@@ -509,7 +495,8 @@ def cascade_trial_products(cfg: ScenarioConfig, t: float,
     phase resolution, on ``cfg.lag_grid()``.  Returns (trial_prod,
     trial_pow) with one row per trial, in trial order.
     """
-    acc, _ = run_ensemble(cfg, "products", {"times": t + cfg.lag_grid()}, threads)
+    acc, _ = run_ensemble(cfg, _trial_products, _products_args(cfg, t + cfg.lag_grid()),
+                          threads)
     return acc["trial_prod"], acc["trial_pow"]
 
 
@@ -528,13 +515,13 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
     """
     c = cfg.ccf
     subchannel, axis, t = c["subchannel"], c["axis"], c["t_s"]
-    params = {"times": t + np.array([0.0, c["dt_s"]]), "kind": subchannel, "sweep": axis}
+    times = t + np.array([0.0, c["dt_s"]])
     link = cfg.links[subchannel]
     swept = link.rx_layout if axis == "rx" else link.tx_layout
     evolved = link.tx_layout if link.evolved_side == "tx" else link.rx_layout
     rays = expected_cluster_count(evolved, cfg.clusters) * cfg.clusters.rays_per_cluster
     taps = cfg.clusters.mean_count * cfg.clusters.rays_per_cluster   # visible at each pair
-    e, n_t = swept.num_elements, params["times"].size
+    e, n_t = swept.num_elements, times.size
     per_process = (tap_block_bytes(taps, e, n_t)
                    + _RAY_BYTES * rays * min(_CHUNK, cfg.trials) + _PROCESS_BYTES)
     _check_memory(
@@ -543,7 +530,7 @@ def ccf_spatial(cfg: ScenarioConfig, threads: int = 1) -> dict[str, CorrelationC
         f"elements, T={n_t} times)",
         "in the config, lower irs.m_x and irs.m_y (or the swept array's num_elements), "
         "or run with a smaller --threads (each worker process forms its own fields)")
-    acc, n = run_ensemble(cfg, "sub", params, threads)
+    acc, n = run_ensemble(cfg, _trial_sub, _sub_args(cfg, times, subchannel, axis), threads)
     seps = np.linalg.norm(swept.offsets - swept.offsets[0], axis=1)
     # rows are elements, columns the times t and t + dt: element 1 at t is the anchor
     return {kind: CorrelationCurve(seps, _normalize(
@@ -562,7 +549,8 @@ def doppler_spread_series(cfg: ScenarioConfig, threads: int = 1
     """
     d = cfg.doppler
     times = np.linspace(d["start_s"], d["stop_s"], d["num"])
-    acc, _ = run_ensemble(cfg, "doppler", {"times": times}, threads)
+    acc, _ = run_ensemble(cfg, _trial_doppler, {"times": times, "realize": ("BI", "IU")},
+                          threads)
     return times, acc["spread"] / np.maximum(acc["valid"], 1.0), acc["valid"].astype(int)
 
 
@@ -579,7 +567,8 @@ def ds_cdf(cfg: ScenarioConfig, threads: int = 1) -> dict[float, np.ndarray]:
             cfg, clusters=dataclasses.replace(
                 cfg.clusters,
                 sigma_xyz_m=tuple(scale * s for s in cfg.clusters.sigma_xyz_m)))
-        acc, _ = run_ensemble(scaled, "ds", {"t": cfg.ds_cdf["t_s"]}, threads)
+        acc, _ = run_ensemble(scaled, _trial_ds, {"t": cfg.ds_cdf["t_s"], "realize": ("BI",)},
+                              threads)
         samples = acc["trial_ds"][:, 0]
         out[scale] = np.sort(samples[~np.isnan(samples)])
     return out

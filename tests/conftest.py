@@ -5,7 +5,7 @@ import pytest
 
 from irs_gbsm.clusters import ClusterSet, _build, _draw
 from irs_gbsm.config import parse_config
-from irs_gbsm.stats import CorrelationCurve, _normalize, run_ensemble
+from irs_gbsm.stats import CorrelationCurve, _normalize, _sub_args, _trial_sub, run_ensemble
 
 
 def make_config(**overrides):
@@ -63,9 +63,9 @@ def acf_subchannel(cfg, subchannel, t):
     and GEMMs of the cascade.  Returns {"sim": curve, "analytical": curve}.
     """
     lags = cfg.lag_grid()
-    acc, n = run_ensemble(cfg, "sub", {"times": t + lags, "kind": subchannel, "sweep": None})
+    acc, n = run_ensemble(cfg, _trial_sub, _sub_args(cfg, t + lags, subchannel, None))
     return {kind: CorrelationCurve(lags, _normalize(
-        acc[prod][0] / n, acc[power][0, 0] / n, acc[power][0] / n), kind, n, subchannel)
+        acc[prod][0] / n, acc[power][0, 0] / n, acc[power][0] / n), kind, n)
         for kind, prod, power in (("sim", "prod", "pow"), ("analytical", "ana", "ana0"))}
 
 

@@ -211,13 +211,13 @@ def test_baseline_runs_two_ensembles(monkeypatch):
     calls = []
     run = stats.run_ensemble
 
-    def counted(cfg, stat, *args, **kwargs):
-        calls.append(stat)
-        return run(cfg, stat, *args, **kwargs)
+    def counted(cfg, kernel, *args, **kwargs):
+        calls.append(kernel)
+        return run(cfg, kernel, *args, **kwargs)
 
     monkeypatch.setattr(stats, "run_ensemble", counted)
     out = baseline_ensembles(dataclasses.replace(parse_config(BASELINE), trials=32))
-    assert calls == ["cascade", "cascade"]
+    assert calls == [stats._trial_cascade] * 2
     assert sorted(out["t2"]["factors"]) == ["BI", "IU"]
 
 

@@ -333,6 +333,18 @@ def test_output_comparison_reports_identity_and_the_largest_difference(tmp_path,
     assert "run/extra.csv: missing in the first directory" in out
 
 
+def test_output_set_lists_44_runs_of_valid_scenarios():
+    # listed, not run: each scenario parses and each subcommand exists
+    from irs_gbsm import cli
+    from irs_gbsm.config import parse_config
+
+    runs = load_tool("output_set").runs()
+    assert len({name for name, _, _ in runs}) == len(runs) == 44
+    for name, sub, scenario in runs:
+        assert sub in cli._SUBCOMMANDS, name
+        parse_config(scenario)
+
+
 def test_paired_timer_alternates_and_summarizes(capsys):
     tool = load_tool("paired_times")
     assert tool.main(["--pairs", "2", str(ROOT), str(ROOT), "--", "-c", "pass"]) == 0

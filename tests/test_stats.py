@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from irs_gbsm.smallscale import (
     stacked_phasors,
     tap_block_bytes,
 )
-from irs_gbsm import smallscale, stats
+from irs_gbsm import config, smallscale, stats
 from tests.cir_oracle import los_distance
 from tests.conftest import (
     acf_subchannel,
@@ -77,7 +78,7 @@ class TestAcfSubchannel:
         vals = w_l2 * u[0] * np.conj(u) + w_n2 * (g[:, 0][:, None] * np.conj(g)).sum(axis=0)
         anchors = w_l2 + w_n2 * powers.sum(axis=0)
         closed = vals / np.sqrt(anchors[0] * anchors)
-        args = stats._setup_sub(small_cfg, {"times": lags, "kind": "BI", "sweep": None})
+        args = stats._sub_args(small_cfg, lags, "BI", None)
         kernel = stats._trial_sub({"BI": real}, args)
         expect = kernel["ana"][0] / np.sqrt(kernel["ana0"][0, 0] * kernel["ana0"][0])
         assert np.allclose(closed, expect, atol=1e-12)
@@ -172,11 +173,12 @@ class TestAcfFullIrs:
         # entry (1, 1) of the cascade's tensors is the sub-channel ACF at any E
         cfg = make_config(irs=irs, rician_k_db=k_db, trials=TRIALS)
         factors = stats.acf_full_irs(cfg, 0.5)["continuous"]["factors"]
+        assert sorted(factors) == ["BI", "IU"]
         for sub in ("BI", "IU"):
             oracle = acf_subchannel(cfg, sub, 0.5)
             for kind in ("sim", "analytical"):
                 curve = factors[sub][kind]
-                assert (curve.kind, curve.label, curve.trials) == (kind, sub, TRIALS)
+                assert (curve.kind, curve.trials) == (kind, TRIALS)
                 np.testing.assert_array_equal(curve.lags, oracle[kind].lags)
                 np.testing.assert_allclose(curve.values, oracle[kind].values,
                                            rtol=0, atol=1e-14)
@@ -256,7 +258,7 @@ class TestCorrelationTensors:
             real = dataclasses.replace(real, clusters=empty_cluster_set(
                 cfg.clusters.rays_per_cluster, cfg.clusters.sigma_xyz_m))
         lags = cfg.lag_grid()
-        args = stats._setup_sub(cfg, {"times": lags, "kind": "BI", "sweep": sweep})
+        args = stats._sub_args(cfg, lags, "BI", sweep)
         out = stats._trial_sub({"BI": real}, args)
         h_ref, ana_ref, gram_ref = _reference_sub_arrays(real, 0.0, lags, sweep)
         n_elem = 9 if sweep else 1
@@ -311,8 +313,8 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def map(self, fn, blocks):
+            return map(fn, blocks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return sizes
@@ -339,11 +341,9 @@ class TestChunkedEnsemble:
         t, f, lags = 0.5, 2e6, cfg.lag_grid()
         times = t + lags
         theta = phase_model_for(cfg).applied_profile(times)
-        products = stats._setup_products(cfg, {"times": times})
-        sub = [stats._setup_sub(cfg, {"times": times, "kind": kind, "sweep": None})
-               for kind in ("BI", "IU")]
-        ccf = stats._setup_sub(cfg, {"times": t + np.array([0.0, 0.01]), "kind": "IU",
-                                     "sweep": "tx"})
+        products = stats._products_args(cfg, times)
+        sub = [stats._sub_args(cfg, times, kind, None) for kind in ("BI", "IU")]
+        ccf = stats._sub_args(cfg, t + np.array([0.0, 0.01]), "IU", "tx")
         for k in range(3):
             bi, iu = (realize_subchannel(cfg, kind, rng_stream(9, "trial", k, kind))
                       for kind in ("BI", "IU"))
@@ -391,6 +391,32 @@ class TestChunkedEnsemble:
         cfg = make_config(**self.CFG, trials=300)
         pooled = stats.cascade_trial_products(cfg, 0.0, threads=2)
         assert in_process_pool == [2]
+        serial = stats.cascade_trial_products(cfg, 0.0, threads=1)
+        for rows, want in zip(pooled, serial):
+            assert rows.shape[0] == 300
+            np.testing.assert_array_equal(rows, want)
+
+    def test_pool_workers_take_the_config_as_it_is(self, in_process_pool, monkeypatch):
+        # each block gets the run's config object, not a serialized copy to parse again
+        calls = []
+        original = config.parse_config
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        cfg = make_config(**self.CFG, trials=300)
+        for name, module in list(sys.modules.items()):   # every binding of the parser
+            if name.startswith("irs_gbsm") and getattr(module, "parse_config", None) is original:
+                monkeypatch.setattr(module, "parse_config", counted)
+        stats.cascade_trial_products(cfg, 0.0, threads=2)
+        assert in_process_pool == [2]
+        assert calls == []
+
+    def test_real_pool_trial_rows_equal_serial(self):
+        # two worker processes, each sent the pickled config, kernel and arguments
+        cfg = make_config(**self.CFG, trials=300)
+        pooled = stats.cascade_trial_products(cfg, 0.0, threads=2)
         serial = stats.cascade_trial_products(cfg, 0.0, threads=1)
         for rows, want in zip(pooled, serial):
             assert rows.shape[0] == 300
@@ -662,7 +688,7 @@ def test_doppler_and_row_0_trials_make_one_kernel_call_per_subchannel(monkeypatc
     stats._trial_doppler({"BI": bi, "IU": iu}, {"times": np.linspace(0.0, 2.0, 11)})
     assert sorted(calls) == ["BI", "IU"]
     calls.clear()
-    args = stats._setup_sub(cfg, {"times": np.array([0.0, 0.3]), "kind": "BI", "sweep": "rx"})
+    args = stats._sub_args(cfg, np.array([0.0, 0.3]), "BI", "rx")
     stats._trial_sub({"BI": bi}, args)
     assert calls == ["BI"]
 
