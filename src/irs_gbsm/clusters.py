@@ -230,7 +230,6 @@ class VisibilityTensor:
 
     shape: tuple[int, int, int]
     flat: np.ndarray
-    initial_count: int
 
     @property
     def n_clusters(self) -> int:
@@ -365,7 +364,7 @@ def evolve_visibility(layout: TerminalLayout, params: ClusterParams,
         flat += cs
         flat.sort()
     flat.flags.writeable = False
-    return VisibilityTensor(shape=(m_x, m_y, state.shape[1]), flat=flat, initial_count=n0)
+    return VisibilityTensor(shape=(m_x, m_y, state.shape[1]), flat=flat)
 
 
 def lag1_autocorrelation(tensor: VisibilityTensor) -> float:

@@ -151,8 +151,7 @@ class LargeScaleConfig:
         return LargeScaleParams(
             sf_sigma_db=self.sf_sigma_db[subchannel.lower()],
             sf_mu_db=self.sf_mu_db,
-            pl_a=self.path_loss["a"], pl_b=self.path_loss["b"], pl_c=self.path_loss["c"],
-            scenario_name=self.scenario_name)
+            pl_a=self.path_loss["a"], pl_b=self.path_loss["b"], pl_c=self.path_loss["c"])
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,6 @@ class PhasePlan:
 
     raw_phases: np.ndarray
     bits: int | None = None
-    timestamp: float = 0.0
     m_y: int | None = None  # column count, for (x, y) labeling in CSV export
 
     def __post_init__(self):
@@ -209,5 +208,4 @@ class IrsPhaseModel:
         return phi if self.bits is None else quantize_phase(phi, self.bits)
 
     def plan(self, t: float) -> PhasePlan:
-        return PhasePlan(self.profile(t), bits=self.bits, timestamp=t,
-                         m_y=self.irs_layout.counts[1])
+        return PhasePlan(self.profile(t), bits=self.bits, m_y=self.irs_layout.counts[1])

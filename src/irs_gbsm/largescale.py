@@ -24,7 +24,6 @@ class LargeScaleParams:
     pl_a: float = 22.0
     pl_b: float = 28.0
     pl_c: float = 20.0
-    scenario_name: str = "default"
 
     def __post_init__(self):
         if self.sf_sigma_db < 0:

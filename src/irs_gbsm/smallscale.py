@@ -31,10 +31,11 @@ One tap kernel, :func:`_tap_blocks`, serves every statistic and
 times.  It reads each pair's visible rays from the sparse visibility entries
 (``VisibilityTensor.flat``), once for all pairs since visibility does not
 depend on t, and yields the taps' path lengths, normalized powers and
-phasors over a block's times at once.  A block's pairs x widest pair's taps
-x times stay within ``_BLOCK_FLOATS``, so its memory does not grow with the
-array, and the cost and memory of a pass are O(visible taps x T), whatever
-the realization's ray count.
+phasors over every time at once.  Blocks split the pairs only: a block's
+pairs x widest pair's taps x times stay within ``_BLOCK_FLOATS`` (a block
+holds at least one pair), so its memory does not grow with the array, and
+the cost and memory of a pass are O(visible taps x T), whatever the
+realization's ray count.
 
 Every per-pair sum here has one definition, :func:`_pair_sums`: the pair's
 visible taps added in ray order, from zero.  The power normalizer, h's NLoS
@@ -72,10 +73,12 @@ from .geometry import SPEED_OF_LIGHT, element_offset
 TWO_PI = 2.0 * np.pi
 
 # cap on pairs x width x times of a _tap_blocks block, width the widest pair's
-# visible taps.  On the 128 x 128 config's BI clusters one subchannel_taps pass at
-# one time took 1.6-2.1 s at every bound from 60k to 2M (two sweeps), while its
-# tracemalloc peak grew: 431 MB at 60k, 439 at 125k, 454 at 250k, 482 at 500k,
-# 538 at 1M and 646 at 2M (its columns, about 420 MB, set most of it)
+# visible taps; a block spans every time and holds at least one pair, so one
+# pair's taps over every time are its floor.  On the 128 x 128 config's BI
+# clusters one subchannel_taps pass at one time took 1.6-2.1 s at every bound
+# from 60k to 2M (two sweeps), while its tracemalloc peak grew: 431 MB at 60k,
+# 439 at 125k, 454 at 250k, 482 at 500k, 538 at 1M and 646 at 2M (its
+# columns, about 420 MB, set most of it)
 _BLOCK_FLOATS = 125_000
 # bytes per visible tap and time of a row_0_tap_sums block that its arrays hold
 # at once: d, P and g of the taps, the three stacked products summed per pair
@@ -163,15 +166,13 @@ def _tap_norms(d0, v_rel, offsets, elements, pair, ray, times) -> np.ndarray:
     return _norms(d0 - offsets[elements, None], v_rel, times[:, None, None])[:, pair, ray]
 
 
-def _block_steps(width: float, n_times: int) -> tuple[int, int]:
-    """Pairs and times of a :func:`_tap_blocks` block: pairs x width x times <= _BLOCK_FLOATS.
+def _block_pairs(width: float, n_times: int) -> int:
+    """Pairs of a :func:`_tap_blocks` block: pairs x width x times <= _BLOCK_FLOATS, at least 1.
 
     ``width`` is the widest pair's visible taps, or an expected (float)
-    count.  All times go in one block unless a single pair's taps over them
-    exceed the bound.
+    count.  A block spans all ``n_times`` times.
     """
-    t_step = max(1, min(n_times, int(_BLOCK_FLOATS // max(1, width))))
-    return max(1, int(_BLOCK_FLOATS // (max(1, width) * t_step))), t_step
+    return max(1, int(_BLOCK_FLOATS // (max(1, width) * max(1, n_times))))
 
 
 def _normalized(w: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -179,11 +180,12 @@ def _normalized(w: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
 
     The sum is :func:`_pair_sums`'s: the pair's taps added in ray order from
     zero, so it costs O(taps), whatever the realization's ray count.  Where
-    every pair holds the same taps (every element sees every cluster), the
-    block is (T, pairs, width) and ``np.add.accumulate`` along its tap axis
-    adds them in the same order, one after another, in about half the time;
-    the weights are never negative, so starting from the first tap, not from
-    +0, gives the same bits.
+    every pair of the block has the same number of taps (a one-pair block
+    always does, and so does every block where every element sees every
+    cluster), the block is (T, pairs, width) and ``np.add.accumulate``
+    along its tap axis adds them in the same order, one after another, in
+    about half the time; the weights are never negative, so starting from
+    the first tap, not from +0, gives the same bits.
     """
     width = pair.size // n_pairs
     grid = pair.size and np.array_equal(pair, np.repeat(np.arange(n_pairs), width))
@@ -193,17 +195,16 @@ def _normalized(w: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
 
 
 class TapBlock(NamedTuple):
-    """The visible NLoS taps of a block of element pairs over a block of times.
+    """The visible NLoS taps of a block of element pairs over every time.
 
-    ``pairs`` and ``steps`` slice the caller's pairs and times.  Tap k has
-    its pair ``pair[k]`` (within the block) and ray ``ray[k]``, sorted by
-    pair and then ray.  ``d``, ``power`` and ``g`` are (T_b, K): the path
-    length |d_tx| + |d_rx|, the power P normalized over the pair's visible
-    rays at each time, and the phasor sqrt(P) exp(j kappa d).
+    ``pairs`` slices the caller's pairs.  Tap k has its pair ``pair[k]``
+    (within the block) and ray ``ray[k]``, sorted by pair and then ray.
+    ``d``, ``power`` and ``g`` are (T, K): the path length |d_tx| + |d_rx|,
+    the power P normalized over the pair's visible rays at each time, and
+    the phasor sqrt(P) exp(j kappa d).
     """
 
     pairs: slice
-    steps: slice
     pair: np.ndarray
     ray: np.ndarray
     d: np.ndarray
@@ -216,10 +217,10 @@ def _tap_blocks(real: ClusterRealization, times: np.ndarray, f: float,
     """The taps of the element pairs (tx[p], rx[p]), one :class:`TapBlock` per block.
 
     ``tx`` and ``rx`` are 0-based element indices, one per pair.  Blocks of
-    pairs and times keep pairs x widest pair's taps x times within
-    ``_BLOCK_FLOATS`` and run pair-major.  Visibility does not depend on t,
-    so every pair's visible entries are looked up once, and each block's
-    taps are formed once for all its times.
+    :func:`_block_pairs` pairs keep pairs x widest pair's taps x times within
+    ``_BLOCK_FLOATS``, and every block spans every time.  Visibility does not
+    depend on t, so every pair's visible entries are looked up once, and each
+    block's taps are formed once for all the times.
     """
     rays, n_rays = real.rays, real.num_rays
     kappa = TWO_PI * (real.fc_hz - f) / SPEED_OF_LIGHT
@@ -230,31 +231,28 @@ def _tap_blocks(real: ClusterRealization, times: np.ndarray, f: float,
     m = _rays_per_cluster(real)
     evolved = tx if real.evolved_side == "tx" else rx
     lo, hi = np.searchsorted(flat, [evolved * n, (evolved + 1) * n])
-    p_step, t_step = _block_steps(int((hi - lo).max(initial=0)) * m, times.size)
+    # every element sees every cluster: the taps are the (pair, ray) grid,
+    # formed without the ranges
+    full = flat.size == real.visibility.shape[0] * real.visibility.shape[1] * n
+    p_step = _block_pairs(int((hi - lo).max(initial=0)) * m, times.size)
     for p0 in range(0, tx.size, p_step):
         pairs = slice(p0, p0 + p_step)
         b_tx, b_rx = tx[pairs], rx[pairs]
-        if flat.size == real.visibility.shape[0] * real.visibility.shape[1] * n:
-            # every element sees every cluster: the taps are the (pair, ray)
-            # grid, formed without the ranges
+        if full:
             pair, ray = np.divmod(np.arange(b_tx.size * n_rays), n_rays)
         else:
             entry, entry_pair = _ranges(lo[pairs], (hi - lo)[pairs])
             ray = ((flat[entry] % n)[:, None] * m + np.arange(m)).ravel()
             pair = np.repeat(entry_pair, m)
-        for t0 in range(0, times.size, t_step):
-            steps = slice(t0, t0 + t_step)
-            t = times[steps]
-            d = (_tap_norms(rays["d0_tx"], rays["v_rel_tx"], real.tx_layout.offsets, b_tx,
-                            pair, ray, t)
-                 + _tap_norms(rays["d0_rx"], rays["v_rel_rx"], real.rx_layout.offsets, b_rx,
-                              pair, ray, t))
-            power = _normalized(
-                np.exp(-(d / SPEED_OF_LIGHT + rays["tau_v"][ray]) / real.gamma_ds),
-                pair, b_tx.size)
-            g = np.exp(1j * kappa * d)
-            g *= np.sqrt(power)
-            yield TapBlock(pairs, steps, pair, ray, d, power, g)
+        d = (_tap_norms(rays["d0_tx"], rays["v_rel_tx"], real.tx_layout.offsets, b_tx,
+                        pair, ray, times)
+             + _tap_norms(rays["d0_rx"], rays["v_rel_rx"], real.rx_layout.offsets, b_rx,
+                          pair, ray, times))
+        power = _normalized(np.exp(-(d / SPEED_OF_LIGHT + rays["tau_v"][ray]) / real.gamma_ds),
+                            pair, b_tx.size)
+        g = np.exp(1j * kappa * d)
+        g *= np.sqrt(power)
+        yield TapBlock(pairs, pair, ray, d, power, g)
 
 
 def _pair_sums(values: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -289,17 +287,18 @@ def stacked_phasors(real: ClusterRealization, times, f: float, sweep: str | None
     d) weighted sqrt(1/(K+1)), 0 where the ray is not visible.  A
     correlation is a contraction of x with its conjugate over the first axis.
     h = x[0] + sqrt(1/(K+1)) sum_n sqrt(P_n) exp(j kappa d_n) vlink_n, the
-    rays added in ray order, as :func:`subchannel_taps` adds them.
+    visible rays of a pair added in ray order by :func:`_pair_sums`, as
+    :func:`subchannel_taps` adds them.
     """
+    tx, rx = _sweep_pairs(real, sweep)
+    vlink = _vlink(real, f)
     x = np.zeros((1 + real.num_rays,) + u.shape, dtype=complex)
-    for b in _tap_blocks(real, np.atleast_1d(times), f, *_sweep_pairs(real, sweep)):
-        x[1 + b.ray, b.pair + b.pairs.start, b.steps] = b.g.T
-    # row 0 is still zero and comes first, so the sum over the ray axis adds
-    # the rays one by one from zero; summed as floats, a column of one pair
-    # at one time is not summed pairwise
-    terms = x * np.concatenate([[0.0], _vlink(real, f)])[:, None, None]
+    nlos = np.empty(u.shape[::-1], dtype=complex)
+    for b in _tap_blocks(real, np.atleast_1d(times), f, tx, rx):
+        x[1 + b.ray, b.pair + b.pairs.start] = b.g.T
+        nlos[:, b.pairs] = _pair_sums(b.g * vlink[b.ray], b.pair, tx[b.pairs].size)
     w_los, w_nlos = rician_weights(real.k_factor)
-    h = w_los * u + w_nlos * terms.view(float).sum(axis=0).view(complex)
+    h = w_los * u + w_nlos * nlos.T
     x[0] = w_los * u
     x[1:] *= w_nlos
     return h, x
@@ -318,11 +317,11 @@ def row_0_tap_sums(real: ClusterRealization, times: np.ndarray, f: float,
     - sum_n x_ref[n] conj(x_n), the NLoS part of row 0 of the CCF contraction;
     - sum_n |x_n|^2 (real, held as complex), that of the equal-time one.
 
-    Each pair's taps are added in ray order from zero.  x_ref is read from
-    the first block, whose pair 0 is element 1 and whose first time is
-    times[0], so one kernel pass serves the anchor and the sweep, and no
-    array larger than a block's taps or the (3, T, E) sums forms: the work
-    and memory are O(visible taps x T).
+    Each pair's taps are added in ray order from zero.  x_ref is read at
+    times[0] from the block whose pairs start at 0, whose pair 0 is element
+    1, so one kernel pass serves the anchor and the sweep, and no array
+    larger than a block's taps or the (3, T, E) sums forms: the work and
+    memory are O(visible taps x T).
     """
     tx, rx = _sweep_pairs(real, sweep)
     w_nlos, vlink = rician_weights(real.k_factor)[1], _vlink(real, f)
@@ -330,9 +329,9 @@ def row_0_tap_sums(real: ClusterRealization, times: np.ndarray, f: float,
     x_ref = np.zeros(real.num_rays, dtype=complex)
     for b in _tap_blocks(real, times, f, tx, rx):
         xt = w_nlos * b.g
-        if not (b.pairs.start or b.steps.start):   # the first block: pair 0 at times[0]
+        if b.pairs.start == 0:   # the first block: its pair 0 is element 1
             x_ref[b.ray[b.pair == 0]] = xt[0, b.pair == 0]
-        sums[:, b.steps, b.pairs] = _pair_sums(
+        sums[:, :, b.pairs] = _pair_sums(
             np.stack([b.g * vlink[b.ray], x_ref[b.ray] * np.conj(xt),
                       xt.real ** 2 + xt.imag ** 2]), b.pair, tx[b.pairs].size)
     return sums
@@ -351,29 +350,27 @@ def element_1_taps(real: ClusterRealization, times):
     v1 x1, the order of numpy's ``einsum("ij,ij->i")``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    blocks = list(_tap_blocks(real, times, 0.0, *_sweep_pairs(real, None)))
-    ray, rays = blocks[0].ray, real.rays    # one pair: blocks split only the times
-    d = np.concatenate([b.d for b in blocks])
-    rate = np.zeros(d.shape)
+    (b,) = _tap_blocks(real, times, 0.0, *_sweep_pairs(real, None))
+    ray, rays = b.ray, real.rays
+    rate = np.zeros(b.d.shape)
     for side, layout in (("tx", real.tx_layout), ("rx", real.rx_layout)):
         a, v = rays[f"d0_{side}"][ray] - element_offset(layout, 1), rays[f"v_rel_{side}"][ray]
         x = a - v * times[:, None, None]
         dot = (v[:, 0] * x[..., 0] + v[:, 2] * x[..., 2]) + v[:, 1] * x[..., 1]
         rate -= dot / _norms(a, v, times[:, None])
-    return (ray, d / SPEED_OF_LIGHT + rays["tau_v"][ray],
-            np.concatenate([b.power for b in blocks]), rate)
+    return ray, b.d / SPEED_OF_LIGHT + rays["tau_v"][ray], b.power, rate
 
 
 def tap_block_bytes(n_taps: float, n_pairs: int, n_times: int) -> float:
     """Bytes a :func:`row_0_tap_sums` block holds, for ``n_pairs`` pairs over ``n_times`` times.
 
-    A block spans the pairs and times of :func:`_block_steps` at ``n_taps``
-    visible taps per pair (an expected, float count may be given), at most
-    ``n_pairs``, and holds ``_TAP_BYTES`` per tap and time: at most
-    ``_BLOCK_FLOATS`` x ``_TAP_BYTES``.
+    A block spans every time and the pairs of :func:`_block_pairs` at
+    ``n_taps`` visible taps per pair (an expected, float count may be
+    given), at most ``n_pairs``, and holds ``_TAP_BYTES`` per tap and time:
+    at most ``_BLOCK_FLOATS`` x ``_TAP_BYTES``, unless one pair's taps over
+    the times alone exceed the bound.
     """
-    pairs, steps = _block_steps(n_taps, n_times)
-    return min(pairs, n_pairs) * steps * _TAP_BYTES * n_taps
+    return min(_block_pairs(n_taps, n_times), n_pairs) * n_times * _TAP_BYTES * n_taps
 
 
 CIR_HEADER = ["t", "tx", "rx", "cluster", "ray", "delay_s", "amplitude",
@@ -424,16 +421,16 @@ def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
 
     for b in _tap_blocks(real, times, f, tx, rx):
         b_tx, b_rx = tx[b.pairs], rx[b.pairs]
-        d_los = _los_norms(real, b_tx, b_rx, times[b.steps])
+        d_los = _los_norms(real, b_tx, b_rx, times)
         np.multiply(b.g, vlink[b.ray], out=b.g)
-        h[b.steps, b.pairs] = (w_los * np.exp(1j * kappa * d_los)
+        h[:, b.pairs] = (w_los * np.exp(1j * kappa * d_los)
                                + w_nlos * _pair_sums(b.g, b.pair, b_tx.size))
 
         # the block's rows at each time: pair by pair, its LoS row and its taps
         is_los = np.ones(b_tx.size + b.pair.size, dtype=bool)
         is_los[np.arange(b.pair.size) + b.pair + 1] = False
         row_pair = np.cumsum(is_los) - 1
-        delay = np.empty((b.d.shape[0], row_pair.size))
+        delay = np.empty((times.size, row_pair.size))
         delay[:, is_los] = d_los / SPEED_OF_LIGHT
         delay[:, ~is_los] = b.d / SPEED_OF_LIGHT + rays["tau_v"][b.ray]
         amplitude = np.full(delay.shape, w_los)
@@ -441,9 +438,8 @@ def subchannel_taps(real: ClusterRealization, times, f: float = 0.0
         cluster, ray_id = np.full((2, row_pair.size), -1)
         cluster[~is_los], ray_id[~is_los] = rays["cluster_ids"][b.ray], rays["ray_ids"][b.ray]
         for col, values in zip(columns, (
-                times[b.steps, None], b_tx[row_pair] + 1, b_rx[row_pair] + 1, cluster, ray_id,
+                times[:, None], b_tx[row_pair] + 1, b_rx[row_pair] + 1, cluster, ray_id,
                 delay, amplitude, np.mod(TWO_PI * real.fc_hz * delay, TWO_PI), is_los)):
-            col.reshape(times.size, per_time)[b.steps, lo:lo + row_pair.size] = values
-        if b.steps.stop >= times.size:   # the block's last times: the next block's pairs follow
-            lo += row_pair.size
+            col.reshape(times.size, per_time)[:, lo:lo + row_pair.size] = values
+        lo += row_pair.size
     return columns, h.reshape(-1, n_tx, n_rx).transpose(0, 2, 1)

@@ -264,6 +264,6 @@ class TestPhaseModel:
     def test_plan_round_trip(self):
         m = self.model(bits=2)
         plan = m.plan(0.0)
-        assert plan.bits == 2 and plan.timestamp == 0.0
+        assert plan.bits == 2
         assert np.allclose(plan.raw_phases, m.profile(0.0))
         assert np.allclose(plan.phases, m.applied_profile(0.0))

@@ -19,6 +19,7 @@ from irs_gbsm.smallscale import (
     _tap_blocks,
     element_1_taps,
     los_phasor,
+    row_0_tap_sums,
     stacked_phasors,
     subchannel_taps,
 )
@@ -54,8 +55,7 @@ def toy_realization(scatter_a, scatter_z, tau_v=0.0, vel_a=(0, 0, 0), vel_z=(0, 
         rx_layout=TerminalLayout.linear("USER", 1, 0.0024, 0.0, 0.0),
         v_tx=np.asarray(v_tx, dtype=float), v_rx=np.asarray(v_rx, dtype=float),
         clusters=clusters,
-        visibility=VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid),
-                                    initial_count=grid.shape[2]),
+        visibility=VisibilityTensor(shape=grid.shape, flat=np.flatnonzero(grid)),
         evolved_side="rx", k_factor=k_factor, gamma_ds=gamma_ds, fc_hz=FC)
 
 
@@ -375,8 +375,8 @@ def dense_taps(real, times, f, tx, rx):
            "visible": np.zeros(shape[:2], dtype=bool)}
     for b in _tap_blocks(real, times, f, tx, rx):
         pair = b.pair + b.pairs.start
-        out["g"][b.ray, pair, b.steps] = b.g.T
-        out["powers"][b.ray, pair, b.steps] = b.power.T
+        out["g"][b.ray, pair] = b.g.T
+        out["powers"][b.ray, pair] = b.power.T
         out["visible"][b.ray, pair] = True
     return out
 
@@ -447,7 +447,7 @@ class TestRayFieldOracle:
 
     @pytest.mark.parametrize("kind, sweep", [("BI", "rx"), ("IU", "tx"), ("BU", None)])
     def test_blocks_leave_every_value_unchanged(self, monkeypatch, kind, sweep):
-        # at a tiny block bound every pair and every time is a block of its own
+        # at a tiny block bound every pair is a block of its own, over every time
         cfg = make_config(bs={"num_elements": 2}, irs={"m_x": 3, "m_y": 2},
                           user={"num_elements": 2}, rician_k_db=3.0)
         real = realize_subchannel(cfg, kind, rng_stream(12, "t"))
@@ -464,7 +464,9 @@ class TestRayFieldOracle:
 
         whole = run()
         monkeypatch.setattr(smallscale, "_BLOCK_FLOATS", 1)
-        assert len(list(_tap_blocks(real, times, f, tx, rx))) == times.size * tx.size
+        blocks = list(_tap_blocks(real, times, f, tx, rx))
+        assert len(blocks) == tx.size
+        assert all(b.d.shape[0] == times.size for b in blocks)
         blocked = run()
         for a, b in zip(whole[0], blocked[0]):
             assert np.array_equal(a, b)
@@ -548,6 +550,36 @@ class TestBlockPolicy:
         per_block = bound // (widest * times.size)
         assert len({b.pairs.start for b in blocks}) == -(-rx.size // per_block)
         for b in blocks:
-            n_pairs, n_times = len(range(rx.size)[b.pairs]), len(range(times.size)[b.steps])
-            assert n_pairs * widest * n_times <= bound
+            n_pairs = len(range(rx.size)[b.pairs])
+            assert n_pairs * widest * times.size <= bound
             assert b.ray.size <= n_pairs * widest
+
+    @pytest.mark.parametrize("kind, sweep", [("BI", "rx"), ("IU", "tx")])
+    def test_a_bound_below_one_pair_gives_one_pair_over_every_time(
+            self, monkeypatch, kind, sweep):
+        # a bound below one pair's taps over the times: every block holds a
+        # single pair and still spans every time, and no reduction moves a bit
+        cfg = make_config(bs={"num_elements": 2}, irs={"m_x": 3, "m_y": 2},
+                          user={"num_elements": 2}, rician_k_db=3.0)
+        real = realize_subchannel(cfg, kind, rng_stream(13, "policy"))
+        times, f = np.array([0.0, 0.4, 1.3, 2.0]), 2e6
+        tx, rx = smallscale._sweep_pairs(real, sweep)
+        u = los_phasor(real, times, real.fc_hz, f, sweep)
+
+        def run():
+            columns, matrix = subchannel_taps(real, times, f)
+            return (*stacked_phasors(real, times, f, sweep, u),
+                    row_0_tap_sums(real, times, f, sweep), *element_1_taps(real, times),
+                    *columns, matrix)
+
+        whole = run()
+        n = real.visibility.n_clusters
+        widest = np.bincount(real.visibility.flat // n).max() * (real.num_rays // n)
+        monkeypatch.setattr(smallscale, "_BLOCK_FLOATS", widest * times.size - 1)
+        blocks = list(_tap_blocks(real, times, f, tx, rx))
+        assert [b.pairs.start for b in blocks] == list(range(tx.size))
+        for b in blocks:
+            assert len(range(tx.size)[b.pairs]) == 1
+            assert b.d.shape == b.power.shape == b.g.shape == (times.size, b.ray.size)
+        for a, b in zip(whole, run(), strict=True):
+            assert np.array_equal(a, b)

@@ -13,7 +13,7 @@ from irs_gbsm.clusters import expected_cluster_count, realize_subchannel
 from irs_gbsm.rng import rng_stream
 from irs_gbsm.geometry import SPEED_OF_LIGHT, element_offset
 from irs_gbsm.smallscale import (
-    _block_steps,
+    _block_pairs,
     element_1_taps,
     los_phasor,
     stacked_phasors,
@@ -486,8 +486,7 @@ class TestCcfSpatial:
                           ccf={"subchannel": "BI", "axis": "rx"}, trials=512)
         rays = expected_cluster_count(cfg.irs.layout(), cfg.clusters) * 10
         taps = 80.0 / 4.0 * 10
-        pairs, steps = _block_steps(taps, 2)
-        assert steps == 2
+        pairs = _block_pairs(taps, 2)
         block = tap_block_bytes(taps, 256, 2)
         # _TAP_BYTES per visible tap and time, within the block bound
         assert block == min(pairs, 256) * 2 * smallscale._TAP_BYTES * taps
